@@ -9,14 +9,14 @@ from .estimator import (LeverageReport, estimate_inner, mom_group_shape,
                         orthogonality_defect, qisls_all, qisls_score,
                         read_report_csv, write_report_csv)
 from .oracle import (exact_leverage, gen_example1, gen_example2,
-                     householder_qr, numerical_rank, spectral_norm_and_kappa)
+                     numerical_rank, spectral_norm_and_kappa)
 from .rng import standard_normal, stream, trial_stream
 from .sample_store import (MatrixSampleStore, SampleTree, read_matrix_csv,
                            write_matrix_csv)
 from .sketch import (Params, SketchDescription, build_w, compute_params,
                      qisvd, read_sketch_csv, s_entry, s_row, sample_columns,
                      sample_rows, theta_upper, write_sketch_csv)
-from .svd import SvdResult, svd_dense, truncate_top_k
+from .svd import SvdResult, householder_qr, svd_dense, truncate_top_k
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import standard_normal, stream
-from .svd import svd_dense
+from .svd import householder_qr, svd_dense
 
 RANK_TOL = 1e-10
 
@@ -46,41 +46,6 @@ def spectral_norm_and_kappa(matrix, rank_tol: float = RANK_TOL) -> tuple[float, 
         raise ValueError("zero matrix")
     r = int((res.sigma > rank_tol * top).sum())
     return top, top / float(res.sigma[r - 1])
-
-
-def householder_qr(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR with the sign convention diag(R) >= 0.
-
-    Returns (Q, R) with Q of shape (m, r) for an (m, r) input, m >= r.
-    Deterministic: plain Householder reflections, no pivoting.
-    """
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    m, r = a.shape
-    if m < r:
-        raise ValueError("householder_qr needs m >= r")
-    reflectors = []
-    for j in range(r):
-        x = a[j:, j]
-        norm = np.sqrt((x * x).sum())
-        if norm == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += norm if x[0] >= 0.0 else -norm
-        v /= np.sqrt((v * v).sum())
-        a[j:, j:] -= 2.0 * np.outer(v, v @ a[j:, j:])
-        reflectors.append(v)
-    q = np.zeros((m, r))
-    q[:r, :r] = np.eye(r)
-    for j in range(r - 1, -1, -1):
-        v = reflectors[j]
-        if v is not None:
-            q[j:] -= 2.0 * np.outer(v, v @ q[j:])
-    upper = np.triu(a[:r])
-    flip = np.diag(upper) < 0.0
-    upper[flip] *= -1.0
-    q[:, flip] *= -1.0
-    return q, upper
 
 
 def gen_example1(m: int, n: int, n_zero: int, seed: int) -> np.ndarray:

@@ -255,9 +255,17 @@ class MatrixSampleStore:
         if total <= 0.0:
             raise ValueError("zero column")
         self.queries += 1
-        u = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(sq), u, side="right"))
-        return min(idx, self.m - 1)
+        return draw_from_cumsum(np.cumsum(sq), rng.random() * total)
+
+
+def draw_from_cumsum(cum: np.ndarray, u: float) -> int:
+    """Index i with cum[i-1] <= u < cum[i] for cumulative masses ``cum``.
+
+    A ``u`` that rounded up to the total lands on the last index with
+    positive mass, never on a zero-mass tail.
+    """
+    i = int(np.searchsorted(cum, u, side="right"))
+    return i if i < cum.size else int(np.searchsorted(cum, cum[-1]))
 
 
 def write_matrix_csv(path, matrix, metadata: dict | None = None) -> None:

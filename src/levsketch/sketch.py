@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sample_store import MatrixSampleStore
+from .sample_store import MatrixSampleStore, draw_from_cumsum
 from .svd import svd_dense, truncate_top_k
 
 W_CAP = 2000
@@ -186,8 +186,7 @@ def sample_rows(store: MatrixSampleStore, col_indices, p: int,
             col = store.column_values(j)
             cum = np.cumsum(col * col)
             cum_cache[j] = cum
-        u = rng.random() * cum[-1]
-        i = min(int(np.searchsorted(cum, u, side="right")), store.m - 1)
+        i = draw_from_cumsum(cum, rng.random() * cum[-1])
         idx[t] = i
         if i not in prob_cache:
             vals = store.row_values(i, cols)
@@ -271,6 +270,11 @@ def write_sketch_csv(path, sketch: SketchDescription) -> None:
 
 
 def read_sketch_csv(path) -> SketchDescription:
+    """Read a file written by :func:`write_sketch_csv`.
+
+    Raises ValueError with a one-line message if the file is truncated or
+    its sections are malformed.
+    """
     section = None
     frob = None
     parts: dict[str, list] = {"cols": [], "rows": [], "V": [], "sigma": []}
@@ -287,7 +291,23 @@ def read_sketch_csv(path) -> SketchDescription:
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1]
                 continue
+            if section not in parts:
+                raise ValueError(f"malformed sketch file {path}: data "
+                                 "outside the [cols], [rows], [V], [sigma] "
+                                 "sections")
             parts[section].append([float(x) for x in line.split(",")])
+    missing = [f"[{name}]" for name, rows in parts.items() if not rows]
+    if frob is None:
+        missing.insert(0, "frob_norm")
+    if missing:
+        raise ValueError(f"truncated sketch file {path}: missing "
+                         f"{', '.join(missing)}")
+    p, k = len(parts["cols"]), len(parts["sigma"][0])
+    if (any(len(r) != 2 for r in parts["cols"] + parts["rows"])
+            or len(parts["rows"]) != p or len(parts["sigma"]) != 1
+            or len(parts["V"]) != p or any(len(r) != k for r in parts["V"])):
+        raise ValueError(f"malformed sketch file {path}: section sizes "
+                         "disagree")
     cols = np.array([int(r[0]) - 1 for r in parts["cols"]], dtype=np.int64)
     col_probs = np.array([r[1] for r in parts["cols"]])
     rows = np.array([int(r[0]) - 1 for r in parts["rows"]], dtype=np.int64)

@@ -1,17 +1,19 @@
 """Dense SVD by one-sided Jacobi rotations.
 
-The kernel orthogonalizes the columns of the input by cyclic plane rotations
+The kernel orthogonalizes the columns of a square matrix by plane rotations
 until every pairwise inner product is negligible; singular values are the
 final column norms, right vectors accumulate the rotations, and left vectors
-are the normalized columns. Wide inputs are handled by transposition. The
-sweep order is fixed, so the result is deterministic for a fixed input, and
-working on the rectangular matrix directly avoids the squared conditioning
-of a Gram-matrix eigensolve.
+are the normalized columns. Each round of a sweep rotates n/2 disjoint column
+pairs in one array step, in Brent and Luk's round-robin order. A tall input
+is first factored A = QR (Drmac and Veselic's preconditioning), the sweeps
+run on R, and U = Q U_R; wide inputs are handled by transposition. The order
+is fixed, so the result is deterministic for a fixed input, and working on
+the matrix directly avoids the squared conditioning of a Gram-matrix
+eigensolve.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,10 +24,17 @@ _MAX_SWEEPS = 60
 @dataclass
 class SvdResult:
     """Factors M = U diag(sigma) V^T with orthonormal U, V columns and
-    sigma sorted non-increasing."""
+    sigma sorted non-increasing.
+
+    ``sweeps`` counts the Jacobi sweeps run, the last of which rotated
+    nothing; ``residual`` is the largest |u_i . u_j| / (|u_i| |u_j|) over
+    the column pairs of that last sweep.
+    """
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
+    sweeps: int = 0
+    residual: float = 0.0
 
 
 def svd_dense(matrix) -> SvdResult:
@@ -38,7 +47,8 @@ def svd_dense(matrix) -> SvdResult:
     Returns
     -------
     SvdResult with min(m, n) triplets. Ties among equal singular values keep
-    the lower original column index first.
+    the lower original column index first. Raises ValueError if the sweeps
+    have not converged after ``_MAX_SWEEPS``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if a.ndim != 2 or a.size == 0:
@@ -47,52 +57,60 @@ def svd_dense(matrix) -> SvdResult:
         raise ValueError("non-finite entries")
     if a.shape[0] < a.shape[1]:
         res = svd_dense(a.T)
-        return SvdResult(u=res.v, sigma=res.sigma, v=res.u)
+        return replace(res, u=res.v, v=res.u)
+    q, a = householder_qr(a) if a.shape[0] > a.shape[1] else (None, a)
 
-    u = np.array(a, order="F", copy=True)
-    n = u.shape[1]
-    v = np.eye(n, order="F")
-    col_sq = (u * u).sum(axis=0)
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if col_sq[i] <= 0.0 or col_sq[j] <= 0.0:
-                    continue
-                gamma = np.dot(u[:, i], u[:, j])
-                if abs(gamma) <= _TOL * math.sqrt(col_sq[i]) * math.sqrt(col_sq[j]):
-                    continue
+    # row i holds column i of the working matrix, then column i of V (a zero
+    # row pads odd n). Position k pairs with position size-1-k; positions 1..
+    # shift by one per round, so each sweep ends with every row back in place.
+    n = a.shape[1]
+    size = n + n % 2
+    work = np.zeros((size, 2 * n))
+    work[:n, :n] = a.T
+    work[:n, n:] = np.eye(n)
+    top, bottom = work[:size // 2, :n], work[size // 2:, :n][::-1]
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        rotated, residual = False, 0.0
+        for _ in range(size - 1):
+            sq_top = np.einsum("ij,ij->i", top, top)
+            sq_bottom = np.einsum("ij,ij->i", bottom, bottom)
+            gamma = np.einsum("ij,ij->i", top, bottom)
+            bound = np.sqrt(sq_top) * np.sqrt(sq_bottom)
+            bound[bound == 0.0] = np.inf  # a zero column never rotates
+            residual = max(residual, float((np.abs(gamma) / bound).max()))
+            # pairs already orthogonal to _TOL are left bit-for-bit as they are
+            i = np.flatnonzero(np.abs(gamma) > _TOL * bound)
+            if i.size:
                 rotated = True
-                zeta = (col_sq[j] - col_sq[i]) / (2.0 * gamma)
+                zeta = (sq_bottom[i] - sq_top[i]) / (2.0 * gamma[i])
                 # sign(0) must be +1: equal-mass parallel columns need the
                 # full 45-degree rotation, not a no-op
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                tmp = c * u[:, i] - s * u[:, j]
-                u[:, j] = s * u[:, i] + c * u[:, j]
-                u[:, i] = tmp
-                tmp = c * v[:, i] - s * v[:, j]
-                v[:, j] = s * v[:, i] + c * v[:, j]
-                v[:, i] = tmp
-                col_sq[i] -= t * gamma
-                col_sq[j] += t * gamma
-        # refresh the tracked norms once per sweep; drift is second-order
-        col_sq = (u * u).sum(axis=0)
+                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = c * t[:, None]
+                j = size - 1 - i
+                x, y = work[i], work[j]
+                work[i], work[j] = c * x - s * y, s * x + c * y
+            work[1:] = np.roll(work[1:], 1, axis=0)
         if not rotated:
             break
+    else:
+        raise ValueError(f"Jacobi SVD did not converge in {_MAX_SWEEPS} "
+                         f"sweeps (residual {residual:.3g})")
 
-    sigma = np.sqrt(col_sq)
+    sigma = np.sqrt(np.einsum("ij,ij->i", work[:n, :n], work[:n, :n]))
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
-    u = u[:, order]
-    v = v[:, order]
+    u = work[order, :n].T
+    v = work[order, n:].T
     positive = sigma > 0.0
     u[:, positive] /= sigma[positive]
     if not positive.all():
         _complete_basis(u, np.flatnonzero(~positive))
+    u = u if q is None else q @ u
     return SvdResult(u=np.ascontiguousarray(u), sigma=sigma,
-                     v=np.ascontiguousarray(v))
+                     v=np.ascontiguousarray(v), sweeps=sweeps,
+                     residual=residual)
 
 
 def _complete_basis(u: np.ndarray, empty: np.ndarray) -> None:
@@ -125,5 +143,41 @@ def truncate_top_k(res: SvdResult, k: int, rel_threshold: float = 1e-12) -> SvdR
     if significant == 0:
         raise ValueError("numerically rank zero")
     keep = min(k, significant)
-    return SvdResult(u=res.u[:, :keep].copy(), sigma=res.sigma[:keep].copy(),
-                     v=res.v[:, :keep].copy())
+    return replace(res, u=res.u[:, :keep].copy(),
+                   sigma=res.sigma[:keep].copy(), v=res.v[:, :keep].copy())
+
+
+def householder_qr(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR with the sign convention diag(R) >= 0.
+
+    Returns (Q, R) with Q of shape (m, r) for an (m, r) input, m >= r.
+    Deterministic: plain Householder reflections, no pivoting.
+    """
+    a = np.array(matrix, dtype=np.float64, copy=True)
+    m, r = a.shape
+    if m < r:
+        raise ValueError("householder_qr needs m >= r")
+    reflectors = []
+    for j in range(r):
+        x = a[j:, j]
+        norm = np.sqrt((x * x).sum())
+        if norm == 0.0:
+            reflectors.append(None)
+            continue
+        v = x.copy()
+        v[0] += norm if x[0] >= 0.0 else -norm
+        v /= np.sqrt((v * v).sum())
+        a[j:, j:] -= np.outer(2.0 * v, v @ a[j:, j:])
+        reflectors.append(v)
+    upper = np.triu(a[:r])
+    a = x = None  # free the factored copy (x views it) before Q is built
+    q = np.zeros((m, r))
+    q[:r, :r] = np.eye(r)
+    for j in range(r - 1, -1, -1):
+        v = reflectors[j]
+        if v is not None:
+            q[j:] -= np.outer(2.0 * v, v @ q[j:])
+    flip = np.diag(upper) < 0.0
+    upper[flip] *= -1.0
+    q[:, flip] *= -1.0
+    return q, upper

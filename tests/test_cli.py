@@ -143,6 +143,17 @@ def test_compare_reruns_byte_identical(tmp_path, monkeypatch):
     assert outs[2].read_bytes() == b0
 
 
+def test_compare_unconverged_svd_exits_two(tmp_path, capsys, monkeypatch):
+    mat = tmp_path / "m.csv"
+    write_matrix_csv(mat, standard_normal(stream(15), (24, 8)))
+    monkeypatch.setattr("levsketch.svd._MAX_SWEEPS", 1)
+    assert run(["compare", mat, "--p", 12, "--k", 2,
+                "-o", tmp_path / "rep.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "did not converge" in err
+    assert err.count("\n") == 1
+
+
 @pytest.fixture
 def gaussian_csv(tmp_path):
     path = tmp_path / "g.csv"

@@ -193,3 +193,19 @@ def test_store_round_trips_through_csv(tmp_path):
     back, _ = read_matrix_csv(path)
     assert MatrixSampleStore(back).sq_frobenius == \
         MatrixSampleStore(a).sq_frobenius
+
+
+class TopDraw:
+    """Generator stub whose uniform draw is 1.0: the value u * total takes
+    when a draw just below 1 rounds up to the total."""
+
+    def random(self):
+        return 1.0
+
+    def integers(self, low, high=None):
+        return low
+
+
+def test_row_given_column_never_lands_on_zero_mass_tail():
+    store = MatrixSampleStore([[1.0], [2.0], [0.0], [0.0]])
+    assert store.sample_row_given_column(0, TopDraw()) == 1

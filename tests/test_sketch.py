@@ -12,6 +12,7 @@ from levsketch import (MatrixSampleStore, build_w, compute_params, qisvd,
                        write_sketch_csv)
 
 from oracles import dense_s, dense_w
+from test_matrix_store import TopDraw
 
 # reference parameter set: unit norms, kappa 1, k 1
 REF = dict(epsilon=0.5, delta=0.1, k=1, kappa=1.0,
@@ -221,3 +222,33 @@ def test_frobenius_preserved_property(seed, m, n, p):
     rows, row_probs = sample_rows(store, cols, p, rng)
     w = dense_w(s, rows, row_probs)
     assert (w * w).sum() == pytest.approx(store.sq_frobenius, rel=1e-8)
+
+
+def test_sample_rows_never_lands_on_zero_mass_tail():
+    store = MatrixSampleStore([[1.0, 1.0], [2.0, 1.0], [0.0, 1.0],
+                               [0.0, 1.0]])
+    rows, probs = sample_rows(store, [0], 1, TopDraw())
+    np.testing.assert_array_equal(rows, [1])
+    assert probs[0] > 0.0
+
+
+def _cut_before(text, marker):
+    return text[:text.index(marker)]
+
+
+@pytest.mark.parametrize("cut", [
+    lambda t: _cut_before(t, "[rows]"),
+    lambda t: _cut_before(t, "[V]"),
+    lambda t: _cut_before(t, "[sigma]"),
+    lambda t: t[:t.rindex(",")] + "\n",
+    lambda t: t.replace("# frob_norm=", "# other="),
+], ids=["no-rows", "no-V", "no-sigma", "short-sigma", "no-frob-norm"])
+def test_truncated_sketch_csv_is_value_error(tmp_path, cut):
+    store = MatrixSampleStore(standard_normal(stream(33), (10, 6)))
+    prm = compute_params(0.5, 0.1, 3, 1.0, 1.0, 1.0, p_override=8)
+    path = tmp_path / "sketch.csv"
+    write_sketch_csv(path, qisvd(store, prm, stream(34)))
+    path.write_text(cut(path.read_text()))
+    with pytest.raises(ValueError, match="sketch file") as info:
+        read_sketch_csv(path)
+    assert "\n" not in str(info.value)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import levsketch.svd as svd_module
 from levsketch import SvdResult, svd_dense, truncate_top_k, stream
 
 from oracles import power_iteration_sigma
@@ -142,3 +143,65 @@ def test_scaled_columns_remain_accurate():
     np.testing.assert_allclose(res.sigma, ref, rtol=1e-10,
                                atol=1e-12 * ref[0])
     assert orthonormality_defect(res.u[:, res.sigma > 0]) < 1e-10
+
+
+def test_convergence_is_reported():
+    res = svd_dense(stream(77).standard_normal((30, 30)))
+    assert 1 < res.sweeps <= svd_module._MAX_SWEEPS
+    assert 0.0 <= res.residual <= svd_module._TOL
+    # the default fields keep three-argument construction working
+    bare = SvdResult(u=np.eye(2), sigma=np.ones(2), v=np.eye(2))
+    assert (bare.sweeps, bare.residual) == (0, 0.0)
+
+
+def test_unconverged_sweeps_raise(monkeypatch):
+    a = stream(77).standard_normal((30, 30))
+    monkeypatch.setattr(svd_module, "_MAX_SWEEPS", 1)
+    with pytest.raises(ValueError, match="did not converge") as info:
+        svd_dense(a)
+    assert "\n" not in str(info.value)
+
+
+@st.composite
+def rank_deficient(draw):
+    """B @ C with inner dimension r < min(m, n), square (like the core W) or
+    tall (the QR path), with some columns zeroed and some duplicated."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.one_of(st.just(n), st.integers(n + 1, 48)))
+    r = draw(st.integers(1, n - 1))
+    rng = stream(draw(st.integers(0, 10_000)))
+    a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    cols = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(cols, cols), max_size=4)):
+        a[:, dst] = a[:, src]
+    a[:, draw(st.lists(cols, max_size=3))] = 0.0
+    return a
+
+
+@given(rank_deficient())
+def test_rank_deficient_matches_numpy(a):
+    res = svd_dense(a)
+    fro = np.sqrt((a * a).sum())
+    assert reconstruction_error(a, res) <= 1e-10 * max(fro, 1.0)
+    assert orthonormality_defect(res.u) < 1e-10
+    assert orthonormality_defect(res.v) < 1e-10
+    ref = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(res.sigma, ref, atol=1e-10 * max(fro, 1.0))
+
+
+def test_tall_equal_singular_values_keep_column_order():
+    a = np.vstack([2.0 * np.eye(3), np.zeros((4, 3))])
+    res = svd_dense(a)
+    np.testing.assert_array_equal(res.sigma, [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(np.abs(res.v), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(np.abs(res.u), a / 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (60, 20), (20, 60)])
+def test_repeated_calls_bitwise_equal(shape):
+    a = stream(31).standard_normal(shape)
+    first, second = svd_dense(a), svd_dense(a)
+    for name in ("u", "sigma", "v"):
+        np.testing.assert_array_equal(getattr(first, name),
+                                      getattr(second, name))
+    assert (first.sweeps, first.residual) == (second.sweeps, second.residual)

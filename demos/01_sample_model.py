@@ -3,13 +3,13 @@
 A SampleTree holds a signed vector and answers three queries: read an
 entry, change an entry, draw an index with probability proportional to the
 squared value. Each costs O(log n) leaf-or-node touches. The
-MatrixSampleStore layers per-row trees under a row-norm tree and a
-column-norm tree, which is exactly the access model the sketching
-algorithms assume.
+MatrixSampleStore keeps the entries with a row-norm tree and a column-norm
+tree: the sketch draws columns by norm, then rows inside the sampled
+columns, and never samples inside a row.
 """
 import numpy as np
 
-from levsketch import MatrixSampleStore, SampleTree, stream
+from levsketch import MatrixSampleStore, SampleTree, sample_rows, stream
 
 
 def main() -> None:
@@ -21,13 +21,13 @@ def main() -> None:
     print(f"sampling frequencies {freq.round(4)} vs expected [0.36 0.64]")
 
     tree.touches = 0
-    tree.sample_index(stream(1))
+    tree.sample_indices(stream(1), 1)
     print(f"one draw cost {tree.touches} touches "
           f"(bound 2*ceil(log2 n) + 1 = 3)")
 
     tree.update(1, 0.0)
     print(f"after zeroing the second entry: sq_norm={tree.sq_norm}, "
-          f"all samples land on index {tree.sample_index(stream(2))}")
+          f"all samples land on index {tree.sample_indices(stream(2), 1)[0]}")
 
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     store = MatrixSampleStore(a)
@@ -35,13 +35,13 @@ def main() -> None:
           f"column sq norms=({store.col_sq_norm(0)}, {store.col_sq_norm(1)})")
 
     rng = stream(3)
-    col_draws = np.bincount(
-        [store.sample_column_index(rng) for _ in range(30_000)], minlength=2)
+    col_draws = np.bincount(store.sample_column_indices(rng, 30_000),
+                            minlength=2)
     print(f"column draw frequencies {(col_draws / 30_000).round(4)} "
           f"vs expected [1/3 2/3]")
 
-    row = store.sample_row_given_column(0, rng)
-    print(f"a row drawn inside column 0 (probabilities 0.1 / 0.9): {row}")
+    rows, _ = sample_rows(store, [0], 1, rng)
+    print(f"a row drawn inside column 0 (probabilities 0.1 / 0.9): {rows[0]}")
     print(f"total counted queries so far: {store.queries}")
 
 

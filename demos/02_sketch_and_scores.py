@@ -10,15 +10,14 @@ import math
 
 import numpy as np
 
-from levsketch import (MatrixSampleStore, compute_params, exact_leverage,
-                       gen_example1, qisls_all, qisvd,
-                       spectral_norm_and_kappa, stream)
+from levsketch import (MatrixSampleStore, compute_params, gen_example1,
+                       oracle_facts, qisls_all, qisvd, stream)
 
 
 def main() -> None:
     a = gen_example1(1000, 100, 70, seed=4)
     store = MatrixSampleStore(a)
-    spectral, kappa = spectral_norm_and_kappa(a)
+    exact, _, spectral, kappa = oracle_facts(a)
     frob = math.sqrt(store.sq_frobenius)
     print(f"matrix 1000x100, 70 columns zeroed: rank 30, "
           f"kappa={kappa:.1f}, ||A||={spectral:.1f}, ||A||_F={frob:.1f}")
@@ -33,7 +32,6 @@ def main() -> None:
     print(f"practical sketch: p={sketch.p}, kept k={sketch.k} triplets, "
           f"sigma_1={sketch.sigma[0]:.1f}")
 
-    exact = exact_leverage(a)
     report = qisls_all(store, sketch, params, exact=exact)
     err = report.abs_err
     print(f"scored all 1000 rows: max|err|={err.max():.3f} "

@@ -14,15 +14,14 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .diagnostics import concentration_ratios, deviation_bound
 from .estimator import LeverageReport, qisls_all, write_report_csv
-from .oracle import (exact_leverage, gen_example1, gen_example2,
-                     numerical_rank, spectral_norm_and_kappa)
+from .oracle import gen_example1, gen_example2, oracle_facts
 from .rng import trial_stream
 from .sample_store import MatrixSampleStore, read_matrix_csv, write_matrix_csv
 from .sketch import compute_params, qisvd
@@ -193,8 +192,7 @@ def cmd_gen(cfg: RunConfig) -> int:
         a = gen_example2(m, cfg.n, cfg.r, cfg.kappa, cfg.a, cfg.b, cfg.seed)
         meta = {"family": cfg.family, "seed": cfg.seed, "r": cfg.r,
                 "kappa_target": cfg.kappa, "a": cfg.a, "b": cfg.b}
-    rank = numerical_rank(a)
-    spectral, kappa = spectral_norm_and_kappa(a)
+    _, rank, spectral, kappa = oracle_facts(a)
     frob = float(np.sqrt((a * a).sum()))
     meta.update(rank=rank, frob_norm=frob, spectral_norm=spectral,
                 kappa=kappa)
@@ -207,15 +205,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     _check_paths(cfg)
     a, _ = read_matrix_csv(cfg.input)
     store = MatrixSampleStore(a)
-    exact = exact_leverage(a)
-    spectral, kappa = spectral_norm_and_kappa(a)
+    exact, _, spectral, kappa = oracle_facts(a)
     frob = float(np.sqrt(store.sq_frobenius))
     params = compute_params(cfg.epsilon, cfg.delta, cfg.k, kappa, spectral,
                             frob, p_override=cfg.p)
     if cfg.mode == "sampled-dot" and params.xi < XI_FLOOR:
-        params = compute_params(cfg.epsilon, cfg.delta, cfg.k, kappa,
-                                spectral, frob, p_override=cfg.p,
-                                xi_override=XI_FLOOR)
+        params = replace(params, xi_override=XI_FLOOR)
     rows = None
     if cfg.rows is not None:
         rows = np.asarray(cfg.rows, dtype=np.int64) - 1
@@ -229,18 +224,13 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     reports = _map_trials(run_trial, cfg.trials)
     mean_approx = np.mean([r.approx for r in reports], axis=0)
-    row_idx = reports[0].rows
-    exact_vals = exact[row_idx]
-    abs_err = np.abs(mean_approx - exact_vals)
-    top = int(np.argmax(mean_approx))
-    agg = LeverageReport(rows=row_idx, approx=mean_approx, exact=exact_vals,
-                         abs_err=abs_err, coherence_row=int(row_idx[top]),
-                         coherence=float(mean_approx[top]), mode=cfg.mode,
-                         seed=cfg.seed, params=params)
+    agg = LeverageReport.from_scores(reports[0].rows, mean_approx, exact,
+                                     cfg.mode, cfg.seed, params)
     write_report_csv(cfg.output, agg)
-    oracle_top = row_idx[int(np.argmax(exact_vals))]
+    abs_err = agg.abs_err
+    oracle_top = agg.rows[int(np.argmax(agg.exact))]
     agreement = float(np.mean([r.coherence_row == oracle_top for r in reports]))
-    print(f"rows={row_idx.size} trials={cfg.trials} "
+    print(f"rows={agg.rows.size} trials={cfg.trials} "
           f"max_abs_err={float(abs_err.max())!r} "
           f"mean_abs_err={float(abs_err.mean())!r} "
           f"median_abs_err={float(np.median(abs_err))!r} "

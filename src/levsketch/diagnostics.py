@@ -24,8 +24,7 @@ import math
 import numpy as np
 
 from .sample_store import MatrixSampleStore
-from .sketch import (Params, SketchDescription, build_w, sample_columns,
-                     sample_rows)
+from .sketch import Params, build_w, draw_sketch, s_matrix
 
 
 def counted_sketch_spectrum(matrix, p: int, k: int, rng: np.random.Generator,
@@ -81,15 +80,9 @@ def concentration_ratios(store: MatrixSampleStore, p: int,
     Uses the real sampling path and dense products; intended for small
     matrices and desk-scale p.
     """
-    cols, col_probs = sample_columns(store, p, rng)
-    rows, row_probs = sample_rows(store, cols, p, rng)
-    sketch = SketchDescription(col_indices=cols, col_probs=col_probs,
-                               row_indices=rows, row_probs=row_probs,
-                               frob_norm=math.sqrt(store.sq_frobenius))
+    sketch = draw_sketch(store, p, rng)
     a = store.to_array()
-    s = np.empty((store.m, p))
-    for t in range(p):
-        s[:, t] = store.column_values(int(cols[t])) * sketch.col_scale[t]
+    s = s_matrix(store, sketch)
     w = build_w(store, sketch)
     fro2 = store.sq_frobenius
     d1 = a @ a.T - s @ s.T

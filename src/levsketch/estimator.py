@@ -15,7 +15,7 @@ import numpy as np
 
 from .rng import stream
 from .sample_store import MatrixSampleStore, SampleTree
-from .sketch import Params, SketchDescription, s_row
+from .sketch import Params, SketchDescription, s_matrix, s_row
 
 MODES = ("exact-dot", "sampled-dot")
 
@@ -39,14 +39,16 @@ def estimate_inner(x_tree: SampleTree, y, xi: float, eta: float,
     moment ||x||^2 ||y||^2; group means tame the variance and the median
     across groups boosts the success probability, so the result lands
     within xi ||x|| ||y|| of the truth with probability at least 1 - eta.
-    Draws land on nonzero coordinates by construction.
+    Draws land on nonzero coordinates by construction; a draw that does
+    not raises ValueError.
     """
     groups, size = mom_group_shape(xi, eta)
     y = np.asarray(y, dtype=np.float64)
     vals = x_tree.values
     idx = x_tree.sample_indices(rng, groups * size)
     picked = vals[idx]
-    assert picked.all(), "sampled a zero coordinate"
+    if not picked.all():
+        raise ValueError("sampled a zero coordinate")
     z = y[idx] * (x_tree.sq_norm / picked)
     return float(np.median(z.reshape(groups, size).mean(axis=1)))
 
@@ -99,17 +101,29 @@ class LeverageReport:
     seed: int
     params: Params
 
+    @classmethod
+    def from_scores(cls, rows: np.ndarray, approx: np.ndarray, exact,
+                    mode: str, seed: int, params: Params) -> LeverageReport:
+        """Report on ``approx``, the scores of ``rows``; ``exact`` covers all
+        m rows or is None. Coherence is the max approximate score; argmax
+        ties resolve to the lowest index."""
+        exact_vals = abs_err = None
+        if exact is not None:
+            exact_vals = exact[rows]
+            abs_err = np.abs(approx - exact_vals)
+        top = int(np.argmax(approx))
+        return cls(rows=rows, approx=approx, exact=exact_vals,
+                   abs_err=abs_err, coherence_row=int(rows[top]),
+                   coherence=float(approx[top]), mode=mode, seed=int(seed),
+                   params=params)
+
 
 def qisls_all(store: MatrixSampleStore, sketch: SketchDescription,
               params: Params, rows=None, mode: str = "exact-dot",
               rng: np.random.Generator | None = None, seed: int = 0,
               exact=None) -> LeverageReport:
-    """Score every requested row (all of them by default).
-
-    ``exact``, when given, must cover all m rows; the report keeps the
-    slice for the scored rows together with absolute errors. Coherence is
-    the max approximate score; argmax ties resolve to the lowest index.
-    """
+    """Score every requested row (all of them by default); ``exact``, when
+    given, must cover all m rows."""
     if rows is None:
         rows = np.arange(store.m, dtype=np.int64)
     else:
@@ -118,22 +132,15 @@ def qisls_all(store: MatrixSampleStore, sketch: SketchDescription,
             raise ValueError("empty row set")
         if rows.min() < 0 or rows.max() >= store.m:
             raise ValueError("row index out of range")
-    if rng is None:
-        rng = stream(seed)
-    approx = np.array([qisls_score(store, sketch, int(i), mode=mode,
-                                   params=params, rng=rng) for i in rows])
-    exact_vals = abs_err = None
     if exact is not None:
         exact = np.asarray(exact, dtype=np.float64)
         if exact.shape != (store.m,):
             raise ValueError("exact scores must cover every row of the store")
-        exact_vals = exact[rows]
-        abs_err = np.abs(approx - exact_vals)
-    top = int(np.argmax(approx))
-    return LeverageReport(rows=rows, approx=approx, exact=exact_vals,
-                          abs_err=abs_err, coherence_row=int(rows[top]),
-                          coherence=float(approx[top]), mode=mode,
-                          seed=int(seed), params=params)
+    if rng is None:
+        rng = stream(seed)
+    approx = np.array([qisls_score(store, sketch, int(i), mode=mode,
+                                   params=params, rng=rng) for i in rows])
+    return LeverageReport.from_scores(rows, approx, exact, mode, seed, params)
 
 
 def orthogonality_defect(store: MatrixSampleStore,
@@ -142,10 +149,7 @@ def orthogonality_defect(store: MatrixSampleStore,
     through U^T U = Sigma^-1 V^T (S^T S) V Sigma^-1."""
     if sketch.v is None or sketch.sigma is None:
         raise ValueError("sketch carries no singular triplets")
-    s = np.empty((store.m, sketch.p))
-    scale = sketch.col_scale
-    for t, j in enumerate(sketch.col_indices):
-        s[:, t] = store.column_values(int(j)) * scale[t]
+    s = s_matrix(store, sketch)
     gram = sketch.v.T @ (s.T @ s) @ sketch.v
     gram /= np.outer(sketch.sigma, sketch.sigma)
     gram -= np.eye(sketch.k)

@@ -9,43 +9,39 @@ matrix with a prescribed condition number.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .rng import standard_normal, stream
 from .svd import householder_qr, svd_dense
 
+# numerical rank threshold, relative to the largest singular value
 RANK_TOL = 1e-10
 
 
-def exact_leverage(matrix, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Exact leverage scores l_i = ||U[i, :r]||^2 at numerical rank r.
+class OracleFacts(NamedTuple):
+    """Exact leverage scores, numerical rank r, ||A|| and kappa."""
+    scores: np.ndarray
+    rank: int
+    spectral_norm: float
+    kappa: float
 
-    ``rank_tol`` is relative to the largest singular value.
+
+def oracle_facts(matrix) -> OracleFacts:
+    """Every exact quantity the experiments need, from one thin SVD.
+
+    r counts the singular values above ``RANK_TOL`` times the largest; the
+    scores are l_i = ||U[i, :r]||^2 and kappa = sigma_1 / sigma_r.
     """
-    res = svd_dense(matrix)
-    if res.sigma[0] <= 0.0:
-        raise ValueError("zero matrix")
-    r = int((res.sigma > rank_tol * res.sigma[0]).sum())
-    u = res.u[:, :r]
-    return (u * u).sum(axis=1)
-
-
-def numerical_rank(matrix, rank_tol: float = RANK_TOL) -> int:
-    res = svd_dense(matrix)
-    if res.sigma[0] <= 0.0:
-        return 0
-    return int((res.sigma > rank_tol * res.sigma[0]).sum())
-
-
-def spectral_norm_and_kappa(matrix, rank_tol: float = RANK_TOL) -> tuple[float, float]:
-    """(||A||, kappa) with kappa = ||A|| over the smallest nonzero singular
-    value, nonzero meaning above ``rank_tol`` relative to the largest."""
     res = svd_dense(matrix)
     top = float(res.sigma[0])
     if top <= 0.0:
         raise ValueError("zero matrix")
-    r = int((res.sigma > rank_tol * top).sum())
-    return top, top / float(res.sigma[r - 1])
+    r = int((res.sigma > RANK_TOL * top).sum())
+    u = res.u[:, :r]
+    return OracleFacts((u * u).sum(axis=1), r, top,
+                       top / float(res.sigma[r - 1]))
 
 
 def gen_example1(m: int, n: int, n_zero: int, seed: int) -> np.ndarray:

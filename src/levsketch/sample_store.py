@@ -5,11 +5,10 @@ leaves hold the signed entries and whose internal nodes hold partial sums of
 squares. Querying or updating an entry costs O(log n), and one tree descent
 draws an index i with probability v_i^2 / ||v||^2.
 
-A :class:`MatrixSampleStore` keeps one tree per row, a tree over row norms
+A :class:`MatrixSampleStore` keeps the dense entries, a tree over row norms
 and a tree over column norms, giving O(1) access to ||A_{i,:}||, ||A_{:,j}||
-and ||A||_F, O(log n) row-index and column-index sampling, and an O(m) walk
-for sampling a row within a fixed column. Entry reads, norm reads and index
-draws are counted on the store for cost instrumentation.
+and ||A||_F and O(log) row-index and column-index sampling. Entry reads,
+norm reads and index draws are counted on the store for cost instrumentation.
 """
 from __future__ import annotations
 
@@ -101,27 +100,9 @@ class SampleTree:
         if self._updates >= self._rebuild_every:
             self.rebuild()
 
-    def sample_index(self, rng: np.random.Generator) -> int:
-        """Draw one index with probability v_i^2 / ||v||^2."""
-        total = self._sums[1]
-        if total <= 0.0:
-            raise ValueError("cannot sample zero vector")
-        u = rng.random() * total
-        node = 1
-        self.touches += 1
-        for _ in range(self._levels):
-            node *= 2
-            left = self._sums[node]
-            # an empty right subtree is never entered, so rounding in u
-            # cannot land the walk on a zero-mass leaf
-            if not (self._sums[node + 1] == 0.0 or u < left):
-                u -= left
-                node += 1
-            self.touches += 2
-        return node - self._cap
-
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized :meth:`sample_index`; one descent per draw."""
+        """``size`` indices, each i with probability v_i^2 / ||v||^2; one
+        descent per draw, all draws in one vectorized walk."""
         size = int(size)
         total = self._sums[1]
         if total <= 0.0:
@@ -131,6 +112,8 @@ class SampleTree:
         for _ in range(self._levels):
             node <<= 1
             left = self._sums[node]
+            # an empty right subtree is never entered, so rounding in u
+            # cannot land a walk on a zero-mass leaf
             go_right = (self._sums[node + 1] != 0.0) & (u >= left)
             u -= np.where(go_right, left, 0.0)
             node += go_right
@@ -139,7 +122,7 @@ class SampleTree:
 
 
 class MatrixSampleStore:
-    """Row-major sample-model store for a dense m-by-n matrix.
+    """Sample-model store for a dense m-by-n matrix.
 
     ``queries`` counts entry reads, norm reads and index draws; the counter
     is public and may be reset between phases of an experiment.
@@ -159,11 +142,10 @@ class MatrixSampleStore:
         self._build_trees()
 
     def _build_trees(self) -> None:
-        e = self._entries
-        self._rows = [SampleTree(row, self._rebuild_every) for row in e]
-        self._row_tree = SampleTree(np.sqrt((e * e).sum(axis=1)),
+        sq = self._entries * self._entries
+        self._row_tree = SampleTree(np.sqrt(sq.sum(axis=1)),
                                     self._rebuild_every)
-        self._col_tree = SampleTree(np.sqrt((e * e).sum(axis=0)),
+        self._col_tree = SampleTree(np.sqrt(sq.sum(axis=0)),
                                     self._rebuild_every)
 
     @property
@@ -178,13 +160,18 @@ class MatrixSampleStore:
         """Dense copy of the stored matrix."""
         return self._entries.copy()
 
-    def row_tree(self, i: int) -> SampleTree:
-        return self._rows[int(i)]
+    def _check_entry(self, i: int, j: int) -> tuple[int, int]:
+        i, j = int(i), int(j)
+        if not (0 <= i < self.m and 0 <= j < self.n):
+            raise IndexError(f"entry ({i}, {j}) out of range for shape "
+                             f"{self.shape}")
+        return i, j
 
     def query(self, i: int, j: int) -> float:
         """Entry A[i, j]."""
+        i, j = self._check_entry(i, j)
         self.queries += 1
-        return float(self._entries[int(i), int(j)])
+        return float(self._entries[i, j])
 
     def row_values(self, i: int, cols) -> np.ndarray:
         """Entries A[i, cols] as one counted gather."""
@@ -208,16 +195,16 @@ class MatrixSampleStore:
         return v * v
 
     def update(self, i: int, j: int, value: float) -> None:
-        """Set A[i, j], maintaining all three tree layers."""
-        i, j = int(i), int(j)
+        """Set A[i, j], maintaining both norm trees."""
+        i, j = self._check_entry(i, j)
         value = float(value)
         if not np.isfinite(value):
             raise ValueError("non-finite input")
         old = self._entries[i, j]
         self._entries[i, j] = value
-        row = self._rows[i]
-        row.update(j, value)
-        self._row_tree.update(i, np.sqrt(row.sq_norm))
+        # summed from the dense row: bitwise the value a rebuild computes
+        row = self._entries[i]
+        self._row_tree.update(i, np.sqrt((row * row).sum()))
         colv = self._col_tree.query(j)
         col_sq = colv * colv - old * old + value * value
         self._col_tree.update(j, np.sqrt(max(col_sq, 0.0)))
@@ -226,46 +213,25 @@ class MatrixSampleStore:
             self.rebuild()
 
     def rebuild(self) -> None:
-        """Rebuild every tree layer from the stored entries."""
+        """Rebuild both norm trees from the stored entries."""
         self._build_trees()
         self._updates = 0
 
-    def sample_row_index(self, rng: np.random.Generator) -> int:
-        """Row index i with probability ||A_{i,:}||^2 / ||A||_F^2."""
+    def _sample(self, tree: SampleTree, rng, size: int) -> np.ndarray:
         if self.sq_frobenius <= 0.0:
             raise ValueError("zero matrix")
-        self.queries += 1
-        return self._row_tree.sample_index(rng)
+        self.queries += int(size)
+        return tree.sample_indices(rng, size)
 
-    def sample_column_index(self, rng: np.random.Generator) -> int:
-        """Column index j with probability ||A_{:,j}||^2 / ||A||_F^2."""
-        if self.sq_frobenius <= 0.0:
-            raise ValueError("zero matrix")
-        self.queries += 1
-        return self._col_tree.sample_index(rng)
+    def sample_row_indices(self, rng: np.random.Generator,
+                           size: int) -> np.ndarray:
+        """Indices i drawn with probability ||A_{i,:}||^2 / ||A||_F^2."""
+        return self._sample(self._row_tree, rng, size)
 
-    def sample_row_given_column(self, j: int, rng: np.random.Generator) -> int:
-        """Row index i with probability A[i,j]^2 / ||A_{:,j}||^2.
-
-        The store is row-major, so this walks the whole column once.
-        """
-        col = self.column_values(j)
-        sq = col * col
-        total = sq.sum()
-        if total <= 0.0:
-            raise ValueError("zero column")
-        self.queries += 1
-        return draw_from_cumsum(np.cumsum(sq), rng.random() * total)
-
-
-def draw_from_cumsum(cum: np.ndarray, u: float) -> int:
-    """Index i with cum[i-1] <= u < cum[i] for cumulative masses ``cum``.
-
-    A ``u`` that rounded up to the total lands on the last index with
-    positive mass, never on a zero-mass tail.
-    """
-    i = int(np.searchsorted(cum, u, side="right"))
-    return i if i < cum.size else int(np.searchsorted(cum, cum[-1]))
+    def sample_column_indices(self, rng: np.random.Generator,
+                              size: int) -> np.ndarray:
+        """Indices j drawn with probability ||A_{:,j}||^2 / ||A||_F^2."""
+        return self._sample(self._col_tree, rng, size)
 
 
 def write_matrix_csv(path, matrix, metadata: dict | None = None) -> None:
@@ -297,9 +263,15 @@ def _parse_meta_token(token: str):
     return token
 
 
+def _malformed(path, what: str) -> ValueError:
+    return ValueError(f"malformed matrix file {path}: {what}")
+
+
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     """Read a matrix file written by :func:`write_matrix_csv` or in triplet
-    form (``# coo m n`` header, then 1-based ``i,j,value`` lines)."""
+    form (``# coo m n`` header, then 1-based ``i,j,value`` lines, each
+    position at most once). A malformed file raises a one-line ValueError.
+    """
     meta: dict = {}
     coo = None
     rows = []
@@ -312,6 +284,8 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
                 body = line[1:].strip()
                 if body.startswith("coo"):
                     parts = body.split()
+                    if len(parts) != 3:
+                        raise _malformed(path, "expected a '# coo m n' header")
                     coo = (int(parts[1]), int(parts[2]))
                     continue
                 for token in body.split():
@@ -323,11 +297,28 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     if coo is not None:
         m, n = coo
         arr = np.zeros((m, n))
+        seen = set()
         for line in rows:
-            i, j, val = line.split(",")
-            arr[int(i) - 1, int(j) - 1] = float(val)
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise _malformed(path, "triplet lines must be i,j,value")
+            i, j = int(fields[0]), int(fields[1])
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise _malformed(path, f"entry ({i}, {j}) outside the "
+                                 f"{m}x{n} matrix")
+            if (i, j) in seen:
+                raise _malformed(path, f"entry ({i}, {j}) given twice")
+            seen.add((i, j))
+            arr[i - 1, j - 1] = float(fields[2])
         meta.setdefault("m", m)
         meta.setdefault("n", n)
         return arr, meta
-    arr = np.array([[float(x) for x in line.split(",")] for line in rows])
-    return arr, meta
+    values = [[float(x) for x in line.split(",")] for line in rows]
+    widths = {len(row) for row in values}
+    if len(widths) > 1:
+        raise _malformed(path, f"rows of {sorted(widths)} fields")
+    shape = (len(values), widths.pop() if widths else 0)
+    if (meta.get("m", shape[0]), meta.get("n", shape[1])) != shape:
+        raise _malformed(path, f"header m={meta.get('m')} n={meta.get('n')} "
+                         f"but {shape[0]} rows of {shape[1]} values")
+    return np.array(values), meta

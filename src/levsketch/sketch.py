@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sample_store import MatrixSampleStore, draw_from_cumsum
+from .sample_store import MatrixSampleStore
 from .svd import svd_dense, truncate_top_k
 
+# largest p for which qisvd builds the dense p-by-p core
 W_CAP = 2000
 
 
@@ -151,13 +152,19 @@ def sample_columns(store: MatrixSampleStore, p: int,
     fro = store.sq_frobenius
     if fro <= 0.0:
         raise ValueError("zero matrix")
-    idx = np.empty(p, dtype=np.int64)
-    probs = np.empty(p)
-    for t in range(p):
-        j = store.sample_column_index(rng)
-        idx[t] = j
-        probs[t] = store.col_sq_norm(j) / fro
+    idx = store.sample_column_indices(rng, p)
+    probs = np.array([store.col_sq_norm(j) for j in idx]) / fro
     return idx, probs
+
+
+def draw_from_cumsum(cum: np.ndarray, u: float) -> int:
+    """Index i with cum[i-1] <= u < cum[i] for cumulative masses ``cum``.
+
+    A ``u`` that rounded up to the total lands on the last index with
+    positive mass, never on a zero-mass tail.
+    """
+    i = int(np.searchsorted(cum, u, side="right"))
+    return i if i < cum.size else int(np.searchsorted(cum, cum[-1]))
 
 
 def sample_rows(store: MatrixSampleStore, col_indices, p: int,
@@ -165,7 +172,8 @@ def sample_rows(store: MatrixSampleStore, col_indices, p: int,
     """p row indices from the mixture of the sampled columns' distributions.
 
     Each draw picks t uniformly, then a row within column j_t by squared
-    entry. The returned probabilities are the exact mixture values
+    entry; this is the library's one within-column draw. The returned
+    probabilities are the exact mixture values
     P'_i = sum_t A[i, j_t]^2 / (p ||A_{:,j_t}||^2), which equal
     ||S_{i,:}||^2 / ||S||_F^2.
     """
@@ -207,6 +215,15 @@ def s_row(store: MatrixSampleStore, sketch: SketchDescription,
     return store.row_values(i, sketch.col_indices) * sketch.col_scale
 
 
+def s_matrix(store: MatrixSampleStore,
+             sketch: SketchDescription) -> np.ndarray:
+    """Dense m-by-p S, one counted column read (m entries) per sample."""
+    s = np.empty((store.m, sketch.p))
+    for t, j in enumerate(sketch.col_indices):
+        s[:, t] = store.column_values(int(j)) * sketch.col_scale[t]
+    return s
+
+
 def build_w(store: MatrixSampleStore, sketch: SketchDescription) -> np.ndarray:
     """Dense p-by-p core W, rows being rescaled sampled rows of S."""
     p = sketch.p
@@ -219,8 +236,18 @@ def build_w(store: MatrixSampleStore, sketch: SketchDescription) -> np.ndarray:
     return w
 
 
-def qisvd(store: MatrixSampleStore, params: Params, rng: np.random.Generator,
-          w_cap: int = W_CAP) -> SketchDescription:
+def draw_sketch(store: MatrixSampleStore, p: int,
+                rng: np.random.Generator) -> SketchDescription:
+    """The p column and p row draws of one sketch, without the core SVD."""
+    cols, col_probs = sample_columns(store, p, rng)
+    rows, row_probs = sample_rows(store, cols, p, rng)
+    return SketchDescription(col_indices=cols, col_probs=col_probs,
+                             row_indices=rows, row_probs=row_probs,
+                             frob_norm=float(np.sqrt(store.sq_frobenius)))
+
+
+def qisvd(store: MatrixSampleStore, params: Params,
+          rng: np.random.Generator) -> SketchDescription:
     """Run the full sketch: sample columns and rows, build W, keep its top
     k right singular triplets (threshold-guarded).
 
@@ -228,20 +255,16 @@ def qisvd(store: MatrixSampleStore, params: Params, rng: np.random.Generator,
     ----------
     store : frozen sample-model store of A.
     params : from :func:`compute_params`; ``params.p`` drives the sample
-        count, so theoretical p far beyond ``w_cap`` is rejected here.
+        count, so theoretical p far beyond ``W_CAP`` is rejected here.
     rng : stream owning all draws of this sketch.
     """
     p = params.p
-    if p > w_cap:
+    if p > W_CAP:
         raise ValueError(
-            f"p={p} exceeds the dense-core cap {w_cap}; use p_override "
+            f"p={p} exceeds the dense-core cap {W_CAP}; use p_override "
             "for practical runs or the counted-sample diagnostics for "
             "theoretical p")
-    cols, col_probs = sample_columns(store, p, rng)
-    rows, row_probs = sample_rows(store, cols, p, rng)
-    sketch = SketchDescription(col_indices=cols, col_probs=col_probs,
-                               row_indices=rows, row_probs=row_probs,
-                               frob_norm=float(np.sqrt(store.sq_frobenius)))
+    sketch = draw_sketch(store, p, rng)
     w = build_w(store, sketch)
     res = truncate_top_k(svd_dense(w), params.k)
     sketch.v = res.v

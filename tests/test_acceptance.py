@@ -12,8 +12,8 @@ import pytest
 from levsketch import (MatrixSampleStore, SampleTree, SketchDescription,
                        build_w, compute_params, concentration_ratios,
                        counted_sketch_spectrum, estimate_inner,
-                       exact_leverage, gen_example1, gen_example2,
-                       householder_qr, qisls_all, qisvd, sample_columns,
+                       gen_example1, gen_example2, householder_qr,
+                       oracle_facts, qisls_all, qisvd, sample_columns,
                        sample_rows, standard_normal, stream, svd_dense,
                        trial_stream)
 
@@ -33,7 +33,7 @@ def test_criterion_1_exact_scores_sum_rank_bounds_and_hat_oracle():
         m = int(rng.integers(r, 201))
         n = int(rng.integers(max(r, 2), 51))
         a = standard_normal(rng, (m, r)) @ standard_normal(rng, (r, n))
-        scores = exact_leverage(a)
+        scores = oracle_facts(a).scores
         assert abs(scores.sum() - r) <= 1e-6
         assert scores.min() >= 0.0
         assert scores.max() <= 1.0 + 1e-10

@@ -124,6 +124,21 @@ def test_compare_same_path_rejected(tmp_path, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+def test_gen_and_compare_run_one_oracle_svd_each(tmp_path, monkeypatch):
+    import levsketch.oracle
+    calls = []
+    real = levsketch.oracle.svd_dense
+    monkeypatch.setattr(levsketch.oracle, "svd_dense",
+                        lambda a: calls.append(a.shape) or real(a))
+    mat = tmp_path / "m.csv"
+    assert run(["gen", "--family", "example2", "--m", 40, "--n", 10,
+                "--r", 3, "--seed", 1, "-o", mat]) == 0
+    assert calls == [(40, 10)]
+    assert run(["compare", mat, "--p", 12, "--k", 2,
+                "-o", tmp_path / "rep.csv"]) == 0
+    assert calls == [(40, 10), (40, 10)]
+
+
 def test_compare_missing_input_exits_one(tmp_path):
     assert run(["compare", tmp_path / "absent.csv",
                 "-o", tmp_path / "rep.csv"]) == 1

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from levsketch import (MatrixSampleStore, SampleTree, compute_params,
-                       estimate_inner, exact_leverage, gen_example1,
-                       mom_group_shape, orthogonality_defect, qisls_all,
-                       qisls_score, qisvd, read_report_csv,
-                       spectral_norm_and_kappa, standard_normal, stream,
-                       write_report_csv)
+                       estimate_inner, gen_example1, mom_group_shape,
+                       oracle_facts, orthogonality_defect, qisls_all,
+                       qisls_score, qisvd, read_report_csv, standard_normal,
+                       stream, write_report_csv)
 
 
 def test_mom_group_shape():
@@ -34,6 +33,19 @@ def test_estimate_inner_disjoint_support_is_zero():
     x = SampleTree([1.0, 0.0])
     y = np.array([0.0, 5.0])
     assert estimate_inner(x, y, 0.5, 0.1, stream(1)) == 0.0
+
+
+class ZeroDrawTree(SampleTree):
+    """Tree whose draws all land on coordinate 1, where x is zero."""
+
+    def sample_indices(self, rng, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_estimate_inner_rejects_a_zero_coordinate_draw():
+    tree = ZeroDrawTree([2.0, 0.0])
+    with pytest.raises(ValueError, match="sampled a zero coordinate"):
+        estimate_inner(tree, np.array([1.0, 1.0]), 0.5, 0.1, stream(0))
 
 
 def test_single_draw_estimate_is_unbiased():
@@ -66,11 +78,11 @@ def rank_one_store():
 
 def test_rank_one_scores_exact_dot():
     a, store = rank_one_store()
-    norm, kappa = spectral_norm_and_kappa(a)
+    exact, _, norm, kappa = oracle_facts(a)
     prm = compute_params(0.5, 0.1, 1, kappa, norm,
                          math.sqrt(store.sq_frobenius), p_override=8)
     sketch = qisvd(store, prm, stream(3))
-    rep = qisls_all(store, sketch, prm, exact=exact_leverage(a))
+    rep = qisls_all(store, sketch, prm, exact=exact)
     np.testing.assert_allclose(rep.approx, [0.36, 0.64, 0.0], atol=1e-6)
     assert rep.coherence_row == 1
     assert rep.coherence == pytest.approx(0.64, abs=1e-6)
@@ -79,7 +91,7 @@ def test_rank_one_scores_exact_dot():
 
 def test_zero_row_scores_zero_in_both_modes():
     a, store = rank_one_store()
-    norm, kappa = spectral_norm_and_kappa(a)
+    _, _, norm, kappa = oracle_facts(a)
     prm = compute_params(0.5, 0.1, 1, kappa, norm,
                          math.sqrt(store.sq_frobenius), p_override=8,
                          xi_override=0.3)
@@ -94,11 +106,11 @@ def test_rank_one_random_instances_tight():
         rng = stream(seed)
         a = np.outer(standard_normal(rng, 200), standard_normal(rng, 10))
         store = MatrixSampleStore(a)
-        norm, kappa = spectral_norm_and_kappa(a)
+        exact, _, norm, kappa = oracle_facts(a)
         prm = compute_params(0.5, 0.1, 1, kappa, norm,
                              math.sqrt(store.sq_frobenius), p_override=16)
         sketch = qisvd(store, prm, stream(seed + 100))
-        rep = qisls_all(store, sketch, prm, exact=exact_leverage(a))
+        rep = qisls_all(store, sketch, prm, exact=exact)
         assert rep.abs_err.max() <= 1e-6
 
 
@@ -132,14 +144,14 @@ def test_sampled_dot_on_banded_gaussian():
     # spread of rows (calibrated: max observed 0.028)
     a = gen_example1(1000, 100, 70, seed=3)
     store = MatrixSampleStore(a)
-    norm, kappa = spectral_norm_and_kappa(a)
+    exact, _, norm, kappa = oracle_facts(a)
     prm = compute_params(0.5, 0.1, 20, kappa, norm,
                          math.sqrt(store.sq_frobenius), p_override=60,
                          xi_override=0.1)
     sketch = qisvd(store, prm, stream(11))
     rows = [0, 250, 333, 500, 700, 750, 900, 999]
     rep = qisls_all(store, sketch, prm, rows=rows, mode="sampled-dot",
-                    seed=99, exact=exact_leverage(a))
+                    seed=99, exact=exact)
     assert rep.mode == "sampled-dot"
     assert rep.abs_err.max() <= 0.1
 
@@ -148,7 +160,7 @@ def test_tighter_xi_shrinks_mode_disagreement():
     rng = stream(5)
     a = standard_normal(rng, (30, 3)) @ standard_normal(rng, (8, 3)).T
     store = MatrixSampleStore(a)
-    norm, kappa = spectral_norm_and_kappa(a)
+    _, _, norm, kappa = oracle_facts(a)
     fro = math.sqrt(store.sq_frobenius)
     base = compute_params(0.5, 0.1, 3, kappa, norm, fro, p_override=20)
     sketch = qisvd(store, base, stream(21))
@@ -173,10 +185,9 @@ def test_coherence_row_matches_exact_argmax_when_separated():
     # runner-up while sketch errors stay around 0.15
     a = np.array([[10.0, 0.0], [0.0, 4.0], [0.0, 4.0],
                   [0.5, 4.0], [0.5, 4.0]])
-    exact = exact_leverage(a)
+    exact, _, norm, kappa = oracle_facts(a)
     gap = np.sort(exact)[-1] - np.sort(exact)[-2]
     store = MatrixSampleStore(a)
-    norm, kappa = spectral_norm_and_kappa(a)
     prm = compute_params(0.5, 0.1, 2, kappa, norm,
                          math.sqrt(store.sq_frobenius), p_override=64)
     for seed in range(5):
@@ -216,12 +227,12 @@ def test_qisls_all_validation():
 
 def test_report_round_trip(tmp_path):
     a, store = rank_one_store()
-    norm, kappa = spectral_norm_and_kappa(a)
+    exact, _, norm, kappa = oracle_facts(a)
     prm = compute_params(0.5, 0.1, 1, kappa, norm,
                          math.sqrt(store.sq_frobenius), p_override=8,
                          xi_override=0.2)
     sketch = qisvd(store, prm, stream(10))
-    rep = qisls_all(store, sketch, prm, exact=exact_leverage(a), seed=77)
+    rep = qisls_all(store, sketch, prm, exact=exact, seed=77)
     path = tmp_path / "report.csv"
     write_report_csv(path, rep)
     text = path.read_text()

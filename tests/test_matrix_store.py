@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from levsketch import (MatrixSampleStore, read_matrix_csv, stream,
-                       write_matrix_csv)
+from levsketch import (MatrixSampleStore, read_matrix_csv, sample_rows,
+                       stream, write_matrix_csv)
+from levsketch.cli import main
+from levsketch.sketch import draw_from_cumsum
 
 from oracles import chisquare_pvalue
 
@@ -55,36 +59,32 @@ def test_entry_and_gather_access(small_store):
 
 def test_column_sampling_one_third_two_thirds(small_store):
     rng = stream(31)
-    counts = np.bincount(
-        [small_store.sample_column_index(rng) for _ in range(30_000)],
-        minlength=2)
+    counts = np.bincount(small_store.sample_column_indices(rng, 30_000),
+                         minlength=2)
     assert chisquare_pvalue(counts, np.array([1 / 3, 2 / 3])) >= 0.01
 
 
 def test_row_sampling_distribution(small_store):
     rng = stream(32)
-    counts = np.bincount(
-        [small_store.sample_row_index(rng) for _ in range(30_000)],
-        minlength=2)
+    counts = np.bincount(small_store.sample_row_indices(rng, 30_000),
+                         minlength=2)
     assert chisquare_pvalue(counts, np.array([5 / 30, 25 / 30])) >= 0.01
 
 
 def test_row_given_column(small_store):
     # column 0 is (1, 3): conditional row probabilities (0.1, 0.9)
-    rng = stream(33)
-    counts = np.bincount(
-        [small_store.sample_row_given_column(0, rng) for _ in range(5000)],
-        minlength=2)
+    rows, _ = sample_rows(small_store, [0], 5000, stream(33))
+    counts = np.bincount(rows, minlength=2)
     assert chisquare_pvalue(counts, np.array([0.1, 0.9])) >= 0.01
 
 
 def test_zero_matrix_and_zero_column_errors():
     store = MatrixSampleStore(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="zero matrix"):
-        store.sample_row_index(stream(0))
+        store.sample_row_indices(stream(0), 1)
     mixed = MatrixSampleStore([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="zero column"):
-        mixed.sample_row_given_column(1, stream(0))
+        sample_rows(mixed, [1], 1, stream(0))
 
 
 def test_constructor_errors():
@@ -102,7 +102,20 @@ def test_update_refreshes_all_layers(small_store):
     assert small_store.row_sq_norm(0) == pytest.approx(29.0, rel=1e-12)
     assert small_store.col_sq_norm(0) == pytest.approx(34.0, rel=1e-12)
     assert small_store.sq_frobenius == pytest.approx(54.0, rel=1e-12)
-    assert small_store.row_tree(0).query(0) == 5.0
+    fresh = MatrixSampleStore(small_store.to_array())
+    assert small_store.row_sq_norm(0) == fresh.row_sq_norm(0)
+    assert small_store.row_sq_norm(1) == fresh.row_sq_norm(1)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+def test_out_of_range_update_changes_nothing(small_store, i, j):
+    before = small_store.to_array()
+    with pytest.raises(IndexError, match="out of range"):
+        small_store.update(i, j, 5.0)
+    np.testing.assert_array_equal(small_store.to_array(), before)
+    assert small_store.sq_frobenius == 30.0
+    with pytest.raises(IndexError, match="out of range"):
+        small_store.query(i, j)
 
 
 def test_update_drift_stays_tiny():
@@ -117,6 +130,9 @@ def test_update_drift_stays_tiny():
         store.update(i, j, v)
     fresh = MatrixSampleStore(a)
     assert store.sq_frobenius == pytest.approx(fresh.sq_frobenius, rel=1e-9)
+    # row norms are summed afresh on every update: no drift at all
+    assert all(store.row_sq_norm(i) == fresh.row_sq_norm(i)
+               for i in range(64))
     for j in range(16):
         assert store.col_sq_norm(j) == pytest.approx(
             fresh.col_sq_norm(j), rel=1e-9, abs=1e-9)
@@ -148,8 +164,10 @@ def test_query_counter_accounting(small_store):
     small_store.row_sq_norm(1)
     small_store.col_sq_norm(1)
     assert small_store.queries == 7
-    small_store.sample_row_index(stream(1))
+    small_store.sample_row_indices(stream(1), 1)
     assert small_store.queries == 8
+    small_store.sample_column_indices(stream(1), 3)
+    assert small_store.queries == 11
 
 
 def test_sample_touch_cost_logarithmic():
@@ -160,7 +178,7 @@ def test_sample_touch_cost_logarithmic():
     rng = stream(3)
     for _ in range(20):
         tree.touches = 0
-        store.sample_column_index(rng)
+        store.sample_column_indices(rng, 1)
         assert tree.touches <= bound
 
 
@@ -186,6 +204,95 @@ def test_coo_csv_one_based(tmp_path):
     assert meta == {"tag": 7, "m": 3, "n": 2}
 
 
+FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=FINITE))
+def test_dense_csv_round_trips_any_matrix(tmp_path_factory, a):
+    path = tmp_path_factory.mktemp("dense") / "m.csv"
+    write_matrix_csv(path, a)
+    back, meta = read_matrix_csv(path)
+    assert np.array_equal(back, a)
+    assert (meta["m"], meta["n"]) == a.shape
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_coo_csv_round_trips_any_triplets(tmp_path_factory, m, n, data):
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), FINITE))
+    expected = np.zeros((m, n))
+    lines = [f"# coo {m} {n}"]
+    for (i, j), value in cells.items():
+        expected[i, j] = value
+        lines.append(f"{i + 1},{j + 1},{value!r}")
+    path = tmp_path_factory.mktemp("coo") / "m.csv"
+    path.write_text("\n".join(lines) + "\n")
+    back, meta = read_matrix_csv(path)
+    assert np.array_equal(back, expected)
+    assert meta == {"m": m, "n": n}
+
+
+COO = "# coo 3 2\n1,1,1.5\n3,2,-2.0\n"
+DENSE = "# m=3 n=2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n"
+
+
+@pytest.mark.parametrize("text, reason", [
+    (COO + "0,1,5.0\n", "outside"),
+    (COO + "1,0,5.0\n", "outside"),
+    (COO + "4,1,5.0\n", "outside"),
+    (COO + "1,3,5.0\n", "outside"),
+    (COO + "1,1,2.0\n", "given twice"),
+    (COO + "2,1\n", "i,j,value"),
+    (COO + "2,1,1.0,7\n", "i,j,value"),
+    (COO.replace("coo 3 2", "coo 3"), "coo m n"),
+    (DENSE.replace("m=3", "m=4"), "header"),
+    (DENSE.replace("n=2", "n=3"), "header"),
+    (DENSE + "7.0,8.0\n", "header"),
+    (DENSE.replace("3.0,4.0", "3.0"), "fields"),
+], ids=["coo-row-0", "coo-col-0", "coo-row-above-m", "coo-col-above-n",
+        "coo-duplicate", "coo-two-fields", "coo-four-fields", "coo-header",
+        "dense-header-m", "dense-header-n", "dense-extra-row", "dense-ragged"])
+def test_malformed_matrix_file_exits_two(tmp_path, capsys, text, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=reason) as info:
+        read_matrix_csv(path)
+    assert "\n" not in str(info.value)
+    assert main(["compare", str(path), "-o", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed matrix file")
+    assert err.count("\n") == 1
+
+
+@given(st.data())
+def test_mutated_files_are_rejected(tmp_path_factory, data):
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    path = tmp_path_factory.mktemp("mutated") / "m.csv"
+    if data.draw(st.booleans(), label="coo"):
+        cells = data.draw(st.lists(st.tuples(st.integers(1, m),
+                                             st.integers(1, n)),
+                                   min_size=1, unique=True))
+        lines = [f"{i},{j},1.0" for i, j in cells]
+        t = data.draw(st.integers(0, len(lines) - 1))
+        i, j = cells[t]
+        lines[t] = data.draw(st.sampled_from([
+            f"0,{j},1.0", f"{i},0,1.0", f"{m + 1},{j},1.0",
+            f"{i},{n + 1},1.0", f"{i},{j}", f"{i},{j},1.0,1.0",
+            f"{i},{j},1.0\n{i},{j},2.0"]))
+        path.write_text(f"# coo {m} {n}\n" + "\n".join(lines) + "\n")
+    else:
+        write_matrix_csv(path, np.ones((m, n)))
+        lines = path.read_text().splitlines()
+        t = data.draw(st.integers(1, m))
+        lines[t] = data.draw(st.sampled_from([
+            "", lines[t] + "\n" + lines[t], lines[t] + ",1.0",
+            lines[t].rpartition(",")[0]]))
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="malformed matrix file"):
+        read_matrix_csv(path)
+
+
 def test_store_round_trips_through_csv(tmp_path):
     a = stream(13).standard_normal((6, 4))
     path = tmp_path / "store.csv"
@@ -207,5 +314,6 @@ class TopDraw:
 
 
 def test_row_given_column_never_lands_on_zero_mass_tail():
-    store = MatrixSampleStore([[1.0], [2.0], [0.0], [0.0]])
-    assert store.sample_row_given_column(0, TopDraw()) == 1
+    # column (1, 2, 0, 0): a uniform draw that rounded up to the total 5
+    cum = np.cumsum([1.0, 4.0, 0.0, 0.0])
+    assert draw_from_cumsum(cum, TopDraw().random() * cum[-1]) == 1

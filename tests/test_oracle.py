@@ -2,59 +2,66 @@
 import numpy as np
 import pytest
 
-from levsketch import (exact_leverage, gen_example1, gen_example2,
-                       householder_qr, numerical_rank,
-                       spectral_norm_and_kappa, stream, standard_normal,
+from levsketch import (gen_example1, gen_example2, householder_qr,
+                       oracle_facts, stream, standard_normal,
                        write_matrix_csv)
 
 from oracles import hat_leverage
 
 
 def test_identity_scores():
-    np.testing.assert_allclose(exact_leverage(np.eye(3)), np.ones(3),
+    np.testing.assert_allclose(oracle_facts(np.eye(3)).scores, np.ones(3),
                                atol=1e-14)
 
 
 def test_diagonal_with_zero_row():
     a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    np.testing.assert_allclose(exact_leverage(a), [1.0, 1.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(oracle_facts(a).scores, [1.0, 1.0, 0.0],
+                               atol=1e-14)
 
 
 def test_rank_deficient_matches_hat_matrix():
     rng = stream(55)
     a = standard_normal(rng, (40, 5)) @ standard_normal(rng, (5, 10))
-    scores = exact_leverage(a)
+    scores, rank, _, _ = oracle_facts(a)
     np.testing.assert_allclose(scores, hat_leverage(a), atol=1e-6)
     assert scores.sum() == pytest.approx(5.0, abs=1e-9)
-    assert numerical_rank(a) == 5
+    assert rank == 5
 
 
 def test_scores_bounded_and_sum_to_rank():
     a = gen_example1(80, 20, 6, seed=1)
-    scores = exact_leverage(a)
+    scores, rank, _, _ = oracle_facts(a)
     assert np.all(scores >= 0.0)
     assert np.all(scores <= 1.0 + 1e-10)
-    assert scores.sum() == pytest.approx(numerical_rank(a), abs=1e-8)
+    assert scores.sum() == pytest.approx(rank, abs=1e-8)
 
 
 def test_spectral_norm_and_kappa_diagonal():
-    norm, kappa = spectral_norm_and_kappa(np.diag([4.0, 2.0]))
+    norm, kappa = oracle_facts(np.diag([4.0, 2.0]))[2:]
     assert norm == pytest.approx(4.0, abs=1e-14)
     assert kappa == pytest.approx(2.0, abs=1e-14)
 
 
 def test_kappa_skips_zero_singular_values():
-    norm, kappa = spectral_norm_and_kappa(np.diag([3.0, 0.0]))
+    norm, kappa = oracle_facts(np.diag([3.0, 0.0]))[2:]
     assert norm == pytest.approx(3.0, abs=1e-14)
     assert kappa == pytest.approx(1.0, abs=1e-14)
 
 
 def test_zero_matrix_errors():
-    with pytest.raises(ValueError, match="zero matrix"):
-        exact_leverage(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="zero matrix"):
-        spectral_norm_and_kappa(np.zeros((2, 2)))
-    assert numerical_rank(np.zeros((3, 2))) == 0
+    for shape in ((2, 2), (3, 2)):
+        with pytest.raises(ValueError, match="zero matrix"):
+            oracle_facts(np.zeros(shape))
+
+
+def test_one_svd_answers_every_question():
+    a = gen_example2(40, 15, 5, kappa=3.0, a=1, b=10, seed=3)
+    scores, rank, norm, kappa = oracle_facts(a)
+    assert rank == 5
+    assert scores.sum() == pytest.approx(5.0, abs=1e-9)
+    assert norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    assert kappa == pytest.approx(3.0, rel=1e-6)
 
 
 def test_householder_qr_factors():
@@ -76,12 +83,12 @@ def test_example1_rank_and_zeroed_columns():
     a = gen_example1(1000, 100, 70, seed=4)
     zero_cols = int((np.abs(a).sum(axis=0) == 0.0).sum())
     assert zero_cols == 70
-    assert numerical_rank(a) == 30
+    assert oracle_facts(a).rank == 30
 
 
 def test_example1_full_rank_without_zeroed_columns():
     a = gen_example1(40, 10, 0, seed=2)
-    assert numerical_rank(a) == 10
+    assert oracle_facts(a).rank == 10
 
 
 def test_example1_band_scaling():
@@ -110,8 +117,8 @@ def test_example1_reproducible_csv(tmp_path):
 
 def test_example2_rank_one():
     a = gen_example2(30, 8, 1, kappa=1.0, a=1, b=10, seed=5)
-    assert numerical_rank(a) == 1
-    norm, kappa = spectral_norm_and_kappa(a)
+    _, rank, norm, kappa = oracle_facts(a)
+    assert rank == 1
     assert kappa == pytest.approx(1.0, rel=1e-6)
     assert norm == pytest.approx(round(norm), abs=1e-9)
     assert 1.0 - 1e-9 <= norm <= 10.0 + 1e-9
@@ -120,15 +127,15 @@ def test_example2_rank_one():
 def test_example2_rank_matches_r():
     for seed, r in [(0, 2), (1, 5), (2, 12)]:
         a = gen_example2(40, 15, r, kappa=3.0, a=1, b=10, seed=seed)
-        assert numerical_rank(a) == r
+        assert oracle_facts(a).rank == r
 
 
 def test_example2_measured_kappa():
     a = gen_example2(60, 25, 5, kappa=10.0, a=2, b=9, seed=11)
-    _, kappa = spectral_norm_and_kappa(a)
+    _, kappa = oracle_facts(a)[2:]
     assert kappa == pytest.approx(10.0, rel=1e-6)
     flat = gen_example2(60, 25, 5, kappa=1.0, a=2, b=9, seed=11)
-    _, kappa_flat = spectral_norm_and_kappa(flat)
+    _, kappa_flat = oracle_facts(flat)[2:]
     assert kappa_flat == pytest.approx(1.0, rel=1e-6)
 
 
@@ -146,12 +153,12 @@ def test_example2_validation():
 def test_row_permutation_permutes_scores():
     a = gen_example1(16, 8, 2, seed=7)
     perm = stream(1).permutation(16)
-    np.testing.assert_allclose(exact_leverage(a[perm]),
-                               exact_leverage(a)[perm], atol=1e-6)
+    np.testing.assert_allclose(oracle_facts(a[perm]).scores,
+                               oracle_facts(a).scores[perm], atol=1e-6)
 
 
 def test_right_orthogonal_invariance():
     a = gen_example1(16, 8, 0, seed=7)
     q, _ = householder_qr(standard_normal(stream(2), (8, 8)))
-    np.testing.assert_allclose(exact_leverage(a @ q), exact_leverage(a),
-                               atol=1e-6)
+    np.testing.assert_allclose(oracle_facts(a @ q).scores,
+                               oracle_facts(a).scores, atol=1e-6)

@@ -48,7 +48,7 @@ def test_build_errors():
 def test_sample_collapsed_support():
     tree = SampleTree([0.0, 0.0, 5.0])
     rng = stream(0)
-    assert {tree.sample_index(rng) for _ in range(50)} == {2}
+    assert set(tree.sample_indices(rng, 50).tolist()) == {2}
 
 
 def test_sample_frequencies_three_four():
@@ -67,13 +67,14 @@ def test_sample_uniform_chi_square():
 def test_sample_zero_vector_raises():
     tree = SampleTree([0.0, 0.0])
     with pytest.raises(ValueError, match="cannot sample zero vector"):
-        tree.sample_index(stream(0))
+        tree.sample_indices(stream(0), 1)
 
 
 def test_sample_scalar_matches_batch_distribution():
     tree = SampleTree([1.0, -2.0, 3.0])
     one_by_one = np.bincount(
-        [tree.sample_index(stream(40 + i)) for i in range(4000)], minlength=3)
+        [tree.sample_indices(stream(40 + i), 1)[0] for i in range(4000)],
+        minlength=3)
     probs = np.array([1.0, 4.0, 9.0]) / 14.0
     assert chisquare_pvalue(one_by_one, probs) >= 0.01
 
@@ -90,7 +91,7 @@ def test_update_support_collapse():
     tree.update(1, 0.0)
     assert tree.sq_norm == 9.0
     rng = stream(3)
-    assert {tree.sample_index(rng) for _ in range(20)} == {0}
+    assert set(tree.sample_indices(rng, 20).tolist()) == {0}
 
 
 def test_update_out_of_range():
@@ -142,7 +143,7 @@ def test_touch_costs_within_bound():
         tree.update(0, 2.5)
         assert tree.touches <= bound
         tree.touches = 0
-        tree.sample_index(stream(1))
+        tree.sample_indices(stream(1), 1)
         assert tree.touches <= bound
 
 

@@ -14,10 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import stream
-from .sample_store import MatrixSampleStore, SampleTree
-from .sketch import Params, SketchDescription, s_matrix, s_row
+from .sample_store import (MatrixSampleStore, SampleTree, fill_sums,
+                           sample_leaves)
+from .sketch import Params, SketchDescription, s_matrix, s_row, s_rows
 
 MODES = ("exact-dot", "sampled-dot")
+# draws per block of sampled-dot rows: enough to spread numpy's fixed cost
+# per call over many draws, few enough that a block's arrays stay small
+# (8 to 16 rows at k=20; the fastest of the sizes tried on a 2-core host)
+BLOCK_DRAWS = 1 << 14
 
 
 def mom_group_shape(xi: float, eta: float) -> tuple[int, int]:
@@ -44,13 +49,97 @@ def estimate_inner(x_tree: SampleTree, y, xi: float, eta: float,
     """
     groups, size = mom_group_shape(xi, eta)
     y = np.asarray(y, dtype=np.float64)
-    vals = x_tree.values
-    idx = x_tree.sample_indices(rng, groups * size)
-    picked = vals[idx]
+    est = mom_estimates(x_tree._sums[None], x_tree._leaf[None], y[:, None],
+                        groups, np.array([size]), rng)
+    x_tree.touches += groups * size * (2 * x_tree._levels + 1)
+    return float(est[0, 0])
+
+
+def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
+                  groups: int, sizes: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Median-of-means estimates of <x_r, y_c> for every row x_r of
+    ``leaves`` (trees in the rows of ``sums``, see ``fill_sums``) and every
+    column y_c of ``ys``, as a (rows, columns) array.
+
+    Each estimate takes ``groups`` groups of ``sizes[r]`` draws. The draws
+    come from one descent, in the order row, column, group, sample: the
+    stream is read as if by one ``estimate_inner`` call per row and column.
+    """
+    per_col = groups * sizes
+    counts = ys.shape[1] * per_col
+    tree, idx = sample_leaves(sums, counts, rng)
+    picked = leaves[tree, idx]
     if not picked.all():
         raise ValueError("sampled a zero coordinate")
-    z = y[idx] * (x_tree.sq_norm / picked)
-    return float(np.median(z.reshape(groups, size).mean(axis=1)))
+    starts = np.cumsum(counts) - counts
+    col = (np.arange(idx.size) - starts[tree]) // per_col[tree]
+    z = ys[idx, col] * (sums[tree, 1] / picked)
+    means = np.empty((leaves.shape[0], ys.shape[1] * groups))
+    for r, (start, count) in enumerate(zip(starts, counts)):
+        means[r] = z[start:start + count].reshape(-1, sizes[r]).mean(axis=1)
+    return np.median(means.reshape(leaves.shape[0], ys.shape[1], groups),
+                     axis=2)
+
+
+def sampled_scores(store: MatrixSampleStore, sketch: SketchDescription,
+                   rows: np.ndarray, params: Params,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Sampled-dot scores of ``rows``, in order.
+
+    S is gathered BLOCK_DRAWS entries at a time. Its nonzero rows are then
+    scored in blocks of consecutive rows with at most BLOCK_DRAWS draws in
+    all: one tree per row, one descent per block. A row with more draws is
+    a block of its own and descends a few coordinates at a time, so no
+    descent is larger than BLOCK_DRAWS or one coordinate's draws.
+
+    The k coordinate estimates each get an independent run of the
+    estimator at per-coordinate success probability (1 - delta)^(1/k), and
+    the precision target is absolute, xi ||S||_F, so the relative xi handed
+    to the estimator is scaled by the row norm. A zero row scores 0 and
+    draws nothing.
+    """
+    if sketch.v is None or sketch.sigma is None:
+        raise ValueError("sketch carries no singular triplets")
+    eta = 1.0 - (1.0 - params.delta) ** (1.0 / params.k)
+    scale = params.xi_effective * sketch.frob_norm
+    p = sketch.p
+    cap = 1 << max(0, (p - 1).bit_length())
+    scores = np.zeros(rows.size)
+    step = max(1, BLOCK_DRAWS // p)
+    for first in range(0, rows.size, step):
+        s = s_rows(store, sketch, rows[first:first + step])
+        sq = [float(srow @ srow) for srow in s]
+        live = np.flatnonzero(sq)
+        if live.size == 0:
+            continue
+        shapes = [mom_group_shape(scale / math.sqrt(sq[r]), eta)
+                  for r in live]
+        # eta is the same for every row, and so is the group count
+        groups = shapes[0][0]
+        sizes = np.array([size for _, size in shapes])
+        ends = np.cumsum(sketch.k * groups * sizes)
+        start = 0
+        while start < live.size:
+            drawn = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(
+                ends, drawn + BLOCK_DRAWS, side="right")))
+            block = live[start:stop]
+            leaves = np.zeros((block.size, cap))
+            leaves[:, :p] = s[block]
+            sums = np.zeros((block.size, 2 * cap))
+            fill_sums(sums, leaves)
+            # a row over the bound draws a few coordinates at a time
+            cols = max(1, min(sketch.k, BLOCK_DRAWS // int(
+                groups * sizes[start:stop].sum())))
+            t = np.hstack([mom_estimates(sums, leaves,
+                                         sketch.v[:, c:c + cols], groups,
+                                         sizes[start:stop], rng)
+                           for c in range(0, sketch.k, cols)])
+            for r, u_row in zip(block, t / sketch.sigma):
+                scores[first + r] = float(u_row @ u_row)
+            start = stop
+    return scores
 
 
 def qisls_score(store: MatrixSampleStore, sketch: SketchDescription, i: int,
@@ -59,32 +148,21 @@ def qisls_score(store: MatrixSampleStore, sketch: SketchDescription, i: int,
     """Approximate leverage score of row i.
 
     Exact-dot needs only the sketch; sampled-dot additionally needs params
-    (for xi and delta) and an rng. The k coordinate estimates each get an
-    independent run of the estimator at per-coordinate success probability
-    (1 - delta)^(1/k), and the precision target is absolute, xi ||S||_F,
-    so the relative xi handed to the estimator is scaled by the row norm.
+    (for xi and delta) and an rng, and scores the row as a one-row
+    ``sampled_scores`` call.
     """
-    if sketch.v is None or sketch.sigma is None:
-        raise ValueError("sketch carries no singular triplets")
     if not 0 <= i < store.m:
         raise ValueError("row index out of range")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    srow = s_row(store, sketch, i)
-    if mode == "exact-dot":
-        t = srow @ sketch.v
-    else:
+    if mode == "sampled-dot":
         if params is None or rng is None:
             raise ValueError("sampled-dot mode needs params and rng")
-        sq = float(srow @ srow)
-        if sq == 0.0:
-            return 0.0
-        tree = SampleTree(srow)
-        eta = 1.0 - (1.0 - params.delta) ** (1.0 / params.k)
-        xi_rel = params.xi_effective * sketch.frob_norm / math.sqrt(sq)
-        t = np.array([estimate_inner(tree, sketch.v[:, j], xi_rel, eta, rng)
-                      for j in range(sketch.k)])
-    u_row = t / sketch.sigma
+        return float(sampled_scores(store, sketch, np.array([i]), params,
+                                    rng)[0])
+    if sketch.v is None or sketch.sigma is None:
+        raise ValueError("sketch carries no singular triplets")
+    u_row = (s_row(store, sketch, i) @ sketch.v) / sketch.sigma
     return float(u_row @ u_row)
 
 
@@ -138,8 +216,11 @@ def qisls_all(store: MatrixSampleStore, sketch: SketchDescription,
             raise ValueError("exact scores must cover every row of the store")
     if rng is None:
         rng = stream(seed)
-    approx = np.array([qisls_score(store, sketch, int(i), mode=mode,
-                                   params=params, rng=rng) for i in rows])
+    if mode == "sampled-dot":
+        approx = sampled_scores(store, sketch, rows, params, rng)
+    else:
+        approx = np.array([qisls_score(store, sketch, int(i), mode=mode,
+                                       params=params, rng=rng) for i in rows])
     return LeverageReport.from_scores(rows, approx, exact, mode, seed, params)
 
 
@@ -186,9 +267,17 @@ def write_report_csv(path, report: LeverageReport) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _malformed(path, what: str) -> ValueError:
+    return ValueError(f"malformed report file {path}: {what}")
+
+
 def read_report_csv(path) -> LeverageReport:
+    """Read a report written by :func:`write_report_csv`. A missing
+    metadata key, a non-numeric field, a row index that is not a positive
+    integer, a data row of other than 4 fields or a file without data rows
+    raises a one-line ValueError."""
     meta: dict[str, str] = {}
-    body: list[list[float]] = []
+    body: list[list[str]] = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -198,23 +287,42 @@ def read_report_csv(path) -> LeverageReport:
                 key, _, val = line[1:].strip().partition("=")
                 meta[key] = val
                 continue
-            body.append([float(x) for x in line.split(",")])
-    params = Params(
-        epsilon=float(meta["epsilon"]), delta=float(meta["delta"]),
-        k=int(meta["k"]), kappa=float(meta["kappa"]),
-        spectral_norm=float(meta["spectral_norm"]),
-        frob_norm=float(meta["frob_norm"]), omega=float(meta["omega"]),
-        theta=float(meta["theta"]), p=int(meta["p"]), xi=float(meta["xi"]),
-        p_override=int(meta["p_override"]) if "p_override" in meta else None,
-        xi_override=float(meta["xi_override"]) if "xi_override" in meta else None)
-    data = np.array(body)
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise _malformed(path, f"data row of {len(fields)} fields")
+            body.append(fields)
+    if not body:
+        raise _malformed(path, "no data rows")
+    try:
+        data = np.array([[float(x) for x in fields] for fields in body])
+        params = Params(
+            epsilon=float(meta["epsilon"]), delta=float(meta["delta"]),
+            k=int(meta["k"]), kappa=float(meta["kappa"]),
+            spectral_norm=float(meta["spectral_norm"]),
+            frob_norm=float(meta["frob_norm"]), omega=float(meta["omega"]),
+            theta=float(meta["theta"]), p=int(meta["p"]),
+            xi=float(meta["xi"]),
+            p_override=(int(meta["p_override"]) if "p_override" in meta
+                        else None),
+            xi_override=(float(meta["xi_override"]) if "xi_override" in meta
+                         else None))
+        coherence_row = int(meta["coherence_row"]) - 1
+        coherence = float(meta["coherence"])
+        seed = int(meta["seed"])
+        mode = meta["mode"]
+    except KeyError as exc:
+        raise _malformed(path, f"no {exc.args[0]} line") from None
+    except ValueError as exc:
+        raise _malformed(path, f"non-numeric field ({exc})") from None
+    index = data[:, 0]
+    if not (np.isfinite(index) & (index >= 1)
+            & (index == np.floor(index))).all():
+        raise _malformed(path, "row index not a positive integer")
     exact = data[:, 2]
     abs_err = data[:, 3]
     if np.isnan(exact).all():
         exact = abs_err = None
     return LeverageReport(
-        rows=data[:, 0].astype(np.int64) - 1, approx=data[:, 1],
-        exact=exact, abs_err=abs_err,
-        coherence_row=int(meta["coherence_row"]) - 1,
-        coherence=float(meta["coherence"]), mode=meta["mode"],
-        seed=int(meta["seed"]), params=params)
+        rows=index.astype(np.int64) - 1, approx=data[:, 1],
+        exact=exact, abs_err=abs_err, coherence_row=coherence_row,
+        coherence=coherence, mode=mode, seed=seed, params=params)

@@ -5,6 +5,10 @@ leaves hold the signed entries and whose internal nodes hold partial sums of
 squares. Querying or updating an entry costs O(log n), and one tree descent
 draws an index i with probability v_i^2 / ||v||^2.
 
+``fill_sums`` and ``sample_leaves`` build and walk such trees along the
+last axis of an array, so the same code serves one SampleTree and the
+sampled-dot scorer's stack of trees, one per row of S in a block.
+
 A :class:`MatrixSampleStore` keeps the dense entries, a tree over row norms
 and a tree over column norms, giving O(1) access to ||A_{i,:}||, ||A_{:,j}||
 and ||A||_F and O(log) row-index and column-index sampling. Entry reads,
@@ -16,6 +20,53 @@ import numpy as np
 
 # full rebuild after this many updates, to bound floating-point drift
 REBUILD_EVERY = 1_000_000
+
+
+def fill_sums(sums: np.ndarray, leaves: np.ndarray) -> None:
+    """Fill the trees along the last axis of ``sums`` from ``leaves``.
+
+    A tree over cap = 2^L leaves takes 2 cap slots: node v has children 2v
+    and 2v + 1, leaf i sits at cap + i and holds the squared entry, and each
+    internal node the sum of its children's; slot 0 is unused.
+    """
+    cap = leaves.shape[-1]
+    sums[..., cap:] = leaves * leaves
+    half = cap // 2
+    while half >= 1:
+        child = sums[..., 2 * half:4 * half]
+        sums[..., half:2 * half] = child[..., 0::2] + child[..., 1::2]
+        half //= 2
+
+
+def sample_leaves(sums: np.ndarray, counts,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``counts[r]`` leaves of the tree in row r of ``sums``, each
+    leaf i with probability v_i^2 / ||v||^2.
+
+    Returns the tree and the leaf of every draw, tree by tree. All draws
+    take their uniforms from one ``rng.random`` call in that order, which
+    reads the stream exactly as one call per tree would, and descend
+    together, one vectorized step per tree level.
+    """
+    trees, width = sums.shape
+    totals = sums[:, 1]
+    if (totals <= 0.0).any():
+        raise ValueError("cannot sample zero vector")
+    tree = np.repeat(np.arange(trees), counts)
+    u = rng.random(tree.size) * totals[tree]
+    flat = sums.ravel()
+    base = tree * width
+    node = np.ones(tree.size, dtype=np.int64)
+    for _ in range(width.bit_length() - 2):
+        node <<= 1
+        at = base + node
+        left = flat[at]
+        # an empty right subtree is never entered, so rounding in u
+        # cannot land a walk on a zero-mass leaf
+        go_right = (flat[at + 1] != 0.0) & (u >= left)
+        u -= np.where(go_right, left, 0.0)
+        node += go_right
+    return tree, node - width // 2
 
 
 class SampleTree:
@@ -56,13 +107,7 @@ class SampleTree:
 
     def rebuild(self) -> None:
         """Recompute every internal node from the leaves."""
-        s, cap = self._sums, self._cap
-        s[cap:] = self._leaf * self._leaf
-        half = cap // 2
-        while half >= 1:
-            child = s[2 * half:4 * half]
-            s[half:2 * half] = child[0::2] + child[1::2]
-            half //= 2
+        fill_sums(self._sums, self._leaf)
         self._updates = 0
 
     def _check_index(self, i: int) -> int:
@@ -104,21 +149,9 @@ class SampleTree:
         """``size`` indices, each i with probability v_i^2 / ||v||^2; one
         descent per draw, all draws in one vectorized walk."""
         size = int(size)
-        total = self._sums[1]
-        if total <= 0.0:
-            raise ValueError("cannot sample zero vector")
-        u = rng.random(size) * total
-        node = np.ones(size, dtype=np.int64)
-        for _ in range(self._levels):
-            node <<= 1
-            left = self._sums[node]
-            # an empty right subtree is never entered, so rounding in u
-            # cannot land a walk on a zero-mass leaf
-            go_right = (self._sums[node + 1] != 0.0) & (u >= left)
-            u -= np.where(go_right, left, 0.0)
-            node += go_right
+        _, idx = sample_leaves(self._sums[None], np.array([size]), rng)
         self.touches += size * (2 * self._levels + 1)
-        return node - self._cap
+        return idx
 
 
 class MatrixSampleStore:
@@ -143,10 +176,12 @@ class MatrixSampleStore:
 
     def _build_trees(self) -> None:
         sq = self._entries * self._entries
-        self._row_tree = SampleTree(np.sqrt(sq.sum(axis=1)),
-                                    self._rebuild_every)
-        self._col_tree = SampleTree(np.sqrt(sq.sum(axis=0)),
-                                    self._rebuild_every)
+        # each store update makes one update per tree, so a tree would
+        # reach its threshold one update after the store rebuilds both
+        # trees from the entries: the store's rebuild is the only one
+        never = self._rebuild_every + 1
+        self._row_tree = SampleTree(np.sqrt(sq.sum(axis=1)), never)
+        self._col_tree = SampleTree(np.sqrt(sq.sum(axis=0)), never)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -178,6 +213,13 @@ class MatrixSampleStore:
         idx = np.asarray(cols, dtype=np.int64)
         self.queries += idx.size
         return self._entries[int(i), idx]
+
+    def block_values(self, rows, cols) -> np.ndarray:
+        """Entries A[rows][:, cols] as one counted gather."""
+        rows = np.asarray(rows, dtype=np.int64)
+        idx = np.asarray(cols, dtype=np.int64)
+        self.queries += rows.size * idx.size
+        return self._entries[rows[:, None], idx]
 
     def column_values(self, j: int) -> np.ndarray:
         """Column A[:, j]; costs m entry reads."""

@@ -215,6 +215,12 @@ def s_row(store: MatrixSampleStore, sketch: SketchDescription,
     return store.row_values(i, sketch.col_indices) * sketch.col_scale
 
 
+def s_rows(store: MatrixSampleStore, sketch: SketchDescription,
+           rows) -> np.ndarray:
+    """Rows S[rows, :] as one counted gather."""
+    return store.block_values(rows, sketch.col_indices) * sketch.col_scale
+
+
 def s_matrix(store: MatrixSampleStore,
              sketch: SketchDescription) -> np.ndarray:
     """Dense m-by-p S, one counted column read (m entries) per sample."""

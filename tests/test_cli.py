@@ -1,4 +1,6 @@
 """Command-line harness: flags, outputs, determinism, exit codes."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -255,3 +257,63 @@ def test_bench_rerun_identical_except_wall_ms(tmp_path):
             assert a == b
         else:
             assert a.split(",")[:3] == b.split(",")[:3]
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sampled_dot_compare_output_is_pinned(tmp_path, monkeypatch):
+    # seeded sampled-dot scores must not move when the scorer is
+    # restructured: the report is pinned byte for byte, with two trial
+    # threads, which change no output
+    mat = tmp_path / "e2.csv"
+    assert run(["gen", "--family", "example2", "--m", 600, "--n", 80,
+                "--r", 25, "--kappa", 10, "--a", 2, "--b", 9, "--seed", 5,
+                "-o", mat]) == 0
+    assert sha256_of(mat) == ("c89a4bfd810a0916f47a3ccc15a7e1b9"
+                              "9245ea1625cef8da721ab03306643897")
+    monkeypatch.setenv("LEVSKETCH_THREADS", "2")
+    rep = tmp_path / "rep.csv"
+    assert run(["compare", mat, "--mode", "sampled-dot", "--p", 50,
+                "--k", 12, "--trials", 3, "--seed", 8,
+                "--rows", "1,7,50,100,233,400,599,600", "-o", rep]) == 0
+    assert sha256_of(rep) == ("e636e43b51f5afaf512dd9bcc79dd240"
+                              "aee973942258280e334b4f06c201b911")
+
+
+DEGENERATE = {
+    "zero-row": np.vstack([standard_normal(stream(21), (7, 4)),
+                           np.zeros((1, 4))]),
+    "zero-column": np.hstack([standard_normal(stream(22), (9, 3)),
+                              np.zeros((9, 1))]),
+    "tied-rows": np.vstack([np.eye(4), np.eye(4)]),
+    "single-column": standard_normal(stream(23), (10, 1)),
+    "single-row": standard_normal(stream(24), (1, 6)),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact-dot", "sampled-dot"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_matrix_compare_runs(tmp_path, mode, name):
+    mat = tmp_path / "m.csv"
+    write_matrix_csv(mat, DEGENERATE[name])
+    rep_path = tmp_path / "rep.csv"
+    assert run(["compare", mat, "--mode", mode, "--p", 12, "--k", 1,
+                "--trials", 2, "--seed", 4, "-o", rep_path]) == 0
+    rep = read_report_csv(rep_path)
+    assert rep.rows.size == DEGENERATE[name].shape[0]
+    assert np.isfinite(rep.approx).all()
+    if name == "zero-row":
+        assert rep.approx[-1] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["exact-dot", "sampled-dot"])
+def test_zero_matrix_compare_exits_two(tmp_path, capsys, mode):
+    mat = tmp_path / "m.csv"
+    write_matrix_csv(mat, np.zeros((5, 3)))
+    assert run(["compare", mat, "--mode", mode, "--p", 12, "--k", 1,
+                "-o", tmp_path / "rep.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from levsketch import (MatrixSampleStore, SampleTree, compute_params,
-                       estimate_inner, gen_example1, mom_group_shape,
-                       oracle_facts, orthogonality_defect, qisls_all,
-                       qisls_score, qisvd, read_report_csv, standard_normal,
-                       stream, write_report_csv)
+from levsketch import (LeverageReport, MatrixSampleStore, Params, SampleTree,
+                       compute_params, estimate_inner, gen_example1,
+                       mom_group_shape, oracle_facts, orthogonality_defect,
+                       qisls_all, qisls_score, qisvd, read_report_csv, s_row,
+                       standard_normal, stream, write_report_csv)
+from levsketch.estimator import BLOCK_DRAWS, MODES
+from levsketch.sample_store import sample_leaves
 
 
 def test_mom_group_shape():
@@ -35,15 +38,15 @@ def test_estimate_inner_disjoint_support_is_zero():
     assert estimate_inner(x, y, 0.5, 0.1, stream(1)) == 0.0
 
 
-class ZeroDrawTree(SampleTree):
-    """Tree whose draws all land on coordinate 1, where x is zero."""
+def test_estimate_inner_rejects_a_zero_coordinate_draw(monkeypatch):
+    # the shared descent is stubbed to land every draw on coordinate 1,
+    # where x is zero
+    def zero_draws(sums, counts, rng):
+        total = int(np.sum(counts))
+        return np.zeros(total, dtype=np.int64), np.ones(total, dtype=np.int64)
 
-    def sample_indices(self, rng, size):
-        return np.ones(size, dtype=np.int64)
-
-
-def test_estimate_inner_rejects_a_zero_coordinate_draw():
-    tree = ZeroDrawTree([2.0, 0.0])
+    monkeypatch.setattr("levsketch.estimator.sample_leaves", zero_draws)
+    tree = SampleTree([2.0, 0.0])
     with pytest.raises(ValueError, match="sampled a zero coordinate"):
         estimate_inner(tree, np.array([1.0, 1.0]), 0.5, 0.1, stream(0))
 
@@ -99,6 +102,69 @@ def test_zero_row_scores_zero_in_both_modes():
     assert qisls_score(store, sketch, 2) == 0.0
     assert qisls_score(store, sketch, 2, mode="sampled-dot", params=prm,
                        rng=stream(5)) == 0.0
+
+
+def loop_sampled_score(store, sketch, i, params, rng):
+    """Sampled-dot score of row i the plain way: one tree for the row and
+    one draw call per coordinate."""
+    srow = s_row(store, sketch, i)
+    sq = float(srow @ srow)
+    if sq == 0.0:
+        return 0.0
+    tree = SampleTree(srow)
+    eta = 1.0 - (1.0 - params.delta) ** (1.0 / params.k)
+    groups, size = mom_group_shape(
+        params.xi_effective * sketch.frob_norm / math.sqrt(sq), eta)
+    t = np.empty(sketch.k)
+    for j in range(sketch.k):
+        idx = tree.sample_indices(rng, groups * size)
+        z = sketch.v[idx, j] * (tree.sq_norm / srow[idx])
+        t[j] = np.median(z.reshape(groups, size).mean(axis=1))
+    u_row = t / sketch.sigma
+    return float(u_row @ u_row)
+
+
+@pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 800])
+def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
+    # 130 rows, one of them zero, over several draw blocks; at 800 draws a
+    # block S is also gathered in several parts, and a row takes 4 times
+    # 33 to 726 draws, so the heavier rows are drawn a few coordinates at
+    # a time
+    monkeypatch.setattr("levsketch.estimator.BLOCK_DRAWS", block_draws)
+    blocks = []
+
+    def counting(sums, counts, rng):
+        blocks.append(np.asarray(counts))
+        return sample_leaves(sums, counts, rng)
+
+    monkeypatch.setattr("levsketch.estimator.sample_leaves", counting)
+    rng = stream(31)
+    a = standard_normal(rng, (130, 6)) @ standard_normal(rng, (6, 10))
+    a[57] = 0.0
+    store = MatrixSampleStore(a)
+    _, _, norm, kappa = oracle_facts(a)
+    prm = compute_params(0.5, 0.1, 4, kappa, norm,
+                         math.sqrt(store.sq_frobenius), p_override=20,
+                         xi_override=0.1)
+    sketch = qisvd(store, prm, stream(32))
+    rows = np.arange(130)
+    together, one_by_one, loop = stream(33), stream(33), stream(33)
+    block = qisls_all(store, sketch, prm, rows=rows, mode="sampled-dot",
+                      rng=together).approx
+    assert len(blocks) >= 3
+    assert all(c.sum() <= block_draws for c in blocks)
+    single = np.array([qisls_score(store, sketch, int(i), mode="sampled-dot",
+                                   params=prm, rng=one_by_one) for i in rows])
+    plain = np.array([loop_sampled_score(store, sketch, int(i), prm, loop)
+                      for i in rows])
+    assert block[57] == 0.0
+    assert np.all(block[rows != 57] > 0.0)
+    assert np.array_equal(block, single)
+    assert np.array_equal(block, plain)
+    # all three streams stopped at the same position
+    after = [g.random(4) for g in (together, one_by_one, loop)]
+    assert np.array_equal(after[0], after[1])
+    assert np.array_equal(after[0], after[2])
 
 
 def test_rank_one_random_instances_tight():
@@ -259,3 +325,117 @@ def test_report_round_trip_without_exact(tmp_path):
     back = read_report_csv(path)
     assert back.exact is None and back.abs_err is None
     np.testing.assert_array_equal(back.approx, rep.approx)
+
+
+def some_report(tmp_path):
+    a, store = rank_one_store()
+    exact, _, norm, kappa = oracle_facts(a)
+    prm = compute_params(0.5, 0.1, 1, kappa, norm,
+                         math.sqrt(store.sq_frobenius), p_override=8)
+    rep = qisls_all(store, qisvd(store, prm, stream(13)), prm, exact=exact)
+    path = tmp_path / "report.csv"
+    write_report_csv(path, rep)
+    return path
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda t: t.replace("# epsilon=0.5\n", ""), "no epsilon line"),
+    (lambda t: t.replace("# k=1\n", "# k=one\n"), "non-numeric"),
+    (lambda t: t.replace("# seed=0\n", "# seed=\n"), "non-numeric"),
+    (lambda t: t.replace("\n2,", "\n2,x,"), "5 fields"),
+    (lambda t: t.replace("\n2,", "\nx,"), "non-numeric"),
+    (lambda t: t.replace("\n2,", "\n1.5,"), "row index"),
+    (lambda t: t.replace("\n2,", "\n0,"), "row index"),
+    (lambda t: t.rpartition(",")[0] + "\n", "3 fields"),
+    (lambda t: t.partition("i,approx")[0], "no data rows"),
+    (lambda t: "# mode=x\n1,0.5,nan,nan\n", "no epsilon line"),
+], ids=["missing-key", "non-numeric-meta", "empty-meta", "five-fields",
+        "non-numeric-field", "fractional-index", "zero-index", "three-fields",
+        "no-data", "mode-only"])
+def test_malformed_report_is_value_error(tmp_path, edit, reason):
+    path = some_report(tmp_path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=reason) as info:
+        read_report_csv(path)
+    assert str(info.value).startswith("malformed report file")
+    assert "\n" not in str(info.value)
+
+
+FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def reports(draw):
+    size = draw(st.integers(1, 8))
+    vectors = st.lists(FINITE, min_size=size, max_size=size).map(np.array)
+    params = Params(
+        k=draw(st.integers(1, 500)), p=draw(st.integers(1, 10**6)),
+        p_override=draw(st.none() | st.integers(1, 10**6)),
+        xi_override=draw(st.none() | POSITIVE),
+        **{name: draw(POSITIVE) for name in (
+            "epsilon", "delta", "kappa", "spectral_norm", "frob_norm",
+            "omega", "theta", "xi")})
+    exact = draw(st.none() | vectors)
+    return LeverageReport(
+        rows=np.array(draw(st.lists(st.integers(0, 10**6), min_size=size,
+                                    max_size=size, unique=True))),
+        approx=draw(vectors), exact=exact,
+        abs_err=None if exact is None else draw(vectors),
+        coherence_row=draw(st.integers(0, 10**6)), coherence=draw(FINITE),
+        mode=draw(st.sampled_from(MODES)), seed=draw(st.integers(0, 2**63)),
+        params=params)
+
+
+@given(reports())
+def test_report_round_trips_any_report(tmp_path_factory, rep):
+    path = tmp_path_factory.mktemp("report") / "r.csv"
+    write_report_csv(path, rep)
+    back = read_report_csv(path)
+    np.testing.assert_array_equal(back.rows, rep.rows)
+    np.testing.assert_array_equal(back.approx, rep.approx)
+    for got, want in ((back.exact, rep.exact), (back.abs_err, rep.abs_err)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+    assert (back.coherence_row, back.coherence, back.mode, back.seed,
+            back.params) == (rep.coherence_row, rep.coherence, rep.mode,
+                             rep.seed, rep.params)
+
+
+NUMERIC_KEYS = ("seed", "coherence_row", "coherence", "k", "p", "epsilon",
+                "delta", "kappa", "spectral_norm", "frob_norm", "omega",
+                "theta", "xi")
+
+
+@given(reports(), st.data())
+def test_mutated_reports_are_rejected(tmp_path_factory, rep, data):
+    path = tmp_path_factory.mktemp("report") / "r.csv"
+    write_report_csv(path, rep)
+    lines = path.read_text().splitlines()
+    body = [t for t, line in enumerate(lines)
+            if line and not line.startswith(("#", "i,"))]
+    key = data.draw(st.sampled_from(NUMERIC_KEYS), label="key")
+    meta = lines.index(next(line for line in lines
+                            if line.startswith(f"# {key}=")))
+    t = data.draw(st.sampled_from(body), label="row")
+    fields = lines[t].split(",")
+    f = data.draw(st.integers(0, 3), label="field")
+    mutation = data.draw(st.sampled_from(
+        ["drop-key", "garble-key", "garble-field", "drop-field",
+         "add-field", "no-data"]))
+    if mutation == "drop-key":
+        del lines[meta]
+    elif mutation == "garble-key":
+        lines[meta] += "x"
+    elif mutation == "garble-field":
+        lines[t] = ",".join(fields[:f] + ["1.0.0"] + fields[f + 1:])
+    elif mutation == "drop-field":
+        lines[t] = ",".join(fields[:f] + fields[f + 1:])
+    elif mutation == "add-field":
+        lines[t] += ",1.0"
+    else:
+        lines = [line for t, line in enumerate(lines) if t not in body]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="malformed report file"):
+        read_report_csv(path)

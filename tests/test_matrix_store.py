@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from levsketch import (MatrixSampleStore, read_matrix_csv, sample_rows,
-                       stream, write_matrix_csv)
+from levsketch import (MatrixSampleStore, SampleTree, read_matrix_csv,
+                       sample_rows, stream, write_matrix_csv)
 from levsketch.cli import main
 from levsketch.sketch import draw_from_cumsum
 
@@ -151,6 +151,25 @@ def test_auto_rebuild_matches_fresh_store():
     fresh = MatrixSampleStore(a)
     assert store.sq_frobenius == fresh.sq_frobenius
     assert all(store.col_sq_norm(j) == fresh.col_sq_norm(j) for j in range(8))
+
+
+def test_store_rebuild_is_the_only_rebuild(monkeypatch):
+    rng = stream(43)
+    a = rng.standard_normal((6, 5))
+    store = MatrixSampleStore(a.copy(), rebuild_every=3)
+    calls = []
+    real = SampleTree.rebuild
+    monkeypatch.setattr(SampleTree, "rebuild",
+                        lambda tree: calls.append(tree) or real(tree))
+    for i, j, v in [(0, 0, 1.5), (4, 2, -2.0), (5, 4, 0.25)]:
+        a[i, j] = v
+        store.update(i, j, v)
+    # the third update rebuilds the store's two trees once each
+    assert len(calls) == 2
+    fresh = MatrixSampleStore(a)
+    assert store.sq_frobenius == fresh.sq_frobenius
+    assert all(store.row_sq_norm(i) == fresh.row_sq_norm(i) for i in range(6))
+    assert all(store.col_sq_norm(j) == fresh.col_sq_norm(j) for j in range(5))
 
 
 def test_query_counter_accounting(small_store):

@@ -14,8 +14,7 @@ from .sample_store import (MatrixSampleStore, SampleTree, read_matrix_csv,
                            write_matrix_csv)
 from .sketch import (Params, SketchDescription, build_w, compute_params,
                      draw_sketch, qisvd, read_sketch_csv, s_entry, s_matrix,
-                     s_row, sample_columns, sample_rows, theta_upper,
-                     write_sketch_csv)
+                     sample_columns, sample_rows, theta_upper, write_sketch_csv)
 from .svd import SvdResult, householder_qr, svd_dense, truncate_top_k
 
 __version__ = "0.1.0"
@@ -28,7 +27,7 @@ __all__ = [
     "householder_qr", "mom_group_shape", "oracle_facts",
     "orthogonality_defect", "qisls_all", "qisls_score", "qisvd",
     "read_matrix_csv", "read_report_csv", "read_sketch_csv", "s_entry",
-    "s_matrix", "s_row", "sample_columns", "sample_rows", "sigma_min_bound",
+    "s_matrix", "sample_columns", "sample_rows", "sigma_min_bound",
     "standard_normal", "stream", "svd_dense", "theta_upper", "trial_stream",
     "truncate_top_k", "write_matrix_csv", "write_report_csv",
     "write_sketch_csv", "__version__",

@@ -16,13 +16,16 @@ import numpy as np
 from .rng import stream
 from .sample_store import (MatrixSampleStore, SampleTree, fill_sums,
                            sample_leaves)
-from .sketch import Params, SketchDescription, s_matrix, s_row, s_rows
+from .sketch import Params, SketchDescription, s_matrix, s_rows
 
 MODES = ("exact-dot", "sampled-dot")
 # draws per block of sampled-dot rows: enough to spread numpy's fixed cost
 # per call over many draws, few enough that a block's arrays stay small
 # (8 to 16 rows at k=20; the fastest of the sizes tried on a 2-core host)
 BLOCK_DRAWS = 1 << 14
+# most draws one coordinate of one row may take: above this a descent's
+# arrays run to gigabytes (a floored CLI run peaks near 3.7e6)
+MAX_COORD_DRAWS = 1 << 24
 
 
 def mom_group_shape(xi: float, eta: float) -> tuple[int, int]:
@@ -65,8 +68,13 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
     Each estimate takes ``groups`` groups of ``sizes[r]`` draws. The draws
     come from one descent, in the order row, column, group, sample: the
     stream is read as if by one ``estimate_inner`` call per row and column.
+    More than MAX_COORD_DRAWS draws for one estimate raises ValueError.
     """
     per_col = groups * sizes
+    if per_col.max() > MAX_COORD_DRAWS:
+        raise ValueError(f"sampled-dot needs {int(per_col.max())} draws for "
+                         f"one coordinate, more than {MAX_COORD_DRAWS}; "
+                         "pass a larger xi_override")
     counts = ys.shape[1] * per_col
     tree, idx = sample_leaves(sums, counts, rng)
     picked = leaves[tree, idx]
@@ -82,16 +90,43 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
                      axis=2)
 
 
-def sampled_scores(store: MatrixSampleStore, sketch: SketchDescription,
-                   rows: np.ndarray, params: Params,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Sampled-dot scores of ``rows``, in order.
+def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
+               rows: np.ndarray, mode: str, params: Params | None = None,
+               rng: np.random.Generator | None = None) -> np.ndarray:
+    """Scores of ``rows``, in order, from S gathered BLOCK_DRAWS // p rows
+    at a time (at least one). Exact-dot takes each row's own product
+    S_i V, which a block product S V does not match bitwise; sampled-dot
+    estimates it with ``sampled_block``."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if mode == "sampled-dot" and (params is None or rng is None):
+        raise ValueError("sampled-dot mode needs params and rng")
+    if sketch.v is None or sketch.sigma is None:
+        raise ValueError("sketch carries no singular triplets")
+    scores = np.zeros(rows.size)
+    step = max(1, BLOCK_DRAWS // sketch.p)
+    for first in range(0, rows.size, step):
+        s = s_rows(store, sketch, rows[first:first + step])
+        out = scores[first:first + step]
+        if mode == "sampled-dot":
+            sampled_block(s, sketch, params, rng, out)
+            continue
+        for r, srow in enumerate(s):
+            u_row = (srow @ sketch.v) / sketch.sigma
+            out[r] = u_row @ u_row
+    return scores
 
-    S is gathered BLOCK_DRAWS entries at a time. Its nonzero rows are then
-    scored in blocks of consecutive rows with at most BLOCK_DRAWS draws in
-    all: one tree per row, one descent per block. A row with more draws is
-    a block of its own and descends a few coordinates at a time, so no
-    descent is larger than BLOCK_DRAWS or one coordinate's draws.
+
+def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
+                  rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write the sampled-dot scores of the gathered rows ``s`` of S to the
+    zeroed ``out``.
+
+    The nonzero rows are scored in blocks of consecutive rows with at most
+    BLOCK_DRAWS draws in all: one tree per row, one descent per block. A
+    row with more draws is a block of its own and descends a few
+    coordinates at a time, so no descent is larger than BLOCK_DRAWS or one
+    coordinate's draws.
 
     The k coordinate estimates each get an independent run of the
     estimator at per-coordinate success probability (1 - delta)^(1/k), and
@@ -99,71 +134,50 @@ def sampled_scores(store: MatrixSampleStore, sketch: SketchDescription,
     to the estimator is scaled by the row norm. A zero row scores 0 and
     draws nothing.
     """
-    if sketch.v is None or sketch.sigma is None:
-        raise ValueError("sketch carries no singular triplets")
     eta = 1.0 - (1.0 - params.delta) ** (1.0 / params.k)
     scale = params.xi_effective * sketch.frob_norm
     p = sketch.p
     cap = 1 << max(0, (p - 1).bit_length())
-    scores = np.zeros(rows.size)
-    step = max(1, BLOCK_DRAWS // p)
-    for first in range(0, rows.size, step):
-        s = s_rows(store, sketch, rows[first:first + step])
-        sq = [float(srow @ srow) for srow in s]
-        live = np.flatnonzero(sq)
-        if live.size == 0:
-            continue
-        shapes = [mom_group_shape(scale / math.sqrt(sq[r]), eta)
-                  for r in live]
-        # eta is the same for every row, and so is the group count
-        groups = shapes[0][0]
-        sizes = np.array([size for _, size in shapes])
-        ends = np.cumsum(sketch.k * groups * sizes)
-        start = 0
-        while start < live.size:
-            drawn = ends[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(
-                ends, drawn + BLOCK_DRAWS, side="right")))
-            block = live[start:stop]
-            leaves = np.zeros((block.size, cap))
-            leaves[:, :p] = s[block]
-            sums = np.zeros((block.size, 2 * cap))
-            fill_sums(sums, leaves)
-            # a row over the bound draws a few coordinates at a time
-            cols = max(1, min(sketch.k, BLOCK_DRAWS // int(
-                groups * sizes[start:stop].sum())))
-            t = np.hstack([mom_estimates(sums, leaves,
-                                         sketch.v[:, c:c + cols], groups,
-                                         sizes[start:stop], rng)
-                           for c in range(0, sketch.k, cols)])
-            for r, u_row in zip(block, t / sketch.sigma):
-                scores[first + r] = float(u_row @ u_row)
-            start = stop
-    return scores
+    sq = [float(srow @ srow) for srow in s]
+    live = np.flatnonzero(sq)
+    if live.size == 0:
+        return
+    shapes = [mom_group_shape(scale / math.sqrt(sq[r]), eta) for r in live]
+    # eta is the same for every row, and so is the group count
+    groups = shapes[0][0]
+    sizes = np.array([size for _, size in shapes])
+    ends = np.cumsum(sketch.k * groups * sizes)
+    start = 0
+    while start < live.size:
+        drawn = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(
+            ends, drawn + BLOCK_DRAWS, side="right")))
+        block = live[start:stop]
+        leaves = np.zeros((block.size, cap))
+        leaves[:, :p] = s[block]
+        sums = np.zeros((block.size, 2 * cap))
+        fill_sums(sums, leaves)
+        # a row over the bound draws a few coordinates at a time
+        cols = max(1, min(sketch.k, BLOCK_DRAWS // int(
+            groups * sizes[start:stop].sum())))
+        t = np.hstack([mom_estimates(sums, leaves, sketch.v[:, c:c + cols],
+                                     groups, sizes[start:stop], rng)
+                       for c in range(0, sketch.k, cols)])
+        for r, u_row in zip(block, t / sketch.sigma):
+            out[r] = u_row @ u_row
+        start = stop
 
 
 def qisls_score(store: MatrixSampleStore, sketch: SketchDescription, i: int,
                 mode: str = "exact-dot", params: Params | None = None,
                 rng: np.random.Generator | None = None) -> float:
-    """Approximate leverage score of row i.
-
-    Exact-dot needs only the sketch; sampled-dot additionally needs params
-    (for xi and delta) and an rng, and scores the row as a one-row
-    ``sampled_scores`` call.
-    """
+    """Approximate leverage score of row i, as a one-row ``row_scores``
+    call. Exact-dot needs only the sketch; sampled-dot additionally needs
+    params (for xi and delta) and an rng."""
     if not 0 <= i < store.m:
         raise ValueError("row index out of range")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode == "sampled-dot":
-        if params is None or rng is None:
-            raise ValueError("sampled-dot mode needs params and rng")
-        return float(sampled_scores(store, sketch, np.array([i]), params,
-                                    rng)[0])
-    if sketch.v is None or sketch.sigma is None:
-        raise ValueError("sketch carries no singular triplets")
-    u_row = (s_row(store, sketch, i) @ sketch.v) / sketch.sigma
-    return float(u_row @ u_row)
+    return float(row_scores(store, sketch, np.array([i], dtype=np.int64),
+                            mode, params, rng)[0])
 
 
 @dataclass
@@ -216,11 +230,7 @@ def qisls_all(store: MatrixSampleStore, sketch: SketchDescription,
             raise ValueError("exact scores must cover every row of the store")
     if rng is None:
         rng = stream(seed)
-    if mode == "sampled-dot":
-        approx = sampled_scores(store, sketch, rows, params, rng)
-    else:
-        approx = np.array([qisls_score(store, sketch, int(i), mode=mode,
-                                       params=params, rng=rng) for i in rows])
+    approx = row_scores(store, sketch, rows, mode, params, rng)
     return LeverageReport.from_scores(rows, approx, exact, mode, seed, params)
 
 

@@ -13,12 +13,16 @@ A :class:`MatrixSampleStore` keeps the dense entries, a tree over row norms
 and a tree over column norms, giving O(1) access to ||A_{i,:}||, ||A_{:,j}||
 and ||A||_F and O(log) row-index and column-index sampling. Entry reads,
 norm reads and index draws are counted on the store for cost instrumentation.
+
+A tree update redoes the adds of a fresh build, so its sums never drift.
+The store's column norms are updated incrementally and do drift; the
+store's periodic rebuild exists only for them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-# full rebuild after this many updates, to bound floating-point drift
+# store rebuild after this many updates, to bound column-norm drift
 REBUILD_EVERY = 1_000_000
 
 
@@ -72,10 +76,9 @@ def sample_leaves(sums: np.ndarray, counts,
 class SampleTree:
     """Squared-magnitude sampling tree over a fixed-length signed vector."""
 
-    __slots__ = ("size", "touches", "_cap", "_levels", "_leaf", "_sums",
-                 "_updates", "_rebuild_every")
+    __slots__ = ("size", "touches", "_cap", "_levels", "_leaf", "_sums")
 
-    def __init__(self, values, rebuild_every: int = REBUILD_EVERY):
+    def __init__(self, values):
         arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("empty vector")
@@ -87,8 +90,6 @@ class SampleTree:
         self._leaf = np.zeros(self._cap)
         self._leaf[:arr.size] = arr
         self._sums = np.zeros(2 * self._cap)
-        self._updates = 0
-        self._rebuild_every = int(rebuild_every)
         self.touches = 0
         self.rebuild()
 
@@ -108,7 +109,6 @@ class SampleTree:
     def rebuild(self) -> None:
         """Recompute every internal node from the leaves."""
         fill_sums(self._sums, self._leaf)
-        self._updates = 0
 
     def _check_index(self, i: int) -> int:
         i = int(i)
@@ -128,7 +128,8 @@ class SampleTree:
         return self._leaf[idx]
 
     def update(self, i: int, value: float) -> None:
-        """Set entry ``i`` and restore the path to the root."""
+        """Set entry ``i`` and restore the path to the root, with the same
+        adds as ``fill_sums``: the sums stay bitwise a fresh build's."""
         i = self._check_index(i)
         value = float(value)
         if not np.isfinite(value):
@@ -141,9 +142,6 @@ class SampleTree:
             node //= 2
             self._sums[node] = self._sums[2 * node] + self._sums[2 * node + 1]
             self.touches += 1
-        self._updates += 1
-        if self._updates >= self._rebuild_every:
-            self.rebuild()
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` indices, each i with probability v_i^2 / ||v||^2; one
@@ -161,7 +159,7 @@ class MatrixSampleStore:
     is public and may be reset between phases of an experiment.
     """
 
-    def __init__(self, matrix, rebuild_every: int = REBUILD_EVERY):
+    def __init__(self, matrix):
         entries = np.array(matrix, dtype=np.float64, order="C", ndmin=2)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError("matrix must be two-dimensional and non-empty")
@@ -169,19 +167,15 @@ class MatrixSampleStore:
             raise ValueError("non-finite input")
         self.m, self.n = entries.shape
         self._entries = entries
-        self._rebuild_every = int(rebuild_every)
         self.queries = 0
-        self._updates = 0
-        self._build_trees()
+        self.rebuild()
 
-    def _build_trees(self) -> None:
+    def rebuild(self) -> None:
+        """Rebuild both norm trees from the stored entries."""
         sq = self._entries * self._entries
-        # each store update makes one update per tree, so a tree would
-        # reach its threshold one update after the store rebuilds both
-        # trees from the entries: the store's rebuild is the only one
-        never = self._rebuild_every + 1
-        self._row_tree = SampleTree(np.sqrt(sq.sum(axis=1)), never)
-        self._col_tree = SampleTree(np.sqrt(sq.sum(axis=0)), never)
+        self._row_tree = SampleTree(np.sqrt(sq.sum(axis=1)))
+        self._col_tree = SampleTree(np.sqrt(sq.sum(axis=0)))
+        self._updates = 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -207,12 +201,6 @@ class MatrixSampleStore:
         i, j = self._check_entry(i, j)
         self.queries += 1
         return float(self._entries[i, j])
-
-    def row_values(self, i: int, cols) -> np.ndarray:
-        """Entries A[i, cols] as one counted gather."""
-        idx = np.asarray(cols, dtype=np.int64)
-        self.queries += idx.size
-        return self._entries[int(i), idx]
 
     def block_values(self, rows, cols) -> np.ndarray:
         """Entries A[rows][:, cols] as one counted gather."""
@@ -251,13 +239,8 @@ class MatrixSampleStore:
         col_sq = colv * colv - old * old + value * value
         self._col_tree.update(j, np.sqrt(max(col_sq, 0.0)))
         self._updates += 1
-        if self._updates >= self._rebuild_every:
+        if self._updates >= REBUILD_EVERY:
             self.rebuild()
-
-    def rebuild(self) -> None:
-        """Rebuild both norm trees from the stored entries."""
-        self._build_trees()
-        self._updates = 0
 
     def _sample(self, tree: SampleTree, rng, size: int) -> np.ndarray:
         if self.sq_frobenius <= 0.0:

@@ -197,7 +197,7 @@ def sample_rows(store: MatrixSampleStore, col_indices, p: int,
         i = draw_from_cumsum(cum, rng.random() * cum[-1])
         idx[t] = i
         if i not in prob_cache:
-            vals = store.row_values(i, cols)
+            vals = store.block_values([i], cols)[0]
             prob_cache[i] = float((vals * vals / col_sq).sum() / cols.size)
         probs[t] = prob_cache[i]
     return idx, probs
@@ -207,12 +207,6 @@ def s_entry(store: MatrixSampleStore, sketch: SketchDescription,
             i: int, t: int) -> float:
     """Entry S[i, t] = A[i, j_t] / sqrt(p P_{j_t})."""
     return store.query(i, sketch.col_indices[t]) * float(sketch.col_scale[t])
-
-
-def s_row(store: MatrixSampleStore, sketch: SketchDescription,
-          i: int) -> np.ndarray:
-    """Row S[i, :] as one counted gather."""
-    return store.row_values(i, sketch.col_indices) * sketch.col_scale
 
 
 def s_rows(store: MatrixSampleStore, sketch: SketchDescription,
@@ -232,14 +226,10 @@ def s_matrix(store: MatrixSampleStore,
 
 def build_w(store: MatrixSampleStore, sketch: SketchDescription) -> np.ndarray:
     """Dense p-by-p core W, rows being rescaled sampled rows of S."""
-    p = sketch.p
-    w = np.empty((p, p))
-    for t in range(p):
-        prob = sketch.row_probs[t]
-        if prob <= 0.0:
-            raise ValueError("drawn row has zero mixture probability")
-        w[t] = s_row(store, sketch, sketch.row_indices[t]) / np.sqrt(p * prob)
-    return w
+    if (sketch.row_probs <= 0.0).any():
+        raise ValueError("drawn row has zero mixture probability")
+    scale = np.sqrt(sketch.p * sketch.row_probs)
+    return s_rows(store, sketch, sketch.row_indices) / scale[:, None]
 
 
 def draw_sketch(store: MatrixSampleStore, p: int,

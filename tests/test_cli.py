@@ -282,6 +282,21 @@ def test_sampled_dot_compare_output_is_pinned(tmp_path, monkeypatch):
                               "aee973942258280e334b4f06c201b911")
 
 
+def test_exact_dot_compare_output_is_pinned(tmp_path):
+    # seeded exact-dot scores must not move when the gather that feeds
+    # them is restructured: the report is pinned byte for byte
+    mat = tmp_path / "e1.csv"
+    assert run(["gen", "--family", "example1", "--m", 1000, "--n", 100,
+                "--zero", 70, "--seed", 4, "-o", mat]) == 0
+    assert sha256_of(mat) == ("146c95b3ef0fc6d66ba7fa154a54a064"
+                              "2028c87613094331a0d7d0fb3154e8e0")
+    rep = tmp_path / "rep.csv"
+    assert run(["compare", mat, "--p", 60, "--k", 20, "--trials", 2,
+                "--seed", 3, "-o", rep]) == 0
+    assert sha256_of(rep) == ("1111603a6cbe6aa949ac9108c997016d"
+                              "3f2b51483c26dfe1626dea6f5362380c")
+
+
 DEGENERATE = {
     "zero-row": np.vstack([standard_normal(stream(21), (7, 4)),
                            np.zeros((1, 4))]),

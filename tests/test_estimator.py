@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 from levsketch import (LeverageReport, MatrixSampleStore, Params, SampleTree,
                        compute_params, estimate_inner, gen_example1,
                        mom_group_shape, oracle_facts, orthogonality_defect,
-                       qisls_all, qisls_score, qisvd, read_report_csv, s_row,
+                       qisls_all, qisls_score, qisvd, read_report_csv,
                        standard_normal, stream, write_report_csv)
 from levsketch.estimator import BLOCK_DRAWS, MODES
 from levsketch.sample_store import sample_leaves
+from levsketch.sketch import s_rows
 
 
 def test_mom_group_shape():
@@ -107,7 +108,7 @@ def test_zero_row_scores_zero_in_both_modes():
 def loop_sampled_score(store, sketch, i, params, rng):
     """Sampled-dot score of row i the plain way: one tree for the row and
     one draw call per coordinate."""
-    srow = s_row(store, sketch, i)
+    srow = s_rows(store, sketch, [i])[0]
     sq = float(srow @ srow)
     if sq == 0.0:
         return 0.0
@@ -165,6 +166,56 @@ def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
     after = [g.random(4) for g in (together, one_by_one, loop)]
     assert np.array_equal(after[0], after[1])
     assert np.array_equal(after[0], after[2])
+
+
+@pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 800])
+def test_exact_dot_scores_match_dense_per_row_reference(monkeypatch,
+                                                        block_draws):
+    # p = 33 is odd; at 800 draws a block S is gathered 24 rows at a time
+    monkeypatch.setattr("levsketch.estimator.BLOCK_DRAWS", block_draws)
+    rng = stream(34)
+    a = standard_normal(rng, (130, 7)) @ standard_normal(rng, (7, 12))
+    a[88] = 0.0
+    store = MatrixSampleStore(a)
+    _, _, norm, kappa = oracle_facts(a)
+    prm = compute_params(0.5, 0.1, 5, kappa, norm,
+                         math.sqrt(store.sq_frobenius), p_override=33)
+    sketch = qisvd(store, prm, stream(35))
+    store.queries = 0
+    scores = qisls_all(store, sketch, prm).approx
+    assert store.queries == 33 * 130
+    dense = store.to_array()
+    plain = np.empty(130)
+    for i in range(130):
+        srow = dense[i, sketch.col_indices] * sketch.col_scale
+        u_row = (srow @ sketch.v) / sketch.sigma
+        plain[i] = u_row @ u_row
+    assert scores[88] == 0.0
+    assert np.array_equal(scores, plain)
+
+
+def test_unaffordable_draw_count_raises_before_drawing():
+    # derived (not overridden) xi asks 31 groups of 13788240 draws for one
+    # coordinate of the heaviest row; the check must fire before any draw
+    rng = stream(36)
+    a = standard_normal(rng, (40, 4)) @ standard_normal(rng, (4, 8))
+    store = MatrixSampleStore(a)
+    _, _, norm, kappa = oracle_facts(a)
+    prm = compute_params(0.5, 0.1, 3, kappa, norm,
+                         math.sqrt(store.sq_frobenius), p_override=12)
+    assert prm.xi_override is None
+    sketch = qisvd(store, prm, stream(37))
+    s = s_rows(store, sketch, np.arange(40))
+    heaviest = int(np.argmax((s * s).sum(axis=1)))
+    score_rng, inner_rng = stream(38), stream(39)
+    with pytest.raises(ValueError, match="427435440 draws.*xi_override"):
+        qisls_score(store, sketch, heaviest, mode="sampled-dot", params=prm,
+                    rng=score_rng)
+    with pytest.raises(ValueError, match="draws for one coordinate"):
+        estimate_inner(SampleTree([1.0, 2.0]), [1.0, 1.0], 1e-4, 0.1,
+                       inner_rng)
+    assert np.array_equal(score_rng.random(4), stream(38).random(4))
+    assert np.array_equal(inner_rng.random(4), stream(39).random(4))
 
 
 def test_rank_one_random_instances_tight():

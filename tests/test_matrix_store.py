@@ -49,7 +49,7 @@ def test_norms_match_dense_oracle():
 def test_entry_and_gather_access(small_store):
     assert small_store.query(1, 0) == 3.0
     np.testing.assert_array_equal(
-        small_store.row_values(1, [1, 0]), np.array([4.0, 3.0]))
+        small_store.block_values([1], [1, 0]), np.array([[4.0, 3.0]]))
     np.testing.assert_array_equal(
         small_store.column_values(1), np.array([2.0, 4.0]))
     arr = small_store.to_array()
@@ -138,10 +138,11 @@ def test_update_drift_stays_tiny():
             fresh.col_sq_norm(j), rel=1e-9, abs=1e-9)
 
 
-def test_auto_rebuild_matches_fresh_store():
+def test_auto_rebuild_matches_fresh_store(monkeypatch):
+    monkeypatch.setattr("levsketch.sample_store.REBUILD_EVERY", 1)
     rng = stream(42)
     a = rng.standard_normal((8, 8))
-    store = MatrixSampleStore(a.copy(), rebuild_every=1)
+    store = MatrixSampleStore(a.copy())
     for _ in range(40):
         i = int(rng.integers(0, 8))
         j = int(rng.integers(0, 8))
@@ -154,9 +155,10 @@ def test_auto_rebuild_matches_fresh_store():
 
 
 def test_store_rebuild_is_the_only_rebuild(monkeypatch):
+    monkeypatch.setattr("levsketch.sample_store.REBUILD_EVERY", 3)
     rng = stream(43)
     a = rng.standard_normal((6, 5))
-    store = MatrixSampleStore(a.copy(), rebuild_every=3)
+    store = MatrixSampleStore(a.copy())
     calls = []
     real = SampleTree.rebuild
     monkeypatch.setattr(SampleTree, "rebuild",
@@ -176,7 +178,7 @@ def test_query_counter_accounting(small_store):
     small_store.queries = 0
     small_store.query(0, 0)
     assert small_store.queries == 1
-    small_store.row_values(0, [0, 1])
+    small_store.block_values([0], [0, 1])
     assert small_store.queries == 3
     small_store.column_values(0)
     assert small_store.queries == 5

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from levsketch import (MatrixSampleStore, build_w, compute_params, qisvd,
-                       read_sketch_csv, s_entry, s_row, sample_columns,
-                       sample_rows, standard_normal, stream, theta_upper,
-                       write_sketch_csv)
+from levsketch import (MatrixSampleStore, build_w, compute_params,
+                       draw_sketch, qisvd, read_sketch_csv, s_entry,
+                       sample_columns, sample_rows, standard_normal, stream,
+                       theta_upper, write_sketch_csv)
+from levsketch.sketch import s_rows
 
 from oracles import dense_s, dense_w
 from test_matrix_store import TopDraw
@@ -139,7 +140,7 @@ def test_entry_and_row_match_dense_s():
     sketch = qisvd(store, prm, stream(24))
     s = dense_s(a, sketch.col_indices, sketch.col_probs)
     assert s_entry(store, sketch, 2, 4) == pytest.approx(s[2, 4], rel=1e-14)
-    np.testing.assert_allclose(s_row(store, sketch, 3), s[3], rtol=1e-14)
+    np.testing.assert_allclose(s_rows(store, sketch, [3]), s[3:4], rtol=1e-14)
 
 
 def test_build_w_matches_dense_oracle():
@@ -155,6 +156,23 @@ def test_build_w_matches_dense_oracle():
     s = dense_s(a, cols, col_probs)
     np.testing.assert_allclose(build_w(store, sketch),
                                dense_w(s, rows, row_probs), rtol=1e-12)
+
+
+def test_build_w_reads_p_squared_and_checks_probabilities_first():
+    a = standard_normal(stream(27), (9, 5))
+    store = MatrixSampleStore(a)
+    sketch = draw_sketch(store, 7, stream(28))
+    store.queries = 0
+    w = build_w(store, sketch)
+    assert store.queries == 7 * 7
+    plain = [a[i, sketch.col_indices] * sketch.col_scale / np.sqrt(7 * prob)
+             for i, prob in zip(sketch.row_indices, sketch.row_probs)]
+    assert np.array_equal(w, np.array(plain))
+    sketch.row_probs[-1] = 0.0
+    store.queries = 0
+    with pytest.raises(ValueError, match="zero mixture probability"):
+        build_w(store, sketch)
+    assert store.queries == 0
 
 
 def test_qisvd_rank_one_top_sigma():

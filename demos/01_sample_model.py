@@ -3,9 +3,10 @@
 A SampleTree holds a signed vector and answers three queries: read an
 entry, change an entry, draw an index with probability proportional to the
 squared value. Each costs O(log n) leaf-or-node touches. The
-MatrixSampleStore keeps the entries with a row-norm tree and a column-norm
-tree: the sketch draws columns by norm, then rows inside the sampled
-columns, and never samples inside a row.
+MatrixSampleStore keeps the entries with flat row-norm and column-norm
+arrays, and builds a tree over each from them when ||A||_F or a column draw
+first needs it after a write: the sketch draws columns by norm, then rows
+inside the sampled columns, and never samples inside a row.
 """
 import numpy as np
 

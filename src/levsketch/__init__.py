@@ -13,7 +13,7 @@ from .rng import standard_normal, stream, trial_stream
 from .sample_store import (MatrixSampleStore, SampleTree, read_matrix_csv,
                            write_matrix_csv)
 from .sketch import (Params, SketchDescription, build_w, compute_params,
-                     draw_sketch, qisvd, read_sketch_csv, s_entry, s_matrix,
+                     draw_sketch, qisvd, read_sketch_csv, s_matrix,
                      sample_columns, sample_rows, theta_upper, write_sketch_csv)
 from .svd import SvdResult, householder_qr, svd_dense, truncate_top_k
 
@@ -26,8 +26,8 @@ __all__ = [
     "draw_sketch", "estimate_inner", "gen_example1", "gen_example2",
     "householder_qr", "mom_group_shape", "oracle_facts",
     "orthogonality_defect", "qisls_all", "qisls_score", "qisvd",
-    "read_matrix_csv", "read_report_csv", "read_sketch_csv", "s_entry",
-    "s_matrix", "sample_columns", "sample_rows", "sigma_min_bound",
+    "read_matrix_csv", "read_report_csv", "read_sketch_csv", "s_matrix",
+    "sample_columns", "sample_rows", "sigma_min_bound",
     "standard_normal", "stream", "svd_dense", "theta_upper", "trial_stream",
     "truncate_top_k", "write_matrix_csv", "write_report_csv",
     "write_sketch_csv", "__version__",

@@ -9,10 +9,11 @@ draws an index i with probability v_i^2 / ||v||^2.
 last axis of an array, so the same code serves one SampleTree and the
 sampled-dot scorer's stack of trees, one per row of S in a block.
 
-A :class:`MatrixSampleStore` keeps the dense entries, a tree over row norms
-and a tree over column norms, giving O(1) access to ||A_{i,:}||, ||A_{:,j}||
-and ||A||_F and O(log) row-index and column-index sampling. Entry reads,
-norm reads and index draws are counted on the store for cost instrumentation.
+A :class:`MatrixSampleStore` keeps the dense entries and flat row-norm and
+column-norm arrays, which a write updates in place. The first read of
+||A||_F or column draw after a write builds a tree over each array afresh,
+in O(m + n); later reads reuse them. Entry reads, norm reads and index
+draws are counted on the store for cost instrumentation.
 
 A tree update redoes the adds of a fresh build, so its sums never drift.
 The store's column norms are updated incrementally and do drift; the
@@ -122,11 +123,6 @@ class SampleTree:
         self.touches += 1
         return float(self._leaf[i])
 
-    def query_many(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        self.touches += idx.size
-        return self._leaf[idx]
-
     def update(self, i: int, value: float) -> None:
         """Set entry ``i`` and restore the path to the root, with the same
         adds as ``fill_sums``: the sums stay bitwise a fresh build's."""
@@ -171,11 +167,20 @@ class MatrixSampleStore:
         self.rebuild()
 
     def rebuild(self) -> None:
-        """Rebuild both norm trees from the stored entries."""
+        """Recompute both norm arrays from the stored entries."""
         sq = self._entries * self._entries
-        self._row_tree = SampleTree(np.sqrt(sq.sum(axis=1)))
-        self._col_tree = SampleTree(np.sqrt(sq.sum(axis=0)))
+        self._row_norms = np.sqrt(sq.sum(axis=1))
+        self._col_norms = np.sqrt(sq.sum(axis=0))
+        self._trees = None
         self._updates = 0
+
+    def _norm_trees(self) -> tuple[SampleTree, SampleTree]:
+        """The row-norm and column-norm trees, built after the last write;
+        reader threads that race here build equal trees, and any is kept."""
+        if self._trees is None:
+            self._trees = (SampleTree(self._row_norms),
+                           SampleTree(self._col_norms))
+        return self._trees
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -183,7 +188,7 @@ class MatrixSampleStore:
 
     @property
     def sq_frobenius(self) -> float:
-        return self._row_tree.sq_norm
+        return self._norm_trees()[0].sq_norm
 
     def to_array(self) -> np.ndarray:
         """Dense copy of the stored matrix."""
@@ -214,18 +219,16 @@ class MatrixSampleStore:
         self.queries += self.m
         return self._entries[:, int(j)].copy()
 
-    def row_sq_norm(self, i: int) -> float:
-        self.queries += 1
-        v = self._row_tree.query(int(i))
-        return v * v
-
     def col_sq_norm(self, j: int) -> float:
+        j = int(j)
+        if not 0 <= j < self.n:
+            raise IndexError(f"column {j} out of range for {self.n} columns")
         self.queries += 1
-        v = self._col_tree.query(int(j))
+        v = float(self._col_norms[j])
         return v * v
 
     def update(self, i: int, j: int, value: float) -> None:
-        """Set A[i, j], maintaining both norm trees."""
+        """Set A[i, j], maintaining both norm arrays."""
         i, j = self._check_entry(i, j)
         value = float(value)
         if not np.isfinite(value):
@@ -234,29 +237,22 @@ class MatrixSampleStore:
         self._entries[i, j] = value
         # summed from the dense row: bitwise the value a rebuild computes
         row = self._entries[i]
-        self._row_tree.update(i, np.sqrt((row * row).sum()))
-        colv = self._col_tree.query(j)
+        self._row_norms[i] = np.sqrt((row * row).sum())
+        colv = float(self._col_norms[j])
         col_sq = colv * colv - old * old + value * value
-        self._col_tree.update(j, np.sqrt(max(col_sq, 0.0)))
+        self._col_norms[j] = np.sqrt(max(col_sq, 0.0))
+        self._trees = None
         self._updates += 1
         if self._updates >= REBUILD_EVERY:
             self.rebuild()
 
-    def _sample(self, tree: SampleTree, rng, size: int) -> np.ndarray:
-        if self.sq_frobenius <= 0.0:
-            raise ValueError("zero matrix")
-        self.queries += int(size)
-        return tree.sample_indices(rng, size)
-
-    def sample_row_indices(self, rng: np.random.Generator,
-                           size: int) -> np.ndarray:
-        """Indices i drawn with probability ||A_{i,:}||^2 / ||A||_F^2."""
-        return self._sample(self._row_tree, rng, size)
-
     def sample_column_indices(self, rng: np.random.Generator,
                               size: int) -> np.ndarray:
         """Indices j drawn with probability ||A_{:,j}||^2 / ||A||_F^2."""
-        return self._sample(self._col_tree, rng, size)
+        if self.sq_frobenius <= 0.0:
+            raise ValueError("zero matrix")
+        self.queries += int(size)
+        return self._norm_trees()[1].sample_indices(rng, size)
 
 
 def write_matrix_csv(path, matrix, metadata: dict | None = None) -> None:
@@ -312,6 +308,8 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
                     if len(parts) != 3:
                         raise _malformed(path, "expected a '# coo m n' header")
                     coo = (int(parts[1]), int(parts[2]))
+                    if min(coo) < 1:
+                        raise _malformed(path, f"'# {body}' needs m, n >= 1")
                     continue
                 for token in body.split():
                     if "=" in token:

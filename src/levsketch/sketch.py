@@ -203,12 +203,6 @@ def sample_rows(store: MatrixSampleStore, col_indices, p: int,
     return idx, probs
 
 
-def s_entry(store: MatrixSampleStore, sketch: SketchDescription,
-            i: int, t: int) -> float:
-    """Entry S[i, t] = A[i, j_t] / sqrt(p P_{j_t})."""
-    return store.query(i, sketch.col_indices[t]) * float(sketch.col_scale[t])
-
-
 def s_rows(store: MatrixSampleStore, sketch: SketchDescription,
            rows) -> np.ndarray:
     """Rows S[rows, :] as one counted gather."""

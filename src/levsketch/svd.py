@@ -48,7 +48,7 @@ def svd_dense(matrix) -> SvdResult:
     -------
     SvdResult with min(m, n) triplets. Ties among equal singular values keep
     the lower original column index first. Raises ValueError if the sweeps
-    have not converged after ``_MAX_SWEEPS``.
+    have not converged after ``2 * _MAX_SWEEPS``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if a.ndim != 2 or a.size == 0:
@@ -69,7 +69,12 @@ def svd_dense(matrix) -> SvdResult:
     work[:n, :n] = a.T
     work[:n, n:] = np.eye(n)
     top, bottom = work[:size // 2, :n], work[size // 2:, :n][::-1]
-    for sweeps in range(1, _MAX_SWEEPS + 1):
+    for sweeps in range(1, 2 * _MAX_SWEEPS + 1):
+        if sweeps > _MAX_SWEEPS:
+            # retry: plain sweeps shrink null-space columns toward underflow
+            # and never pass _TOL, so zero those at rounding level first
+            norms = np.sqrt(np.einsum("ij,ij->i", work[:, :n], work[:, :n]))
+            work[norms <= n * np.finfo(float).eps * norms.max(), :n] = 0.0
         rotated, residual = False, 0.0
         for _ in range(size - 1):
             sq_top = np.einsum("ij,ij->i", top, top)
@@ -95,7 +100,7 @@ def svd_dense(matrix) -> SvdResult:
         if not rotated:
             break
     else:
-        raise ValueError(f"Jacobi SVD did not converge in {_MAX_SWEEPS} "
+        raise ValueError(f"Jacobi SVD did not converge in {2 * _MAX_SWEEPS} "
                          f"sweeps (residual {residual:.3g})")
 
     sigma = np.sqrt(np.einsum("ij,ij->i", work[:n, :n], work[:n, :n]))

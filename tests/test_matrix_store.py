@@ -1,5 +1,7 @@
 """MatrixSampleStore: norms, counted access, conditional sampling, CSV I/O."""
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ def test_norms_small(small_store):
     assert small_store.sq_frobenius == pytest.approx(30.0, rel=1e-14)
     assert small_store.col_sq_norm(0) == pytest.approx(10.0, rel=1e-14)
     assert small_store.col_sq_norm(1) == pytest.approx(20.0, rel=1e-14)
-    assert small_store.row_sq_norm(0) == pytest.approx(5.0, rel=1e-14)
-    assert small_store.row_sq_norm(1) == pytest.approx(25.0, rel=1e-14)
+    assert small_store._row_norms[0] ** 2 == pytest.approx(5.0, rel=1e-14)
+    assert small_store._row_norms[1] ** 2 == pytest.approx(25.0, rel=1e-14)
     assert small_store.shape == (2, 2)
 
 
@@ -41,7 +43,8 @@ def test_norms_match_dense_oracle():
     sq = a * a
     assert store.sq_frobenius == pytest.approx(sq.sum(), rel=1e-12)
     for i in range(50):
-        assert store.row_sq_norm(i) == pytest.approx(sq[i].sum(), rel=1e-12)
+        assert store._row_norms[i] ** 2 == pytest.approx(sq[i].sum(),
+                                                         rel=1e-12)
     for j in range(20):
         assert store.col_sq_norm(j) == pytest.approx(sq[:, j].sum(), rel=1e-12)
 
@@ -66,8 +69,8 @@ def test_column_sampling_one_third_two_thirds(small_store):
 
 def test_row_sampling_distribution(small_store):
     rng = stream(32)
-    counts = np.bincount(small_store.sample_row_indices(rng, 30_000),
-                         minlength=2)
+    rows = SampleTree(small_store._row_norms)
+    counts = np.bincount(rows.sample_indices(rng, 30_000), minlength=2)
     assert chisquare_pvalue(counts, np.array([5 / 30, 25 / 30])) >= 0.01
 
 
@@ -81,7 +84,7 @@ def test_row_given_column(small_store):
 def test_zero_matrix_and_zero_column_errors():
     store = MatrixSampleStore(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="zero matrix"):
-        store.sample_row_indices(stream(0), 1)
+        store.sample_column_indices(stream(0), 1)
     mixed = MatrixSampleStore([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="zero column"):
         sample_rows(mixed, [1], 1, stream(0))
@@ -99,12 +102,12 @@ def test_constructor_errors():
 def test_update_refreshes_all_layers(small_store):
     small_store.update(0, 0, 5.0)
     assert small_store.query(0, 0) == 5.0
-    assert small_store.row_sq_norm(0) == pytest.approx(29.0, rel=1e-12)
+    assert small_store._row_norms[0] ** 2 == pytest.approx(29.0, rel=1e-12)
     assert small_store.col_sq_norm(0) == pytest.approx(34.0, rel=1e-12)
     assert small_store.sq_frobenius == pytest.approx(54.0, rel=1e-12)
     fresh = MatrixSampleStore(small_store.to_array())
-    assert small_store.row_sq_norm(0) == fresh.row_sq_norm(0)
-    assert small_store.row_sq_norm(1) == fresh.row_sq_norm(1)
+    assert small_store._row_norms[0] ** 2 == fresh._row_norms[0] ** 2
+    assert small_store._row_norms[1] ** 2 == fresh._row_norms[1] ** 2
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
@@ -116,6 +119,9 @@ def test_out_of_range_update_changes_nothing(small_store, i, j):
     assert small_store.sq_frobenius == 30.0
     with pytest.raises(IndexError, match="out of range"):
         small_store.query(i, j)
+    if j in (-1, 2):
+        with pytest.raises(IndexError, match="out of range"):
+            small_store.col_sq_norm(j)
 
 
 def test_update_drift_stays_tiny():
@@ -131,7 +137,7 @@ def test_update_drift_stays_tiny():
     fresh = MatrixSampleStore(a)
     assert store.sq_frobenius == pytest.approx(fresh.sq_frobenius, rel=1e-9)
     # row norms are summed afresh on every update: no drift at all
-    assert all(store.row_sq_norm(i) == fresh.row_sq_norm(i)
+    assert all(store._row_norms[i] ** 2 == fresh._row_norms[i] ** 2
                for i in range(64))
     for j in range(16):
         assert store.col_sq_norm(j) == pytest.approx(
@@ -160,18 +166,97 @@ def test_store_rebuild_is_the_only_rebuild(monkeypatch):
     a = rng.standard_normal((6, 5))
     store = MatrixSampleStore(a.copy())
     calls = []
-    real = SampleTree.rebuild
-    monkeypatch.setattr(SampleTree, "rebuild",
-                        lambda tree: calls.append(tree) or real(tree))
+    real = MatrixSampleStore.rebuild
+    monkeypatch.setattr(MatrixSampleStore, "rebuild",
+                        lambda st: calls.append(st) or real(st))
     for i, j, v in [(0, 0, 1.5), (4, 2, -2.0), (5, 4, 0.25)]:
         a[i, j] = v
         store.update(i, j, v)
-    # the third update rebuilds the store's two trees once each
-    assert len(calls) == 2
+    # the third update rebuilds the store's norm arrays, once
+    assert len(calls) == 1
     fresh = MatrixSampleStore(a)
     assert store.sq_frobenius == fresh.sq_frobenius
-    assert all(store.row_sq_norm(i) == fresh.row_sq_norm(i) for i in range(6))
+    assert all(store._row_norms[i] ** 2 == fresh._row_norms[i] ** 2
+               for i in range(6))
     assert all(store.col_sq_norm(j) == fresh.col_sq_norm(j) for j in range(5))
+
+
+class TreeStore:
+    """Reference store that keeps its two norm trees current on every
+    write, the way the flat-array store's trees must read when rebuilt."""
+
+    def __init__(self, a):
+        self.a = np.array(a, dtype=np.float64)
+        sq = self.a * self.a
+        self.rows = SampleTree(np.sqrt(sq.sum(axis=1)))
+        self.cols = SampleTree(np.sqrt(sq.sum(axis=0)))
+        self.queries = 0
+
+    def update(self, i, j, value):
+        old = self.a[i, j]
+        self.a[i, j] = value
+        row = self.a[i]
+        self.rows.update(i, np.sqrt((row * row).sum()))
+        colv = self.cols.query(j)
+        col_sq = colv * colv - old * old + value * value
+        self.cols.update(j, np.sqrt(max(col_sq, 0.0)))
+
+    def col_sq_norm(self, j):
+        self.queries += 1
+        v = self.cols.query(j)
+        return v * v
+
+    def sample_column_indices(self, rng, size):
+        self.queries += size
+        return self.cols.sample_indices(rng, size)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 9), (9, 1), (40, 7), (257, 33)])
+def test_store_matches_tree_reference_after_writes(m, n):
+    rng = stream(44 + m * n)
+    a = rng.standard_normal((m, n))
+    store, ref = MatrixSampleStore(a), TreeStore(a)
+    for burst in range(6):
+        for _ in range(50):
+            i, j = int(rng.integers(0, m)), int(rng.integers(0, n))
+            v = 0.0 if rng.random() < 0.2 else float(rng.standard_normal())
+            store.update(i, j, v)
+            ref.update(i, j, v)
+        assert store.sq_frobenius == ref.rows.sq_norm
+        assert [store.col_sq_norm(j) for j in range(n)] == \
+            [ref.col_sq_norm(j) for j in range(n)]
+        if ref.rows.sq_norm > 0.0:
+            assert np.array_equal(
+                store.sample_column_indices(stream(burst), 64),
+                ref.sample_column_indices(stream(burst), 64))
+        assert store.queries == ref.queries
+
+
+def test_column_zeroed_by_writes_is_never_drawn():
+    a = stream(45).standard_normal((40, 6))
+    store = MatrixSampleStore(a.copy())
+    assert 2 in store.sample_column_indices(stream(46), 1000)
+    for i in range(40):
+        a[i, 2] = 0.0
+        store.update(i, 2, 0.0)
+    assert 2 not in store.sample_column_indices(stream(47), 10_000)
+    assert store.sq_frobenius == MatrixSampleStore(a).sq_frobenius
+
+
+def test_threads_racing_to_build_the_trees_draw_alike():
+    store = MatrixSampleStore(stream(48).standard_normal((300, 40)))
+    store.update(0, 0, 2.0)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(
+                lambda _: store.sample_column_indices(stream(49), 500),
+                range(32), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    expected = store.sample_column_indices(stream(49), 500)
+    assert all(np.array_equal(g, expected) for g in got)
 
 
 def test_query_counter_accounting(small_store):
@@ -182,24 +267,22 @@ def test_query_counter_accounting(small_store):
     assert small_store.queries == 3
     small_store.column_values(0)
     assert small_store.queries == 5
-    small_store.row_sq_norm(1)
     small_store.col_sq_norm(1)
-    assert small_store.queries == 7
-    small_store.sample_row_indices(stream(1), 1)
-    assert small_store.queries == 8
+    assert small_store.queries == 6
     small_store.sample_column_indices(stream(1), 3)
-    assert small_store.queries == 11
+    assert small_store.queries == 9
 
 
 def test_sample_touch_cost_logarithmic():
     n = 1000
     store = MatrixSampleStore(stream(2).random((4, n)) + 0.5)
-    tree = store._col_tree
     bound = 2 * math.ceil(math.log2(n)) + 1
     rng = stream(3)
     for _ in range(20):
+        _, tree = store._norm_trees()
         tree.touches = 0
         store.sample_column_indices(rng, 1)
+        assert store._norm_trees()[1] is tree
         assert tree.touches <= bound
 
 
@@ -267,12 +350,15 @@ DENSE = "# m=3 n=2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n"
     (COO + "2,1\n", "i,j,value"),
     (COO + "2,1,1.0,7\n", "i,j,value"),
     (COO.replace("coo 3 2", "coo 3"), "coo m n"),
+    (COO.replace("coo 3 2", "coo -3 2"), "needs m, n >= 1"),
+    (COO.replace("coo 3 2", "coo 3 0"), "needs m, n >= 1"),
     (DENSE.replace("m=3", "m=4"), "header"),
     (DENSE.replace("n=2", "n=3"), "header"),
     (DENSE + "7.0,8.0\n", "header"),
     (DENSE.replace("3.0,4.0", "3.0"), "fields"),
 ], ids=["coo-row-0", "coo-col-0", "coo-row-above-m", "coo-col-above-n",
         "coo-duplicate", "coo-two-fields", "coo-four-fields", "coo-header",
+        "coo-negative-m", "coo-zero-n",
         "dense-header-m", "dense-header-n", "dense-extra-row", "dense-ragged"])
 def test_malformed_matrix_file_exits_two(tmp_path, capsys, text, reason):
     path = tmp_path / "bad.csv"
@@ -283,6 +369,17 @@ def test_malformed_matrix_file_exits_two(tmp_path, capsys, text, reason):
     assert main(["compare", str(path), "-o", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed matrix file")
+    assert err.count("\n") == 1
+
+
+def test_unallocatable_coo_header_exits_one(tmp_path, capsys):
+    # 10^16 entries: the zero-filled allocation fails at once, so nothing
+    # is allocated and the command ends with one line, not a traceback
+    path = tmp_path / "huge.csv"
+    path.write_text("# coo 100000000 100000000\n1,1,1.0\n")
+    assert main(["compare", str(path), "-o", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert err.count("\n") == 1
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from levsketch import SampleTree, stream
+from levsketch import MatrixSampleStore, SampleTree, stream
 
 from oracles import chisquare_pvalue
 
@@ -172,8 +172,12 @@ def test_node_consistency_after_update_sequence(data):
 
 
 def test_query_many_matches_scalar_queries():
-    vals = (stream(11).random(17) - 0.5) * 3.0
-    tree = SampleTree(vals)
-    idx = np.array([0, 5, 16, 5])
-    assert np.array_equal(tree.query_many(idx),
-                          np.array([tree.query(i) for i in idx]))
+    # the store's one gather, with repeated indices, reads what scalar
+    # queries read and counts as many reads
+    store = MatrixSampleStore((stream(11).random((4, 17)) - 0.5) * 3.0)
+    rows, cols = np.array([3, 0, 3]), np.array([0, 5, 16, 5])
+    block = store.block_values(rows, cols)
+    assert store.queries == 12
+    assert np.array_equal(block, [[store.query(i, j) for j in cols]
+                                  for i in rows])
+    assert store.queries == 24

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levsketch import (MatrixSampleStore, build_w, compute_params,
-                       draw_sketch, qisvd, read_sketch_csv, s_entry,
-                       sample_columns, sample_rows, standard_normal, stream,
-                       theta_upper, write_sketch_csv)
+                       draw_sketch, qisvd, read_sketch_csv, sample_columns,
+                       sample_rows, standard_normal, stream, theta_upper,
+                       write_sketch_csv)
 from levsketch.sketch import s_rows
 
 from oracles import dense_s, dense_w
@@ -139,7 +139,8 @@ def test_entry_and_row_match_dense_s():
     prm = compute_params(**REF, p_override=9)
     sketch = qisvd(store, prm, stream(24))
     s = dense_s(a, sketch.col_indices, sketch.col_probs)
-    assert s_entry(store, sketch, 2, 4) == pytest.approx(s[2, 4], rel=1e-14)
+    assert s_rows(store, sketch, [2])[0, 4] == pytest.approx(s[2, 4],
+                                                            rel=1e-14)
     np.testing.assert_allclose(s_rows(store, sketch, [3]), s[3:4], rtol=1e-14)
 
 

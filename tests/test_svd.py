@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import levsketch.svd as svd_module
-from levsketch import SvdResult, svd_dense, truncate_top_k, stream
+from levsketch import (MatrixSampleStore, SvdResult, build_w, draw_sketch,
+                       gen_example1, stream, svd_dense, trial_stream,
+                       truncate_top_k)
 
 from oracles import power_iteration_sigma
 
@@ -160,6 +162,22 @@ def test_unconverged_sweeps_raise(monkeypatch):
     with pytest.raises(ValueError, match="did not converge") as info:
         svd_dense(a)
     assert "\n" not in str(info.value)
+
+
+def test_rank_70_core_converges_like_lapack():
+    # trial 2 of `compare --p 127 --k 40 --trials 2 --seed 2` on
+    # `gen --family example1 --m 400 --n 150 --zero 20 --seed 2`: a valid
+    # 127x127 core of rank 70 whose null-space columns shrink toward
+    # underflow under plain sweeps
+    store = MatrixSampleStore(gen_example1(400, 150, 20, 2))
+    w = build_w(store, draw_sketch(store, 127, trial_stream(2, 1)))
+    res = svd_dense(w)
+    assert res.sweeps <= 2 * svd_module._MAX_SWEEPS
+    ref = np.linalg.svd(w, compute_uv=False)
+    np.testing.assert_allclose(res.sigma, ref, rtol=0.0, atol=1e-12 * ref[0])
+    assert reconstruction_error(w, res) <= 1e-12 * ref[0]
+    assert orthonormality_defect(res.u) < 1e-10
+    assert orthonormality_defect(res.v) < 1e-10
 
 
 @st.composite

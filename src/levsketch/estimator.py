@@ -95,7 +95,8 @@ def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
                rng: np.random.Generator | None = None) -> np.ndarray:
     """Scores of ``rows``, in order, from S gathered BLOCK_DRAWS // p rows
     at a time (at least one). Exact-dot takes each row's own product
-    S_i V, which a block product S V does not match bitwise; sampled-dot
+    S_i V as one stacked matmul of 1-by-p rows, which is bitwise the
+    per-row product where a block product S V is not; sampled-dot
     estimates it with ``sampled_block``."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -111,9 +112,9 @@ def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
         if mode == "sampled-dot":
             sampled_block(s, sketch, params, rng, out)
             continue
-        for r, srow in enumerate(s):
-            u_row = (srow @ sketch.v) / sketch.sigma
-            out[r] = u_row @ u_row
+        # a stack of 1-by-p products, bitwise each row's own srow @ V
+        u = (s[:, None, :] @ sketch.v) / sketch.sigma
+        out[:] = (u @ u.transpose(0, 2, 1))[:, 0, 0]
     return scores
 
 

@@ -288,6 +288,13 @@ def _malformed(path, what: str) -> ValueError:
     return ValueError(f"malformed matrix file {path}: {what}")
 
 
+def _numbers(path, cast, fields) -> list:
+    try:
+        return [cast(x) for x in fields]
+    except ValueError as exc:
+        raise _malformed(path, f"non-numeric field ({exc})") from None
+
+
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     """Read a matrix file written by :func:`write_matrix_csv` or in triplet
     form (``# coo m n`` header, then 1-based ``i,j,value`` lines, each
@@ -307,7 +314,7 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
                     parts = body.split()
                     if len(parts) != 3:
                         raise _malformed(path, "expected a '# coo m n' header")
-                    coo = (int(parts[1]), int(parts[2]))
+                    coo = tuple(_numbers(path, int, parts[1:]))
                     if min(coo) < 1:
                         raise _malformed(path, f"'# {body}' needs m, n >= 1")
                     continue
@@ -325,18 +332,18 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
             fields = line.split(",")
             if len(fields) != 3:
                 raise _malformed(path, "triplet lines must be i,j,value")
-            i, j = int(fields[0]), int(fields[1])
+            i, j = _numbers(path, int, fields[:2])
             if not (1 <= i <= m and 1 <= j <= n):
                 raise _malformed(path, f"entry ({i}, {j}) outside the "
                                  f"{m}x{n} matrix")
             if (i, j) in seen:
                 raise _malformed(path, f"entry ({i}, {j}) given twice")
             seen.add((i, j))
-            arr[i - 1, j - 1] = float(fields[2])
+            arr[i - 1, j - 1] = _numbers(path, float, fields[2:])[0]
         meta.setdefault("m", m)
         meta.setdefault("n", n)
         return arr, meta
-    values = [[float(x) for x in line.split(",")] for line in rows]
+    values = [_numbers(path, float, line.split(",")) for line in rows]
     widths = {len(row) for row in values}
     if len(widths) > 1:
         raise _malformed(path, f"rows of {sorted(widths)} fields")

@@ -241,6 +241,12 @@ def qisvd(store: MatrixSampleStore, params: Params,
     """Run the full sketch: sample columns and rows, build W, keep its top
     k right singular triplets (threshold-guarded).
 
+    The SVD runs on W with its repeated draws merged: each distinct row and
+    column appears once, scaled by the square root of its draw count. That
+    core has W's singular values, and W's V is the core's V expanded back,
+    entry t being the entry of draw t's group over sqrt(count). At most
+    min(k, side of the merged core) triplets are kept; k above p raises.
+
     Parameters
     ----------
     store : frozen sample-model store of A.
@@ -254,10 +260,21 @@ def qisvd(store: MatrixSampleStore, params: Params,
             f"p={p} exceeds the dense-core cap {W_CAP}; use p_override "
             "for practical runs or the counted-sample diagnostics for "
             "theoretical p")
+    if not 1 <= params.k <= p:
+        raise ValueError(f"k={params.k} out of range 1..{p}")
     sketch = draw_sketch(store, p, rng)
     w = build_w(store, sketch)
-    res = truncate_top_k(svd_dense(w), params.k)
-    sketch.v = res.v
+    # a row or column drawn c times is c equal rows or columns of W: one
+    # copy scaled by sqrt(c) leaves W^T W, so sigma and V, unchanged
+    _, rows, row_count = np.unique(sketch.row_indices, return_index=True,
+                                   return_counts=True)
+    _, cols, col_group, col_count = np.unique(
+        sketch.col_indices, return_index=True, return_inverse=True,
+        return_counts=True)
+    core = w[np.ix_(rows, cols)] * np.sqrt(row_count)[:, None] * np.sqrt(
+        col_count)
+    res = truncate_top_k(svd_dense(core), min(params.k, min(core.shape)))
+    sketch.v = res.v[col_group] / np.sqrt(col_count[col_group])[:, None]
     sketch.sigma = res.sigma
     return sketch
 
@@ -282,6 +299,14 @@ def write_sketch_csv(path, sketch: SketchDescription) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _floats(path, fields) -> list[float]:
+    try:
+        return [float(x) for x in fields]
+    except ValueError as exc:
+        raise ValueError(f"malformed sketch file {path}: non-numeric field "
+                         f"({exc})") from None
+
+
 def read_sketch_csv(path) -> SketchDescription:
     """Read a file written by :func:`write_sketch_csv`.
 
@@ -299,7 +324,7 @@ def read_sketch_csv(path) -> SketchDescription:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("frob_norm="):
-                    frob = float(body.partition("=")[2])
+                    frob = _floats(path, [body.partition("=")[2]])[0]
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1]
@@ -308,7 +333,7 @@ def read_sketch_csv(path) -> SketchDescription:
                 raise ValueError(f"malformed sketch file {path}: data "
                                  "outside the [cols], [rows], [V], [sigma] "
                                  "sections")
-            parts[section].append([float(x) for x in line.split(",")])
+            parts[section].append(_floats(path, line.split(",")))
     missing = [f"[{name}]" for name, rows in parts.items() if not rows]
     if frob is None:
         missing.insert(0, "frob_norm")

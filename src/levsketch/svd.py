@@ -1,24 +1,30 @@
-"""Dense SVD by one-sided Jacobi rotations.
+"""Dense SVD by one-sided Jacobi rotations on a rank-revealed triangle.
 
-The kernel orthogonalizes the columns of a square matrix by plane rotations
-until every pairwise inner product is negligible; singular values are the
-final column norms, right vectors accumulate the rotations, and left vectors
-are the normalized columns. Each round of a sweep rotates n/2 disjoint column
-pairs in one array step, in Brent and Luk's round-robin order. A tall input
-is first factored A = QR (Drmac and Veselic's preconditioning), the sweeps
-run on R, and U = Q U_R; wide inputs are handled by transposition. The order
-is fixed, so the result is deterministic for a fixed input, and working on
-the matrix directly avoids the squared conditioning of a Gram-matrix
-eigensolve.
+After Drmac and Veselic, "New fast and accurate Jacobi SVD algorithm I/II",
+SIMAX 29(4), 2008. An m-by-n input with m >= n (wide inputs are transposed)
+is factored A P = Q R by Householder QR with column pivoting, stopped at
+the numerical rank r: when no remaining column is larger than n eps times
+the largest initial column. The first r rows of R are factored again
+without pivoting, R_r^T = Q2 T. The r-by-r triangle T has nearly
+orthogonal columns, since T^T T = R_r R_r^T, so a few Jacobi sweeps
+orthogonalize them: each round rotates r/2 disjoint column pairs in one
+array step, in Brent and Luk's round-robin order. The final column norms
+are the singular values, T = U_T Sigma V_T^T, and A = (Q V_T) Sigma
+(P Q2 U_T)^T. The n - r null-space triplets take the trailing columns of Q
+and P Q2. The order is fixed, so the result is deterministic for a fixed
+input, and working on the matrix directly avoids the squared conditioning
+of a Gram-matrix eigensolve.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 _TOL = 1e-14
 _MAX_SWEEPS = 60
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -48,7 +54,7 @@ def svd_dense(matrix) -> SvdResult:
     -------
     SvdResult with min(m, n) triplets. Ties among equal singular values keep
     the lower original column index first. Raises ValueError if the sweeps
-    have not converged after ``2 * _MAX_SWEEPS``.
+    have not converged after ``_MAX_SWEEPS``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if a.ndim != 2 or a.size == 0:
@@ -58,50 +64,80 @@ def svd_dense(matrix) -> SvdResult:
     if a.shape[0] < a.shape[1]:
         res = svd_dense(a.T)
         return replace(res, u=res.v, v=res.u)
-    q, a = householder_qr(a) if a.shape[0] > a.shape[1] else (None, a)
+    n = a.shape[1]
+    q, upper, perm = pivoted_qr(a)
+    r = upper.shape[0]
+    padded = np.zeros((n, n))
+    padded[:, :r] = upper.T
+    # the trailing n - r columns of Q2 complete P Q2 U_T to a basis
+    q2, t = householder_qr(padded)
+    sigma, u_t, v_t, sweeps, residual = _jacobi(t[:r, :r])
+    q[:, :r] = q[:, :r] @ v_t
+    q2[:, :r] = q2[:, :r] @ u_t
+    v = np.empty((n, n))
+    v[perm] = q2
+    return SvdResult(u=q, sigma=np.concatenate([sigma, np.zeros(n - r)]),
+                     v=v, sweeps=sweeps, residual=residual)
 
+
+def _jacobi(a: np.ndarray):
+    """One-sided Jacobi on the columns of the square ``a``.
+
+    Returns (sigma, U, V, sweeps, residual) with a = U diag(sigma) V^T and
+    sigma sorted non-increasing, ties in column order.
+    """
     # row i holds column i of the working matrix, then column i of V (a zero
     # row pads odd n). Position k pairs with position size-1-k; positions 1..
     # shift by one per round, so each sweep ends with every row back in place.
     n = a.shape[1]
     size = n + n % 2
+    half = size // 2
     work = np.zeros((size, 2 * n))
     work[:n, :n] = a.T
     work[:n, n:] = np.eye(n)
-    top, bottom = work[:size // 2, :n], work[size // 2:, :n][::-1]
-    for sweeps in range(1, 2 * _MAX_SWEEPS + 1):
-        if sweeps > _MAX_SWEEPS:
-            # retry: plain sweeps shrink null-space columns toward underflow
-            # and never pass _TOL, so zero those at rounding level first
-            norms = np.sqrt(np.einsum("ij,ij->i", work[:, :n], work[:, :n]))
-            work[norms <= n * np.finfo(float).eps * norms.max(), :n] = 0.0
-        rotated, residual = False, 0.0
-        for _ in range(size - 1):
-            sq_top = np.einsum("ij,ij->i", top, top)
-            sq_bottom = np.einsum("ij,ij->i", bottom, bottom)
-            gamma = np.einsum("ij,ij->i", top, bottom)
-            bound = np.sqrt(sq_top) * np.sqrt(sq_bottom)
-            bound[bound == 0.0] = np.inf  # a zero column never rotates
-            residual = max(residual, float((np.abs(gamma) / bound).max()))
-            # pairs already orthogonal to _TOL are left bit-for-bit as they are
-            i = np.flatnonzero(np.abs(gamma) > _TOL * bound)
-            if i.size:
-                rotated = True
-                zeta = (sq_bottom[i] - sq_top[i]) / (2.0 * gamma[i])
-                # sign(0) must be +1: equal-mass parallel columns need the
-                # full 45-degree rotation, not a no-op
-                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
-                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-                s = c * t[:, None]
-                j = size - 1 - i
-                x, y = work[i], work[j]
-                work[i], work[j] = c * x - s * y, s * x + c * y
-            work[1:] = np.roll(work[1:], 1, axis=0)
-        if not rotated:
-            break
-    else:
-        raise ValueError(f"Jacobi SVD did not converge in {2 * _MAX_SWEEPS} "
-                         f"sweeps (residual {residual:.3g})")
+    cols = work[:, :n]
+    top, bottom = work[:half], work[half:][::-1]
+    # a pair with a zero column divides 0 by 0: never rotated, not counted
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
+            # columns at rounding level would shrink toward underflow and
+            # never pass _TOL: zero them
+            norms = np.sqrt(np.einsum("ij,ij->i", cols, cols))
+            cols[norms <= n * _EPS * norms.max(initial=0.0)] = 0.0
+            rotated, residual = False, 0.0
+            for _ in range(size - 1):
+                sq = np.einsum("ij,ij->i", cols, cols)
+                sq_top, sq_bottom = sq[:half], sq[half:][::-1]
+                gamma = np.einsum("ij,ij->i", top[:, :n], bottom[:, :n])
+                norms = np.sqrt(sq)
+                ratio = np.abs(gamma) / (norms[:half] * norms[half:][::-1])
+                residual = max(residual, float(np.fmax.reduce(ratio)))
+                fail = ratio > _TOL
+                if fail.any():
+                    rotated = True
+                    zeta = (sq_bottom - sq_top) / (2.0 * gamma)
+                    # sign(0) must be +1: equal-mass parallel columns need
+                    # the full 45-degree rotation, not a no-op
+                    t = np.copysign(1.0, zeta) / (np.abs(zeta)
+                                                  + np.hypot(1.0, zeta))
+                    # t = 0 leaves a pair that passes bit-for-bit as it is
+                    t[~fail] = 0.0
+                    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                    s = c * t[:, None]
+                    s_top = s * top
+                    top *= c
+                    top -= s * bottom
+                    bottom *= c
+                    bottom += s_top
+                last = work[-1].copy()
+                work[2:] = work[1:-1]
+                work[1] = last
+            if not rotated:
+                break
+        else:
+            raise ValueError(f"Jacobi SVD did not converge in "
+                             f"{_MAX_SWEEPS} sweeps (residual "
+                             f"{residual:.3g})")
 
     sigma = np.sqrt(np.einsum("ij,ij->i", work[:n, :n], work[:n, :n]))
     order = np.argsort(-sigma, kind="stable")
@@ -112,10 +148,7 @@ def svd_dense(matrix) -> SvdResult:
     u[:, positive] /= sigma[positive]
     if not positive.all():
         _complete_basis(u, np.flatnonzero(~positive))
-    u = u if q is None else q @ u
-    return SvdResult(u=np.ascontiguousarray(u), sigma=sigma,
-                     v=np.ascontiguousarray(v), sweeps=sweeps,
-                     residual=residual)
+    return sigma, u, v, sweeps, residual
 
 
 def _complete_basis(u: np.ndarray, empty: np.ndarray) -> None:
@@ -133,6 +166,61 @@ def _complete_basis(u: np.ndarray, empty: np.ndarray) -> None:
         for _ in range(2):
             vec -= basis @ (basis.T @ vec)
         u[:, idx] = vec / np.sqrt((vec * vec).sum())
+
+
+def pivoted_qr(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder QR with column pivoting, stopped at the numerical rank.
+
+    Returns (Q, R, perm) for an (m, n) input, m >= n: Q is (m, n) with
+    orthonormal columns, R is (r, n) upper trapezoidal and A[:, perm] =
+    Q[:, :r] R up to rounding, where r is the numerical rank; Q[:, r:]
+    completes Q[:, :r] to an orthonormal basis. Each step pivots the
+    remaining column of largest norm, recomputed exactly (ties: lowest
+    original index), and the factorization stops when every remaining
+    squared norm is at most (n eps)^2 times the largest initial one.
+    """
+    # a C-ordered copy: the result must not depend on the input's layout
+    a = np.array(matrix, dtype=np.float64, order="C")
+    m, n = a.shape
+    perm = np.arange(n)
+    # one product buffer for every step: fresh per-step temporaries of the
+    # matrix's size cost page faults
+    buf = np.empty((m, n))
+    reflectors = []
+    for j in range(n):
+        rest = a[j:, j:]
+        sq = np.einsum("ij,ij->j", rest, rest)
+        top = sq.max()
+        if j == 0:
+            floor = (n * _EPS) ** 2 * top
+        if top <= floor:
+            break
+        ties = np.flatnonzero(sq == top)
+        k = j + ties[np.argmin(perm[j + ties])]
+        a[:, [j, k]] = a[:, [k, j]]
+        perm[[j, k]] = perm[[k, j]]
+        # x -> beta e_1 with v[0] = 1: exact for a column with one nonzero
+        x = a[j:, j]
+        alpha = float(x[0])
+        beta = -math.copysign(math.sqrt(top), alpha)
+        v = x / (alpha - beta)
+        v[0] = 1.0
+        w = (beta - alpha) / beta * v
+        a[j, j] = beta
+        out = buf[:m - j, :n - j - 1]
+        np.multiply.outer(w, v @ a[j:, j + 1:], out=out)
+        a[j:, j + 1:] -= out
+        reflectors.append((w, v))
+    upper = np.triu(a[:len(reflectors)])
+    a = rest = x = None  # free the factored copy before Q is built
+    q = np.zeros((m, n))
+    q[:n, :n] = np.eye(n)
+    for j in range(len(reflectors) - 1, -1, -1):
+        w, v = reflectors[j]
+        out = buf[:m - j, :n - j]
+        np.multiply.outer(w, v @ q[j:, j:], out=out)
+        q[j:, j:] -= out
+    return q, upper, perm
 
 
 def truncate_top_k(res: SvdResult, k: int, rel_threshold: float = 1e-12) -> SvdResult:
@@ -162,6 +250,7 @@ def householder_qr(matrix) -> tuple[np.ndarray, np.ndarray]:
     m, r = a.shape
     if m < r:
         raise ValueError("householder_qr needs m >= r")
+    buf = np.empty((m, r))  # one product buffer, as in pivoted_qr
     reflectors = []
     for j in range(r):
         x = a[j:, j]
@@ -172,7 +261,9 @@ def householder_qr(matrix) -> tuple[np.ndarray, np.ndarray]:
         v = x.copy()
         v[0] += norm if x[0] >= 0.0 else -norm
         v /= np.sqrt((v * v).sum())
-        a[j:, j:] -= np.outer(2.0 * v, v @ a[j:, j:])
+        out = buf[:m - j, :r - j]
+        np.multiply.outer(2.0 * v, v @ a[j:, j:], out=out)
+        a[j:, j:] -= out
         reflectors.append(v)
     upper = np.triu(a[:r])
     a = x = None  # free the factored copy (x views it) before Q is built
@@ -181,7 +272,9 @@ def householder_qr(matrix) -> tuple[np.ndarray, np.ndarray]:
     for j in range(r - 1, -1, -1):
         v = reflectors[j]
         if v is not None:
-            q[j:] -= np.outer(2.0 * v, v @ q[j:])
+            out = buf[:m - j]
+            np.multiply.outer(2.0 * v, v @ q[j:], out=out)
+            q[j:] -= out
     flip = np.diag(upper) < 0.0
     upper[flip] *= -1.0
     q[:, flip] *= -1.0

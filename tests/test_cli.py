@@ -271,15 +271,15 @@ def test_sampled_dot_compare_output_is_pinned(tmp_path, monkeypatch):
     assert run(["gen", "--family", "example2", "--m", 600, "--n", 80,
                 "--r", 25, "--kappa", 10, "--a", 2, "--b", 9, "--seed", 5,
                 "-o", mat]) == 0
-    assert sha256_of(mat) == ("c89a4bfd810a0916f47a3ccc15a7e1b9"
-                              "9245ea1625cef8da721ab03306643897")
+    assert sha256_of(mat) == ("929c496a809f5171417d2aee6f5da2be"
+                              "fa4c95c8ecccb4bd426c4c0e2fdc0c90")
     monkeypatch.setenv("LEVSKETCH_THREADS", "2")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--mode", "sampled-dot", "--p", 50,
                 "--k", 12, "--trials", 3, "--seed", 8,
                 "--rows", "1,7,50,100,233,400,599,600", "-o", rep]) == 0
-    assert sha256_of(rep) == ("e636e43b51f5afaf512dd9bcc79dd240"
-                              "aee973942258280e334b4f06c201b911")
+    assert sha256_of(rep) == ("137cc08d1e04399c0dec2e829331dcca"
+                              "1a97de194831a112c27dfd790b953a11")
 
 
 def test_exact_dot_compare_output_is_pinned(tmp_path):
@@ -288,13 +288,13 @@ def test_exact_dot_compare_output_is_pinned(tmp_path):
     mat = tmp_path / "e1.csv"
     assert run(["gen", "--family", "example1", "--m", 1000, "--n", 100,
                 "--zero", 70, "--seed", 4, "-o", mat]) == 0
-    assert sha256_of(mat) == ("146c95b3ef0fc6d66ba7fa154a54a064"
-                              "2028c87613094331a0d7d0fb3154e8e0")
+    assert sha256_of(mat) == ("1a8bc6c688086f278f875e56d95462e3"
+                              "8a295ac6449274a9def836ee3887d88a")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--p", 60, "--k", 20, "--trials", 2,
                 "--seed", 3, "-o", rep]) == 0
-    assert sha256_of(rep) == ("1111603a6cbe6aa949ac9108c997016d"
-                              "3f2b51483c26dfe1626dea6f5362380c")
+    assert sha256_of(rep) == ("9d37902129ad75f52fbb4258624c095c"
+                              "615014228ffb0084f5edcc5ad2ed4afb")
 
 
 DEGENERATE = {

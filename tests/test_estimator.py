@@ -9,8 +9,9 @@ from levsketch import (LeverageReport, MatrixSampleStore, Params, SampleTree,
                        compute_params, estimate_inner, gen_example1,
                        mom_group_shape, oracle_facts, orthogonality_defect,
                        qisls_all, qisls_score, qisvd, read_report_csv,
-                       standard_normal, stream, write_report_csv)
-from levsketch.estimator import BLOCK_DRAWS, MODES
+                       SketchDescription, standard_normal, stream,
+                       write_report_csv)
+from levsketch.estimator import BLOCK_DRAWS, MODES, row_scores
 from levsketch.sample_store import sample_leaves
 from levsketch.sketch import s_rows
 
@@ -191,6 +192,37 @@ def test_exact_dot_scores_match_dense_per_row_reference(monkeypatch,
         u_row = (srow @ sketch.v) / sketch.sigma
         plain[i] = u_row @ u_row
     assert scores[88] == 0.0
+    assert np.array_equal(scores, plain)
+
+
+@given(st.integers(1, 120), st.integers(1, 60), st.integers(1, 300),
+       st.integers(1, 2000), st.sampled_from(["c", "fortran", "strided"]),
+       st.integers(0, 10_000))
+def test_exact_dot_stacked_product_is_bitwise_per_row(p, k, m, block, layout,
+                                                      seed):
+    # the stacked 1-by-p products of row_scores must stay bitwise equal to
+    # each row's own srow @ V whatever the dispatch of a numpy or BLAS
+    # upgrade; V and sigma also come in non-contiguous layouts
+    k = min(k, p)
+    rng = stream(seed)
+    a = standard_normal(rng, (m, 9))
+    store = MatrixSampleStore(a)
+    big = standard_normal(rng, (p, 2 * k))
+    v = {"c": big[:, :k].copy(), "fortran": np.asfortranarray(big[:, :k]),
+         "strided": big[:, ::2]}[layout]
+    sigma = np.abs(standard_normal(rng, 2 * k))[::2] + 0.1
+    sketch = SketchDescription(
+        col_indices=rng.integers(0, 9, p), col_probs=rng.random(p) + 0.01,
+        row_indices=np.zeros(p, dtype=np.int64), row_probs=np.ones(p),
+        frob_norm=1.0, v=v, sigma=sigma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("levsketch.estimator.BLOCK_DRAWS", block)
+        scores = row_scores(store, sketch, np.arange(m), "exact-dot")
+    plain = np.empty(m)
+    for i in range(m):
+        srow = a[i, sketch.col_indices] * sketch.col_scale
+        u_row = (srow @ v) / sigma
+        plain[i] = u_row @ u_row
     assert np.array_equal(scores, plain)
 
 

@@ -356,10 +356,16 @@ DENSE = "# m=3 n=2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n"
     (DENSE.replace("n=2", "n=3"), "header"),
     (DENSE + "7.0,8.0\n", "header"),
     (DENSE.replace("3.0,4.0", "3.0"), "fields"),
+    (COO.replace("coo 3 2", "coo 3 x"), "non-numeric field"),
+    (COO + "1,x,1.0\n", "non-numeric field"),
+    (COO.replace("1.5", "abc"), "non-numeric field"),
+    (DENSE.replace("3.0,4.0", "3.0,x"), "non-numeric field"),
 ], ids=["coo-row-0", "coo-col-0", "coo-row-above-m", "coo-col-above-n",
         "coo-duplicate", "coo-two-fields", "coo-four-fields", "coo-header",
         "coo-negative-m", "coo-zero-n",
-        "dense-header-m", "dense-header-n", "dense-extra-row", "dense-ragged"])
+        "dense-header-m", "dense-header-n", "dense-extra-row", "dense-ragged",
+        "coo-header-text", "coo-index-text", "coo-value-text",
+        "dense-value-text"])
 def test_malformed_matrix_file_exits_two(tmp_path, capsys, text, reason):
     path = tmp_path / "bad.csv"
     path.write_text(text)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import levsketch.sketch
 from levsketch import (MatrixSampleStore, build_w, compute_params,
-                       draw_sketch, qisvd, read_sketch_csv, sample_columns,
-                       sample_rows, standard_normal, stream, theta_upper,
+                       draw_sketch, gen_example2, qisls_all, qisvd,
+                       read_sketch_csv, sample_columns, sample_rows,
+                       standard_normal, stream, theta_upper,
                        write_sketch_csv)
 from levsketch.sketch import s_rows
 
@@ -212,6 +214,64 @@ def test_qisvd_rejects_theoretical_p():
         qisvd(store, prm, stream(0))
 
 
+@pytest.mark.parametrize("m, n, rank, p, k, seed", [
+    (30, 12, 12, 40, 8, 40),
+    (50, 6, 6, 24, 6, 41),
+    (40, 20, 5, 30, 10, 42),
+    (200, 40, 40, 60, 20, 43),
+], ids=["square", "six-columns", "rank-5", "tall"])
+def test_qisvd_merged_core_matches_unmerged_lapack(m, n, rank, p, k, seed):
+    rng = stream(seed)
+    a = standard_normal(rng, (m, rank)) @ standard_normal(rng, (rank, n))
+    store = MatrixSampleStore(a)
+    prm = compute_params(0.5, 0.1, k, 1.0, 1.0, 1.0, p_override=p)
+    sketch = qisvd(store, prm, stream(seed + 100))
+    assert np.unique(sketch.col_indices).size < p  # draws repeat
+    _, sigma, vt = np.linalg.svd(build_w(store, sketch))
+    keep = min(k, int((sigma > 1e-12 * sigma[0]).sum()))
+    assert sketch.sigma.size == keep
+    np.testing.assert_allclose(sketch.sigma, sigma[:keep], rtol=0.0,
+                               atol=1e-12 * sigma[0])
+    assert np.abs(sketch.v.T @ sketch.v - np.eye(keep)).max() < 1e-12
+    unmerged = dataclasses.replace(sketch, v=vt[:keep].T, sigma=sigma[:keep])
+    np.testing.assert_allclose(qisls_all(store, sketch, prm).approx,
+                               qisls_all(store, unmerged, prm).approx,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_qisvd_k_ranges_over_p_not_the_merged_side():
+    store = MatrixSampleStore(standard_normal(stream(44), (30, 5)))
+    prm = compute_params(0.5, 0.1, 9, 1.0, 1.0, 1.0, p_override=12)
+    sketch = qisvd(store, prm, stream(45))
+    # k = 9 is above the merged side (at most 5) and at most p: it runs
+    assert sketch.sigma.size == min(np.unique(sketch.row_indices).size,
+                                    np.unique(sketch.col_indices).size)
+    assert sketch.v.shape == (12, sketch.sigma.size)
+    too_big = dataclasses.replace(prm, k=13)
+    with pytest.raises(ValueError, match=r"k=13 out of range 1\.\.12"):
+        qisvd(store, too_big, stream(45))
+
+
+def test_factor_core_converges_in_few_sweeps(monkeypatch):
+    # the factor-core benchmark's shape: plain sweeps on its 100x100 W
+    # took 26 to 31
+    sweeps = []
+    real = levsketch.sketch.svd_dense
+
+    def counting(matrix):
+        res = real(matrix)
+        sweeps.append(res.sweeps)
+        return res
+
+    monkeypatch.setattr(levsketch.sketch, "svd_dense", counting)
+    store = MatrixSampleStore(gen_example2(2000, 500, 100, 1.0, 1, 1000, 3))
+    prm = compute_params(0.5, 0.1, 88, 1.0, 1.0, 1.0, p_override=100)
+    for seed in range(3):
+        qisvd(store, prm, stream(seed))
+    assert len(sweeps) == 3
+    assert max(sweeps) <= 12
+
+
 def test_sketch_csv_round_trip(tmp_path):
     a = standard_normal(stream(33), (10, 6))
     store = MatrixSampleStore(a)
@@ -261,7 +321,10 @@ def _cut_before(text, marker):
     lambda t: _cut_before(t, "[sigma]"),
     lambda t: t[:t.rindex(",")] + "\n",
     lambda t: t.replace("# frob_norm=", "# other="),
-], ids=["no-rows", "no-V", "no-sigma", "short-sigma", "no-frob-norm"])
+    lambda t: t.replace("[cols]\n", "[cols]\n1,x\n"),
+    lambda t: t.replace("# frob_norm=", "# frob_norm=x"),
+], ids=["no-rows", "no-V", "no-sigma", "short-sigma", "no-frob-norm",
+        "non-numeric-col-prob", "non-numeric-frob-norm"])
 def test_truncated_sketch_csv_is_value_error(tmp_path, cut):
     store = MatrixSampleStore(standard_normal(stream(33), (10, 6)))
     prm = compute_params(0.5, 0.1, 3, 1.0, 1.0, 1.0, p_override=8)

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 import levsketch.svd as svd_module
 from levsketch import (MatrixSampleStore, SvdResult, build_w, draw_sketch,
-                       gen_example1, stream, svd_dense, trial_stream,
-                       truncate_top_k)
+                       gen_example1, standard_normal, stream, svd_dense,
+                       trial_stream, truncate_top_k)
 
 from oracles import power_iteration_sigma
 
@@ -172,7 +172,8 @@ def test_rank_70_core_converges_like_lapack():
     store = MatrixSampleStore(gen_example1(400, 150, 20, 2))
     w = build_w(store, draw_sketch(store, 127, trial_stream(2, 1)))
     res = svd_dense(w)
-    assert res.sweeps <= 2 * svd_module._MAX_SWEEPS
+    # 61 sweeps of plain Jacobi on the unreduced core
+    assert res.sweeps <= 12
     ref = np.linalg.svd(w, compute_uv=False)
     np.testing.assert_allclose(res.sigma, ref, rtol=0.0, atol=1e-12 * ref[0])
     assert reconstruction_error(w, res) <= 1e-12 * ref[0]
@@ -216,6 +217,15 @@ def test_tall_equal_singular_values_keep_column_order():
 
 
 @pytest.mark.parametrize("shape", [(30, 30), (60, 20), (20, 60)])
+def test_memory_layout_does_not_change_the_result(shape):
+    a = stream(32).standard_normal(shape)
+    c_order, f_order = svd_dense(a), svd_dense(np.asfortranarray(a))
+    for name in ("u", "sigma", "v"):
+        np.testing.assert_array_equal(getattr(c_order, name),
+                                      getattr(f_order, name))
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (60, 20), (20, 60)])
 def test_repeated_calls_bitwise_equal(shape):
     a = stream(31).standard_normal(shape)
     first, second = svd_dense(a), svd_dense(a)
@@ -223,3 +233,43 @@ def test_repeated_calls_bitwise_equal(shape):
         np.testing.assert_array_equal(getattr(first, name),
                                       getattr(second, name))
     assert (first.sweeps, first.residual) == (second.sweeps, second.residual)
+
+
+@given(st.integers(1, 24), st.integers(0, 8), st.booleans(),
+       st.integers(0, 10_000))
+def test_permuted_scaled_diagonal_is_exact(n, extra_rows, wide, seed):
+    # one nonzero per row and column, with zeros and ties: every
+    # reflection and rotation is exact, so sigma is the sorted |diagonal|
+    rng = stream(seed)
+    d = standard_normal(rng, n) * 10.0 ** rng.integers(-3, 4, n)
+    d[rng.random(n) < 0.2] = -d[0]
+    d[rng.random(n) < 0.2] = 0.0
+    a = np.zeros((n + extra_rows, n))
+    a[rng.permutation(n + extra_rows)[:n], rng.permutation(n)] = d
+    res = svd_dense(a.T if wide else a)
+    np.testing.assert_array_equal(res.sigma, np.sort(np.abs(d))[::-1])
+    assert orthonormality_defect(res.u) < 1e-14
+    assert orthonormality_defect(res.v) < 1e-14
+
+
+def kahan(n, theta):
+    """Kahan's triangle, whose pivoted QR does not pivot and hides how
+    small its last singular values are."""
+    s, c = np.sin(theta), np.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n)
+                                         + np.triu(-c * np.ones((n, n)), 1))
+
+
+@pytest.mark.parametrize("n, theta", [(30, 0.3), (60, 0.6), (90, 1.2)])
+def test_singular_values_below_the_qr_rank_are_completed(n, theta):
+    # the sweeps zero some columns of the triangle that the pivoted QR
+    # kept; their right vectors must still complete an orthonormal basis
+    a = kahan(n, theta)
+    res = svd_dense(a)
+    rank = svd_module.pivoted_qr(a)[1].shape[0]
+    assert res.sigma[rank - 1] == 0.0
+    ref = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(res.sigma, ref, rtol=0.0, atol=1e-13 * ref[0])
+    assert reconstruction_error(a, res) <= 1e-13 * ref[0]
+    assert orthonormality_defect(res.u) < 1e-13
+    assert orthonormality_defect(res.v) < 1e-13

@@ -16,7 +16,8 @@ import numpy as np
 from .rng import stream
 from .sample_store import (MatrixSampleStore, SampleTree, fill_sums,
                            sample_leaves)
-from .sketch import Params, SketchDescription, s_matrix, s_rows
+from .sketch import (Params, SketchDescription, positive_integers, s_matrix,
+                     s_rows)
 
 MODES = ("exact-dot", "sampled-dot")
 # draws per block of sampled-dot rows: enough to spread numpy's fixed cost
@@ -75,19 +76,33 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
         raise ValueError(f"sampled-dot needs {int(per_col.max())} draws for "
                          f"one coordinate, more than {MAX_COORD_DRAWS}; "
                          "pass a larger xi_override")
-    counts = ys.shape[1] * per_col
+    rows, cap = leaves.shape
+    p, cols = ys.shape
+    counts = cols * per_col
     tree, idx = sample_leaves(sums, counts, rng)
-    picked = leaves[tree, idx]
+    picked = leaves.ravel()[tree * cap + idx]
     if not picked.all():
         raise ValueError("sampled a zero coordinate")
+    # flat index of y_c[i] in the columns of ys laid end to end
+    at = np.repeat(np.tile(np.arange(0, cols * p, p), rows),
+                   np.repeat(per_col, cols))
+    at += idx
+    z = ys.T.ravel()[at] * (np.repeat(sums[:, 1], counts) / picked)
+    # rows of one group size share a reshape; a mean of one draw is the
+    # reduction's 0.0 + z, which is z except that -0.0 turns to 0.0
     starts = np.cumsum(counts) - counts
-    col = (np.arange(idx.size) - starts[tree]) // per_col[tree]
-    z = ys[idx, col] * (sums[tree, 1] / picked)
-    means = np.empty((leaves.shape[0], ys.shape[1] * groups))
-    for r, (start, count) in enumerate(zip(starts, counts)):
-        means[r] = z[start:start + count].reshape(-1, sizes[r]).mean(axis=1)
-    return np.median(means.reshape(leaves.shape[0], ys.shape[1], groups),
-                     axis=2)
+    # np.median's arithmetic, the mean of the middle one or two group
+    # means, taken from a sort, which is faster here than its partition
+    mid = slice((groups - 1) // 2, groups // 2 + 1)
+    est = np.empty((rows, cols))
+    for size in np.unique(sizes):
+        same = np.flatnonzero(sizes == size)
+        draws = z if same.size == rows else z[
+            starts[same, None] + np.arange(counts[same[0]])]
+        draws = draws.reshape(same.size, cols, groups, size)
+        means = draws[..., 0] + 0.0 if size == 1 else draws.mean(axis=3)
+        est[same] = np.sort(means, axis=2)[..., mid].mean(axis=2)
+    return est
 
 
 def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
@@ -326,8 +341,7 @@ def read_report_csv(path) -> LeverageReport:
     except ValueError as exc:
         raise _malformed(path, f"non-numeric field ({exc})") from None
     index = data[:, 0]
-    if not (np.isfinite(index) & (index >= 1)
-            & (index == np.floor(index))).all():
+    if not positive_integers(index):
         raise _malformed(path, "row index not a positive integer")
     exact = data[:, 2]
     abs_err = data[:, 3]

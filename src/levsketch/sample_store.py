@@ -7,7 +7,11 @@ draws an index i with probability v_i^2 / ||v||^2.
 
 ``fill_sums`` and ``sample_leaves`` build and walk such trees along the
 last axis of an array, so the same code serves one SampleTree and the
-sampled-dot scorer's stack of trees, one per row of S in a block.
+sampled-dot scorer's stack of trees, one per row of S in a block. The walk
+reads a threshold table built from the sums: each internal node's
+threshold is its left child's sum, or the largest double where the right
+subtree is empty, so a draw steps right exactly when its residual reaches
+the threshold and never into a zero-mass subtree.
 
 A :class:`MatrixSampleStore` keeps the dense entries and flat row-norm and
 column-norm arrays, which a write updates in place. The first read of
@@ -21,10 +25,15 @@ store's periodic rebuild exists only for them.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # store rebuild after this many updates, to bound column-norm drift
 REBUILD_EVERY = 1_000_000
+# threshold of an empty right subtree: no residual reaches it, and
+# _NEVER * False is 0.0
+_NEVER = np.finfo(np.float64).max
 
 
 def fill_sums(sums: np.ndarray, leaves: np.ndarray) -> None:
@@ -52,26 +61,40 @@ def sample_leaves(sums: np.ndarray, counts,
     take their uniforms from one ``rng.random`` call in that order, which
     reads the stream exactly as one call per tree would, and descend
     together, one vectorized step per tree level.
+
+    The walk reads one threshold table, built in O(trees * leaves) per
+    call: a draw at node j of depth d in tree t sits at flat index
+    t 2^d + j of that level's (trees, 2^d) thresholds, goes right when
+    its residual u reaches its threshold, and then drops the threshold
+    from u. Where a right subtree is empty the threshold is the largest
+    double, which a residual below the tree's finite total never
+    reaches, so rounding in u cannot land a walk on a zero-mass leaf.
+    Going left subtracts the threshold times 0, which is 0.0: every step
+    is branchless and bitwise a step that tests both children. A total
+    that overflows raises ValueError.
     """
     trees, width = sums.shape
     totals = sums[:, 1]
     if (totals <= 0.0).any():
         raise ValueError("cannot sample zero vector")
+    if not (totals < _NEVER).all():
+        raise ValueError("squared norm overflows")
     tree = np.repeat(np.arange(trees), counts)
-    u = rng.random(tree.size) * totals[tree]
-    flat = sums.ravel()
-    base = tree * width
-    node = np.ones(tree.size, dtype=np.int64)
-    for _ in range(width.bit_length() - 2):
-        node <<= 1
-        at = base + node
-        left = flat[at]
-        # an empty right subtree is never entered, so rounding in u
-        # cannot land a walk on a zero-mass leaf
-        go_right = (flat[at + 1] != 0.0) & (u >= left)
-        u -= np.where(go_right, left, 0.0)
-        node += go_right
-    return tree, node - width // 2
+    u = rng.random(tree.size) * np.repeat(totals, counts)
+    # column v - 1 holds the threshold of internal node v, so depth d is
+    # columns 2^d - 1 to 2^(d+1) - 2
+    tables = np.where(sums[:, 3::2] == 0.0, _NEVER, sums[:, 2::2])
+    flat = tree.copy()
+    half = 1
+    while 2 * half < width:
+        thr = tables[:, half - 1:2 * half - 1].ravel()[flat]
+        right = u >= thr
+        thr *= right
+        u -= thr
+        flat <<= 1
+        flat += right
+        half *= 2
+    return tree, flat & (half - 1)
 
 
 class SampleTree:
@@ -212,7 +235,9 @@ class MatrixSampleStore:
         rows = np.asarray(rows, dtype=np.int64)
         idx = np.asarray(cols, dtype=np.int64)
         self.queries += rows.size * idx.size
-        return self._entries[rows[:, None], idx]
+        # two takes are C-contiguous, which the stacked exact-dot product
+        # needs to round as each row's own product does
+        return self._entries.take(rows, axis=0).take(idx, axis=1)
 
     def column_values(self, j: int) -> np.ndarray:
         """Column A[:, j]; costs m entry reads."""
@@ -231,16 +256,16 @@ class MatrixSampleStore:
         """Set A[i, j], maintaining both norm arrays."""
         i, j = self._check_entry(i, j)
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError("non-finite input")
-        old = self._entries[i, j]
-        self._entries[i, j] = value
-        # summed from the dense row: bitwise the value a rebuild computes
         row = self._entries[i]
-        self._row_norms[i] = np.sqrt((row * row).sum())
+        old = float(row[j])
+        row[j] = value
+        # summed from the dense row: bitwise the value a rebuild computes
+        self._row_norms[i] = math.sqrt(np.add.reduce(row * row))
         colv = float(self._col_norms[j])
         col_sq = colv * colv - old * old + value * value
-        self._col_norms[j] = np.sqrt(max(col_sq, 0.0))
+        self._col_norms[j] = math.sqrt(max(col_sq, 0.0))
         self._trees = None
         self._updates += 1
         if self._updates >= REBUILD_EVERY:

@@ -307,11 +307,32 @@ def _floats(path, fields) -> list[float]:
                          f"({exc})") from None
 
 
+def positive_integers(values: np.ndarray) -> bool:
+    """Whether every value is a positive integer that a double holds
+    exactly, so that a cast to int64 keeps it."""
+    return bool((np.isfinite(values) & (values >= 1) & (values <= 2.0 ** 53)
+                 & (values == np.floor(values))).all())
+
+
+def _draws(path, name: str, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """0-based indices and probabilities of the ``[name]`` section's
+    1-based (index, probability) lines."""
+    index, probs = np.array(pairs).T
+    if not positive_integers(index):
+        raise ValueError(f"malformed sketch file {path}: [{name}] index not "
+                         "a positive integer")
+    if not (np.isfinite(probs) & (probs > 0.0)).all():
+        raise ValueError(f"malformed sketch file {path}: [{name}] "
+                         "probability not positive")
+    return index.astype(np.int64) - 1, probs
+
+
 def read_sketch_csv(path) -> SketchDescription:
     """Read a file written by :func:`write_sketch_csv`.
 
     Raises ValueError with a one-line message if the file is truncated or
-    its sections are malformed.
+    its sections are malformed, an index is not a positive integer or a
+    probability is not positive and finite.
     """
     section = None
     frob = None
@@ -346,10 +367,8 @@ def read_sketch_csv(path) -> SketchDescription:
             or len(parts["V"]) != p or any(len(r) != k for r in parts["V"])):
         raise ValueError(f"malformed sketch file {path}: section sizes "
                          "disagree")
-    cols = np.array([int(r[0]) - 1 for r in parts["cols"]], dtype=np.int64)
-    col_probs = np.array([r[1] for r in parts["cols"]])
-    rows = np.array([int(r[0]) - 1 for r in parts["rows"]], dtype=np.int64)
-    row_probs = np.array([r[1] for r in parts["rows"]])
+    cols, col_probs = _draws(path, "cols", parts["cols"])
+    rows, row_probs = _draws(path, "rows", parts["rows"])
     return SketchDescription(col_indices=cols, col_probs=col_probs,
                              row_indices=rows, row_probs=row_probs,
                              frob_norm=frob, v=np.array(parts["V"]),

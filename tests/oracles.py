@@ -59,3 +59,27 @@ def chisquare_pvalue(counts, probs):
     probs = np.asarray(probs, dtype=np.float64)
     keep = probs > 0
     return float(stats.chisquare(counts[keep], probs[keep] * counts.sum()).pvalue)
+
+
+def sample_leaves_reference(sums, counts, uniforms):
+    """(tree, leaf) of every draw of ``sample_leaves``, one scalar descent
+    per draw. Draw d of tree t starts from u = uniforms[d] * ||v_t||^2 and,
+    at each node, goes right when the right child's sum is nonzero and u
+    reaches the left child's sum, which it then subtracts from u."""
+    trees, width = sums.shape
+    cap = width // 2
+    tree, leaf = [], []
+    draws = iter(uniforms)
+    for t in range(trees):
+        for _ in range(int(counts[t])):
+            u = float(next(draws)) * float(sums[t, 1])
+            node = 1
+            while node < cap:
+                node *= 2
+                left = float(sums[t, node])
+                if sums[t, node + 1] != 0.0 and u >= left:
+                    u -= left
+                    node += 1
+            tree.append(t)
+            leaf.append(node - cap)
+    return np.array(tree, dtype=np.int64), np.array(leaf, dtype=np.int64)

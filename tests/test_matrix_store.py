@@ -144,6 +144,19 @@ def test_update_drift_stays_tiny():
             fresh.col_sq_norm(j), rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 7, 100, 300])
+def test_row_norms_after_writes_are_a_rebuilds(n):
+    rng = stream(44)
+    store = MatrixSampleStore(rng.standard_normal((20, n)))
+    for _ in range(500):
+        store.update(int(rng.integers(0, 20)), int(rng.integers(0, n)),
+                     float(rng.standard_normal()) * 10.0 ** int(
+                         rng.integers(-6, 6)))
+    written = store._row_norms.copy()
+    store.rebuild()
+    assert np.array_equal(written, store._row_norms)
+
+
 def test_auto_rebuild_matches_fresh_store(monkeypatch):
     monkeypatch.setattr("levsketch.sample_store.REBUILD_EVERY", 1)
     rng = stream(42)

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from levsketch import MatrixSampleStore, SampleTree, stream
+from levsketch.sample_store import fill_sums, sample_leaves
 
-from oracles import chisquare_pvalue
+from oracles import chisquare_pvalue, sample_leaves_reference
 
 
 def test_build_single_nonzero():
@@ -68,6 +69,102 @@ def test_sample_zero_vector_raises():
     tree = SampleTree([0.0, 0.0])
     with pytest.raises(ValueError, match="cannot sample zero vector"):
         tree.sample_indices(stream(0), 1)
+
+
+def test_sample_overflowing_norm_raises():
+    # ||v||^2 = inf: no uniform scales to a residual inside the tree
+    with np.errstate(over="ignore"):
+        tree = SampleTree([1e200, 0.0])
+    with pytest.raises(ValueError, match="squared norm overflows"):
+        tree.sample_indices(stream(0), 1)
+
+
+class Uniforms:
+    """An rng whose one ``random`` call hands out fixed uniforms."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+def boundary_uniforms(sums, t):
+    """Uniforms whose draws in tree t land on the tree's own boundaries:
+    for every leaf, the sum of the left sums a walk to it subtracts, scaled
+    back by ||v_t||^2, with its two neighbours on either side; and 0.0 and
+    the largest double below 1."""
+    cap = sums.shape[1] // 2
+    total = sums[t, 1]
+    out = {0.0, np.nextafter(1.0, 0.0)}
+    for leaf in range(cap):
+        bound, node = 0.0, 1
+        for level in range(cap.bit_length() - 2, -1, -1):
+            node *= 2
+            if leaf >> level & 1:
+                bound += sums[t, node]
+                node += 1
+        r = bound / total
+        out.update([r, np.nextafter(r, 0.0), np.nextafter(r, 2.0),
+                    np.nextafter(np.nextafter(r, 0.0), 0.0),
+                    np.nextafter(np.nextafter(r, 2.0), 2.0)])
+    return sorted(u for u in out if 0.0 <= u < 1.0)
+
+
+@st.composite
+def forests(draw):
+    """(sums, counts, uniforms): a stack of trees over 1 to 70 entries,
+    zero entries and zero tails (whole empty right subtrees) among them,
+    unequal draw counts, and uniforms on and next to the boundaries."""
+    size = draw(st.integers(1, 70), label="size")
+    trees = draw(st.integers(1, 4), label="trees")
+    cap = 1 << max(0, (size - 1).bit_length())
+    leaves = np.zeros((trees, cap))
+    entry = st.one_of(st.just(0.0), st.builds(
+        lambda sign, m, e: sign * m * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.9), st.integers(-8, 8)))
+    for t in range(trees):
+        live = draw(st.integers(1, size), label="live")
+        leaves[t, :live] = draw(st.lists(entry, min_size=live,
+                                         max_size=live), label="entries")
+        if not leaves[t].any():
+            leaves[t, live - 1] = 1.0
+    sums = np.zeros((trees, 2 * cap))
+    fill_sums(sums, leaves)
+    counts = draw(st.lists(st.integers(0, 12), min_size=trees,
+                           max_size=trees), label="counts")
+    uniforms = []
+    for t in range(trees):
+        pool = st.one_of(st.sampled_from(boundary_uniforms(sums, t)),
+                         st.floats(0.0, 1.0, exclude_max=True))
+        uniforms += draw(st.lists(pool, min_size=counts[t],
+                                  max_size=counts[t]), label="uniforms")
+    return sums, np.array(counts), uniforms
+
+
+def _forest(leaves, counts, uniforms):
+    leaves = np.array(leaves, dtype=np.float64)
+    sums = np.zeros((leaves.shape[0], 2 * leaves.shape[1]))
+    fill_sums(sums, leaves)
+    return sums, np.array(counts), uniforms
+
+
+# with the largest uniform, the residual left after the root subtracts
+# a^2 rounds up to b^2, the sum of node 6, whose sibling subtree is empty:
+# a walk that does not know it is empty lands on the zero leaf 7
+@example(_forest([[3104.06403816638, 0.0, 0.0, 0.0, 4296.646846676853, 0.0,
+                   0.0, 0.0]], [1], [np.nextafter(1.0, 0.0)]))
+@given(forests())
+def test_sample_leaves_matches_scalar_reference(forest):
+    sums, counts, uniforms = forest
+    tree, leaf = sample_leaves(sums, counts, Uniforms(uniforms))
+    ref_tree, ref_leaf = sample_leaves_reference(sums, counts, uniforms)
+    assert np.array_equal(tree, ref_tree)
+    assert np.array_equal(leaf, ref_leaf)
+    # every draw lands on a leaf with mass
+    cap = sums.shape[1] // 2
+    assert (sums[tree, cap + leaf] > 0.0).all()
 
 
 def test_sample_scalar_matches_batch_distribution():
@@ -178,6 +275,10 @@ def test_query_many_matches_scalar_queries():
     rows, cols = np.array([3, 0, 3]), np.array([0, 5, 16, 5])
     block = store.block_values(rows, cols)
     assert store.queries == 12
+    # C-contiguous, as the stacked exact-dot product needs to round as
+    # each row's own product does
+    assert block.flags.c_contiguous
+    assert np.array_equal(block, store.to_array()[np.ix_(rows, cols)])
     assert np.array_equal(block, [[store.query(i, j) for j in cols]
                                   for i in rows])
     assert store.queries == 24

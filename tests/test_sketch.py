@@ -315,6 +315,17 @@ def _cut_before(text, marker):
     return text[:text.index(marker)]
 
 
+def _first_entry(section, index=None, prob=None):
+    """An edit replacing the index or probability of the first line of
+    ``[section]``."""
+    def edit(text):
+        head, _, rest = text.partition(f"[{section}]\n")
+        line, _, tail = rest.partition("\n")
+        i, p = line.split(",")
+        return f"{head}[{section}]\n{index or i},{prob or p}\n{tail}"
+    return edit
+
+
 @pytest.mark.parametrize("cut", [
     lambda t: _cut_before(t, "[rows]"),
     lambda t: _cut_before(t, "[V]"),
@@ -323,8 +334,17 @@ def _cut_before(text, marker):
     lambda t: t.replace("# frob_norm=", "# other="),
     lambda t: t.replace("[cols]\n", "[cols]\n1,x\n"),
     lambda t: t.replace("# frob_norm=", "# frob_norm=x"),
+    _first_entry("cols", index="2.7"),
+    _first_entry("cols", index="0"),
+    _first_entry("rows", index="-3"),
+    _first_entry("rows", index="inf"),
+    _first_entry("cols", prob="0.0"),
+    _first_entry("rows", prob="-0.25"),
+    _first_entry("cols", prob="nan"),
 ], ids=["no-rows", "no-V", "no-sigma", "short-sigma", "no-frob-norm",
-        "non-numeric-col-prob", "non-numeric-frob-norm"])
+        "non-numeric-col-prob", "non-numeric-frob-norm", "fractional-col",
+        "zero-col", "negative-row", "infinite-row", "zero-col-prob",
+        "negative-row-prob", "nan-col-prob"])
 def test_truncated_sketch_csv_is_value_error(tmp_path, cut):
     store = MatrixSampleStore(standard_normal(stream(33), (10, 6)))
     prm = compute_params(0.5, 0.1, 3, 1.0, 1.0, 1.0, p_override=8)

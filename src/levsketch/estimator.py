@@ -29,15 +29,20 @@ BLOCK_DRAWS = 1 << 14
 MAX_COORD_DRAWS = 1 << 24
 
 
-def mom_group_shape(xi: float, eta: float) -> tuple[int, int]:
-    """(group count, group size) for additive error xi||x||||y|| with
-    failure probability eta: Chebyshev gives 6/xi^2 per group, Chernoff
+def mom_groups(eta: float) -> int:
+    """Group count for failure probability eta: Chernoff gives
     9 ln(1/eta) groups."""
-    if xi <= 0.0:
-        raise ValueError("xi must be positive")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    return max(math.ceil(9.0 * math.log(1.0 / eta)), 1), math.ceil(6.0 / (xi * xi))
+    return max(math.ceil(9.0 * math.log(1.0 / eta)), 1)
+
+
+def mom_group_shape(xi: float, eta: float) -> tuple[int, int]:
+    """(group count, group size) for additive error xi||x||||y|| with
+    failure probability eta: Chebyshev gives 6/xi^2 per group."""
+    if xi <= 0.0:
+        raise ValueError("xi must be positive")
+    return mom_groups(eta), math.ceil(6.0 / (xi * xi))
 
 
 def estimate_inner(x_tree: SampleTree, y, xi: float, eta: float,
@@ -66,16 +71,20 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
     ``leaves`` (trees in the rows of ``sums``, see ``fill_sums``) and every
     column y_c of ``ys``, as a (rows, columns) array.
 
-    Each estimate takes ``groups`` groups of ``sizes[r]`` draws. The draws
-    come from one descent, in the order row, column, group, sample: the
-    stream is read as if by one ``estimate_inner`` call per row and column.
-    More than MAX_COORD_DRAWS draws for one estimate raises ValueError.
+    Each estimate takes ``groups`` groups of ``sizes[r]`` draws, whole
+    numbers held as integers or floats. The draws come from one descent,
+    in the order row, column, group, sample: the stream is read as if by
+    one ``estimate_inner`` call per row and column. More than
+    MAX_COORD_DRAWS draws for one estimate (inf included) raises
+    ValueError.
     """
     per_col = groups * sizes
     if per_col.max() > MAX_COORD_DRAWS:
-        raise ValueError(f"sampled-dot needs {int(per_col.max())} draws for "
+        raise ValueError(f"sampled-dot needs {per_col.max():.0f} draws for "
                          f"one coordinate, more than {MAX_COORD_DRAWS}; "
                          "pass a larger xi_override")
+    sizes = sizes.astype(np.int64)
+    per_col = groups * sizes
     rows, cap = leaves.shape
     p, cols = ys.shape
     counts = cols * per_col
@@ -154,14 +163,17 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
     scale = params.xi_effective * sketch.frob_norm
     p = sketch.p
     cap = 1 << max(0, (p - 1).bit_length())
-    sq = [float(srow @ srow) for srow in s]
+    # stacks of 1-by-p by p-by-1 products, bitwise each row's srow @ srow
+    sq = (s[:, None, :] @ s[:, :, None])[:, 0, 0]
     live = np.flatnonzero(sq)
     if live.size == 0:
         return
-    shapes = [mom_group_shape(scale / math.sqrt(sq[r]), eta) for r in live]
-    # eta is the same for every row, and so is the group count
-    groups = shapes[0][0]
-    sizes = np.array([size for _, size in shapes])
+    # mom_group_shape's group size ceil(6 / xi^2) for each row's own xi; a
+    # size that overflows is inf, which mom_estimates refuses
+    groups = mom_groups(eta)
+    xi = scale / np.sqrt(sq[live])
+    with np.errstate(divide="ignore", over="ignore"):
+        sizes = np.ceil(6.0 / (xi * xi))
     ends = np.cumsum(sketch.k * groups * sizes)
     start = 0
     while start < live.size:
@@ -174,13 +186,13 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
         sums = np.zeros((block.size, 2 * cap))
         fill_sums(sums, leaves)
         # a row over the bound draws a few coordinates at a time
-        cols = max(1, min(sketch.k, BLOCK_DRAWS // int(
-            groups * sizes[start:stop].sum())))
+        cols = max(1, min(sketch.k, int(BLOCK_DRAWS // (
+            groups * sizes[start:stop].sum()))))
         t = np.hstack([mom_estimates(sums, leaves, sketch.v[:, c:c + cols],
                                      groups, sizes[start:stop], rng)
                        for c in range(0, sketch.k, cols)])
-        for r, u_row in zip(block, t / sketch.sigma):
-            out[r] = u_row @ u_row
+        u = t / sketch.sigma
+        out[block] = (u[:, None, :] @ u[:, :, None])[:, 0, 0]
         start = stop
 
 

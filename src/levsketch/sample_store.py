@@ -19,13 +19,23 @@ column-norm arrays, which a write updates in place. The first read of
 in O(m + n); later reads reuse them. Entry reads, norm reads and index
 draws are counted on the store for cost instrumentation.
 
-A tree update redoes the adds of a fresh build, so its sums never drift.
-The store's column norms are updated incrementally and do drift; the
-store's periodic rebuild exists only for them.
+For draws within a column the store keeps a column layer: the sum of
+squares of every ROW_BLOCK-row block of every column, and one tree per
+column over those block sums. A draw walks its column's tree to a block
+and then reads that block's entries, so it costs O(log m) tree steps and
+ROW_BLOCK entry reads, not m. The layer is built at the first such draw
+after the store's build. A write only flags its block; the next draw from
+that column first sums its flagged blocks afresh.
+
+A tree update redoes the adds of a fresh build, so its sums never drift,
+and so does a refreshed block. The store's column norms are updated
+incrementally and do drift; the store's periodic rebuild exists only for
+them.
 """
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -34,6 +44,12 @@ REBUILD_EVERY = 1_000_000
 # threshold of an empty right subtree: no residual reaches it, and
 # _NEVER * False is 0.0
 _NEVER = np.finfo(np.float64).max
+# rows per block of the store's column layer: 2^ROW_BLOCK_BITS
+ROW_BLOCK_BITS = 6
+ROW_BLOCK = 1 << ROW_BLOCK_BITS
+# the column layer's build squares about this many bytes of entries at a
+# time, so that each chunk's squares are still in cache when they are summed
+_CHUNK_BYTES = 1 << 20
 
 
 def fill_sums(sums: np.ndarray, leaves: np.ndarray) -> None:
@@ -43,13 +59,44 @@ def fill_sums(sums: np.ndarray, leaves: np.ndarray) -> None:
     and 2v + 1, leaf i sits at cap + i and holds the squared entry, and each
     internal node the sum of its children's; slot 0 is unused.
     """
-    cap = leaves.shape[-1]
-    sums[..., cap:] = leaves * leaves
-    half = cap // 2
+    sums[..., leaves.shape[-1]:] = leaves * leaves
+    sum_levels(sums)
+
+
+def sum_levels(sums: np.ndarray) -> None:
+    """Fill the internal nodes of the trees along the last axis of ``sums``
+    from their leaves' masses, level by level (the adds of ``fill_sums``)."""
+    half = sums.shape[-1] // 4
     while half >= 1:
         child = sums[..., 2 * half:4 * half]
-        sums[..., half:2 * half] = child[..., 0::2] + child[..., 1::2]
+        np.add(child[..., 0::2], child[..., 1::2],
+               out=sums[..., half:2 * half])
         half //= 2
+
+
+def block_sums(sq: np.ndarray) -> np.ndarray:
+    """Sums of every ROW_BLOCK consecutive rows of the 2-D ``sq``, whose
+    row count is a multiple of ROW_BLOCK, added strictly in order: bitwise
+    the last prefix that ``np.cumsum`` takes of each block.
+
+    numpy adds along an axis in order unless that axis is the innermost
+    one of the array, which it sums pairwise; so the blocks' rows are the
+    middle axis of a C-ordered array, next to a zero column if ``sq`` has
+    one column.
+    """
+    cols = sq.shape[1]
+    blocks = np.ascontiguousarray(sq).reshape(-1, ROW_BLOCK, cols)
+    if cols == 1:
+        blocks = np.concatenate([blocks, np.zeros_like(blocks)], axis=2)
+    return blocks.sum(axis=1)[:, :cols]
+
+
+def pick_in_block(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of prefix sums ``cum``, the first index whose prefix exceeds
+    ``u``. A ``u`` that rounded up to the row's total lands on the row's
+    last entry with mass, never on a zero tail."""
+    over = (cum <= u[:, None]).sum(axis=1)
+    return np.minimum(over, (cum < cum[:, -1:]).sum(axis=1))
 
 
 def sample_leaves(sums: np.ndarray, counts,
@@ -60,7 +107,18 @@ def sample_leaves(sums: np.ndarray, counts,
     Returns the tree and the leaf of every draw, tree by tree. All draws
     take their uniforms from one ``rng.random`` call in that order, which
     reads the stream exactly as one call per tree would, and descend
-    together, one vectorized step per tree level.
+    together in one ``descend``.
+    """
+    tree = np.repeat(np.arange(sums.shape[0]), counts)
+    u = rng.random(tree.size) * np.repeat(sums[:, 1], counts)
+    return tree, descend(sums, tree, u)[0]
+
+
+def descend(sums: np.ndarray, tree: np.ndarray,
+            u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk draw d down tree ``tree[d]`` of ``sums`` from the mass
+    ``u[d]``, in [0, that tree's total); returns each draw's leaf and the
+    residual mass left within it. ``u`` is consumed.
 
     The walk reads one threshold table, built in O(trees * leaves) per
     call: a draw at node j of depth d in tree t sits at flat index
@@ -70,17 +128,15 @@ def sample_leaves(sums: np.ndarray, counts,
     double, which a residual below the tree's finite total never
     reaches, so rounding in u cannot land a walk on a zero-mass leaf.
     Going left subtracts the threshold times 0, which is 0.0: every step
-    is branchless and bitwise a step that tests both children. A total
-    that overflows raises ValueError.
+    is branchless and bitwise a step that tests both children. A zero
+    total, or one that overflows, raises ValueError.
     """
-    trees, width = sums.shape
+    width = sums.shape[1]
     totals = sums[:, 1]
     if (totals <= 0.0).any():
         raise ValueError("cannot sample zero vector")
     if not (totals < _NEVER).all():
         raise ValueError("squared norm overflows")
-    tree = np.repeat(np.arange(trees), counts)
-    u = rng.random(tree.size) * np.repeat(totals, counts)
     # column v - 1 holds the threshold of internal node v, so depth d is
     # columns 2^d - 1 to 2^(d+1) - 2
     tables = np.where(sums[:, 3::2] == 0.0, _NEVER, sums[:, 2::2])
@@ -94,7 +150,7 @@ def sample_leaves(sums: np.ndarray, counts,
         flat <<= 1
         flat += right
         half *= 2
-    return tree, flat & (half - 1)
+    return flat & (half - 1), u
 
 
 class SampleTree:
@@ -187,15 +243,25 @@ class MatrixSampleStore:
         self.m, self.n = entries.shape
         self._entries = entries
         self.queries = 0
+        # serializes the column layer's build and refreshes between readers
+        self._lock = threading.Lock()
         self.rebuild()
 
     def rebuild(self) -> None:
-        """Recompute both norm arrays from the stored entries."""
+        """Recompute both norm arrays from the stored entries; the column
+        layer is built afresh at the next within-column draw."""
         sq = self._entries * self._entries
         self._row_norms = np.sqrt(sq.sum(axis=1))
         self._col_norms = np.sqrt(sq.sum(axis=0))
         self._trees = None
         self._updates = 0
+        self._col_sums = None
+        # flag of block b of column j, at b n + j: written since the column
+        # layer summed it (a bytearray item is the cheapest flag to set)
+        blocks = -(-self.m // ROW_BLOCK)
+        self._stale = bytearray(blocks * self.n)
+        self._stale_flags = np.frombuffer(self._stale, dtype=np.uint8
+                                          ).reshape(blocks, self.n)
 
     def _norm_trees(self) -> tuple[SampleTree, SampleTree]:
         """The row-norm and column-norm trees, built after the last write;
@@ -267,9 +333,95 @@ class MatrixSampleStore:
         col_sq = colv * colv - old * old + value * value
         self._col_norms[j] = math.sqrt(max(col_sq, 0.0))
         self._trees = None
+        self._stale[(i >> ROW_BLOCK_BITS) * self.n + j] = 1
         self._updates += 1
         if self._updates >= REBUILD_EVERY:
             self.rebuild()
+
+    def _block_entries(self, cols: np.ndarray,
+                       blocks: np.ndarray) -> np.ndarray:
+        """Entries of block ``blocks[d]`` of column ``cols[d]``, one
+        ROW_BLOCK-wide row per pair, zero past the last matrix row; counts
+        the entries read."""
+        rows = blocks[:, None] * ROW_BLOCK + np.arange(ROW_BLOCK)
+        inside = rows < self.m
+        self.queries += int(inside.sum())
+        vals = self._entries[np.minimum(rows, self.m - 1), cols[:, None]]
+        return np.where(inside, vals, 0.0)
+
+    def _build_column_layer(self) -> None:
+        """Sum every block of every column and one tree per column (see
+        fill_sums) over those sums. The entries are squared a chunk of whole
+        blocks at a time, each chunk in cache when it is summed; a ragged
+        last block is padded with zeros, which add exactly 0. Like the
+        store's build, this preprocessing counts no reads."""
+        m, n = self.m, self.n
+        blocks = self._stale_flags.shape[0]
+        cap = 1 << max(0, (blocks - 1).bit_length())
+        col_sums = np.zeros((n, 2 * cap))
+        chunk = ROW_BLOCK * min(blocks, max(1, _CHUNK_BYTES // (
+            8 * n * ROW_BLOCK)))
+        sq = np.zeros((chunk, n))
+        for start in range(0, m, chunk):
+            rows = min(chunk, m - start)
+            padded = -(-rows // ROW_BLOCK) * ROW_BLOCK
+            part = self._entries[start:start + rows]
+            np.multiply(part, part, out=sq[:rows])
+            sq[rows:padded] = 0.0
+            first = cap + start // ROW_BLOCK
+            col_sums[:, first:first + padded // ROW_BLOCK] = block_sums(
+                sq[:padded]).T
+        sum_levels(col_sums)
+        self._stale_flags[:] = 0
+        self._block_sq = col_sums[:, cap:cap + blocks]
+        self._col_sums = col_sums
+
+    def _column_trees(self, cols: np.ndarray) -> np.ndarray:
+        """The trees of the distinct columns ``cols``, bitwise a fresh
+        build's: the layer is built if it is not, and the written blocks
+        of ``cols`` are summed afresh and their trees re-summed. Reader
+        threads take turns here."""
+        with self._lock:
+            if self._col_sums is None:
+                self._build_column_layer()
+            block, at = np.nonzero(self._stale_flags[:, cols])
+            if at.size:
+                col = cols[at]
+                vals = self._block_entries(col, block)
+                self._block_sq[col, block] = block_sums((vals * vals).T)[0]
+                col = np.unique(col)
+                sums = self._col_sums[col]
+                sum_levels(sums)
+                self._col_sums[col] = sums
+                self._stale_flags[:, col] = 0
+            return self._col_sums[cols]
+
+    def sample_in_columns(self, cols, u) -> np.ndarray:
+        """Row i of column ``cols[d]`` for every draw d, with probability
+        A[i, j]^2 / ||A_{:,j}||^2 given its uniform ``u[d]`` in [0, 1].
+
+        All draws walk their columns' trees together to a block (see
+        ``descend``), then pick the row within the block from its prefix
+        sums; each distinct (column, block) is read once. Costs one index
+        draw per draw and ROW_BLOCK entry reads per distinct block, after
+        the flagged blocks of ``cols`` are summed afresh (ROW_BLOCK reads
+        each).
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        u = np.asarray(u, dtype=np.float64)
+        if cols.size and not 0 <= cols.min() <= cols.max() < self.n:
+            raise IndexError(f"column out of range for {self.n} columns")
+        if not ((u >= 0.0) & (u <= 1.0)).all():
+            raise ValueError("uniforms must lie in [0, 1]")
+        distinct, tree = np.unique(cols, return_inverse=True)
+        sums = self._column_trees(distinct)
+        block, rest = descend(sums, tree, u * sums[tree, 1])
+        blocks = self._stale_flags.shape[0]
+        pair, at = np.unique(cols * blocks + block, return_inverse=True)
+        vals = self._block_entries(pair // blocks, pair % blocks)
+        self.queries += cols.size
+        cum = np.cumsum(vals * vals, axis=1)[at]
+        return block * ROW_BLOCK + pick_in_block(cum, rest)
 
     def sample_column_indices(self, rng: np.random.Generator,
                               size: int) -> np.ndarray:

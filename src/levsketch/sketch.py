@@ -157,50 +157,33 @@ def sample_columns(store: MatrixSampleStore, p: int,
     return idx, probs
 
 
-def draw_from_cumsum(cum: np.ndarray, u: float) -> int:
-    """Index i with cum[i-1] <= u < cum[i] for cumulative masses ``cum``.
-
-    A ``u`` that rounded up to the total lands on the last index with
-    positive mass, never on a zero-mass tail.
-    """
-    i = int(np.searchsorted(cum, u, side="right"))
-    return i if i < cum.size else int(np.searchsorted(cum, cum[-1]))
-
-
 def sample_rows(store: MatrixSampleStore, col_indices, p: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """p row indices from the mixture of the sampled columns' distributions.
 
     Each draw picks t uniformly, then a row within column j_t by squared
-    entry; this is the library's one within-column draw. The returned
-    probabilities are the exact mixture values
-    P'_i = sum_t A[i, j_t]^2 / (p ||A_{:,j_t}||^2), which equal
-    ||S_{i,:}||^2 / ||S||_F^2.
+    entry, from one ``rng.integers`` and one ``rng.random`` call in that
+    order; the store then walks all p draws together
+    (``MatrixSampleStore.sample_in_columns``), the library's one
+    within-column draw. The returned probabilities are the exact mixture
+    values P'_i = sum_t A[i, j_t]^2 / (p ||A_{:,j_t}||^2), which equal
+    ||S_{i,:}||^2 / ||S||_F^2, from one gather of the distinct rows.
     """
     cols = np.asarray(col_indices, dtype=np.int64)
     col_sq = np.array([store.col_sq_norm(j) for j in cols])
     if np.any(col_sq <= 0.0):
         raise ValueError("zero column")
-    # cache each distinct column's cumulative weights; repeated draws from
-    # the same column then skip the O(m) walk
-    cum_cache: dict[int, np.ndarray] = {}
-    prob_cache: dict[int, float] = {}
-    idx = np.empty(p, dtype=np.int64)
-    probs = np.empty(p)
+    picks = np.empty(p, dtype=np.int64)
+    u = np.empty(p)
     for t in range(p):
-        j = int(cols[rng.integers(0, cols.size)])
-        cum = cum_cache.get(j)
-        if cum is None:
-            col = store.column_values(j)
-            cum = np.cumsum(col * col)
-            cum_cache[j] = cum
-        i = draw_from_cumsum(cum, rng.random() * cum[-1])
-        idx[t] = i
-        if i not in prob_cache:
-            vals = store.block_values([i], cols)[0]
-            prob_cache[i] = float((vals * vals / col_sq).sum() / cols.size)
-        probs[t] = prob_cache[i]
-    return idx, probs
+        picks[t] = rng.integers(0, cols.size)
+        u[t] = rng.random()
+    idx = store.sample_in_columns(cols[picks], u)
+    rows, at = np.unique(idx, return_inverse=True)
+    vals = store.block_values(rows, cols)
+    # a row-wise sum adds each row as the sum of that row alone does
+    probs = (vals * vals / col_sq).sum(axis=1) / cols.size
+    return idx, probs[at]
 
 
 def s_rows(store: MatrixSampleStore, sketch: SketchDescription,

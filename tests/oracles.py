@@ -62,13 +62,14 @@ def chisquare_pvalue(counts, probs):
 
 
 def sample_leaves_reference(sums, counts, uniforms):
-    """(tree, leaf) of every draw of ``sample_leaves``, one scalar descent
-    per draw. Draw d of tree t starts from u = uniforms[d] * ||v_t||^2 and,
-    at each node, goes right when the right child's sum is nonzero and u
-    reaches the left child's sum, which it then subtracts from u."""
+    """(tree, leaf, residual) of every draw of ``sample_leaves``, one
+    scalar descent per draw. Draw d of tree t starts from
+    u = uniforms[d] * ||v_t||^2 and, at each node, goes right when the
+    right child's sum is nonzero and u reaches the left child's sum, which
+    it then subtracts from u; the residual is what is left of u."""
     trees, width = sums.shape
     cap = width // 2
-    tree, leaf = [], []
+    tree, leaf, rest = [], [], []
     draws = iter(uniforms)
     for t in range(trees):
         for _ in range(int(counts[t])):
@@ -82,4 +83,6 @@ def sample_leaves_reference(sums, counts, uniforms):
                     node += 1
             tree.append(t)
             leaf.append(node - cap)
-    return np.array(tree, dtype=np.int64), np.array(leaf, dtype=np.int64)
+            rest.append(u)
+    return (np.array(tree, dtype=np.int64), np.array(leaf, dtype=np.int64),
+            np.array(rest))

@@ -11,8 +11,9 @@ from levsketch import (LeverageReport, MatrixSampleStore, Params, SampleTree,
                        qisls_all, qisls_score, qisvd, read_report_csv,
                        SketchDescription, standard_normal, stream,
                        write_report_csv)
-from levsketch.estimator import BLOCK_DRAWS, MODES, row_scores
-from levsketch.sample_store import sample_leaves
+from levsketch.estimator import (BLOCK_DRAWS, MODES, mom_estimates,
+                                 row_scores, sampled_block)
+from levsketch.sample_store import fill_sums, sample_leaves
 from levsketch.sketch import s_rows
 
 
@@ -124,6 +125,84 @@ def loop_sampled_score(store, sketch, i, params, rng):
         t[j] = np.median(z.reshape(groups, size).mean(axis=1))
     u_row = t / sketch.sigma
     return float(u_row @ u_row)
+
+
+def loop_sampled_block(s, sketch, params, rng, out):
+    """``sampled_block`` with a Python loop over the rows for their
+    squared norms, group shapes and closing products."""
+    eta = 1.0 - (1.0 - params.delta) ** (1.0 / params.k)
+    scale = params.xi_effective * sketch.frob_norm
+    p = sketch.p
+    cap = 1 << max(0, (p - 1).bit_length())
+    sq = [float(srow @ srow) for srow in s]
+    live = np.flatnonzero(sq)
+    if live.size == 0:
+        return
+    shapes = [mom_group_shape(scale / math.sqrt(sq[r]), eta) for r in live]
+    groups = shapes[0][0]
+    sizes = np.array([size for _, size in shapes])
+    ends = np.cumsum(sketch.k * groups * sizes)
+    start = 0
+    while start < live.size:
+        drawn = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(
+            ends, drawn + BLOCK_DRAWS, side="right")))
+        block = live[start:stop]
+        leaves = np.zeros((block.size, cap))
+        leaves[:, :p] = s[block]
+        sums = np.zeros((block.size, 2 * cap))
+        fill_sums(sums, leaves)
+        cols = max(1, min(sketch.k, BLOCK_DRAWS // int(
+            groups * sizes[start:stop].sum())))
+        t = np.hstack([mom_estimates(sums, leaves, sketch.v[:, c:c + cols],
+                                     groups, sizes[start:stop], rng)
+                       for c in range(0, sketch.k, cols)])
+        for r, u_row in zip(block, t / sketch.sigma):
+            out[r] = u_row @ u_row
+        start = stop
+
+
+@given(st.integers(1, 40), st.integers(1, 6), st.lists(
+    st.one_of(st.none(), st.integers(-6, 6)), min_size=1, max_size=12),
+    st.sampled_from([0.05, 0.1, 0.3]),
+    st.sampled_from([0.2, 0.5, 1.0, 3.0]), st.integers(0, 10_000))
+def test_sampled_block_is_bitwise_the_row_loop(p, k, exponents, delta, xi,
+                                               seed):
+    # rows of norms 10^e (None: a zero row) over p columns and k
+    # coordinates; row norms, group sizes and scores are vectorized
+    k = min(k, p)
+    rng = stream(seed)
+    s = standard_normal(rng, (len(exponents), p))
+    for r, e in enumerate(exponents):
+        s[r] *= 0.0 if e is None else 10.0 ** e
+    sketch = SketchDescription(
+        col_indices=np.arange(p), col_probs=np.full(p, 1.0 / p),
+        row_indices=np.arange(p), row_probs=np.full(p, 1.0 / p),
+        frob_norm=float(np.sqrt((s * s).sum())) or 1.0,
+        v=standard_normal(rng, (p, k)),
+        sigma=np.sort(np.abs(standard_normal(rng, k)))[::-1] + 0.1)
+    params = compute_params(0.5, delta, k, 1.0, 1.0, 1.0, p_override=p,
+                            xi_override=xi)
+    got, want = np.zeros(len(exponents)), np.zeros(len(exponents))
+    vec_rng, loop_rng = stream(seed + 1), stream(seed + 1)
+    sampled_block(s, sketch, params, vec_rng, got)
+    loop_sampled_block(s, sketch, params, loop_rng, want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(vec_rng.random(2), loop_rng.random(2))
+
+
+def test_vanishing_xi_is_a_value_error():
+    # xi ||S||_F / ||S_i|| squares to 0: the group size 6 / 0 is refused
+    # as too many draws, not raised as a division by zero
+    s = np.array([[1.0, 2.0], [3.0, 4.0]])
+    sketch = SketchDescription(
+        col_indices=np.arange(2), col_probs=np.full(2, 0.5),
+        row_indices=np.arange(2), row_probs=np.full(2, 0.5),
+        frob_norm=1.0, v=np.eye(2), sigma=np.ones(2))
+    params = compute_params(0.5, 0.1, 2, 1.0, 1.0, 1.0, p_override=2,
+                            xi_override=1e-170)
+    with pytest.raises(ValueError, match="inf draws"):
+        sampled_block(s, sketch, params, stream(0), np.zeros(2))
 
 
 @pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 800])

@@ -1,6 +1,7 @@
 """MatrixSampleStore: norms, counted access, conditional sampling, CSV I/O."""
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from levsketch import (MatrixSampleStore, SampleTree, read_matrix_csv,
-                       sample_rows, stream, write_matrix_csv)
+from levsketch import (MatrixSampleStore, SampleTree, compute_params,
+                       gen_example1, qisvd, read_matrix_csv, sample_columns,
+                       sample_rows, stream, trial_stream, write_matrix_csv)
 from levsketch.cli import main
-from levsketch.sketch import draw_from_cumsum
+from levsketch.sample_store import ROW_BLOCK, pick_in_block
 
 from oracles import chisquare_pvalue
 
@@ -451,6 +453,189 @@ class TopDraw:
 
 
 def test_row_given_column_never_lands_on_zero_mass_tail():
-    # column (1, 2, 0, 0): a uniform draw that rounded up to the total 5
-    cum = np.cumsum([1.0, 4.0, 0.0, 0.0])
-    assert draw_from_cumsum(cum, TopDraw().random() * cum[-1]) == 1
+    # a block (1, 2, 0, ..., 0): a uniform draw that rounded up to the
+    # total 5 lands on the last entry with mass
+    block = np.zeros(ROW_BLOCK)
+    block[:2] = [1.0, 2.0]
+    cum = np.cumsum(block * block)[None]
+    assert pick_in_block(cum, TopDraw().random() * cum[:, -1]).tolist() == [1]
+    # so does the whole draw: the walk skips the empty third block and
+    # the uniform 1.0 leaves the total of the second one
+    col = np.zeros(3 * ROW_BLOCK)
+    col[[5, ROW_BLOCK + 3, ROW_BLOCK + 9]] = [2.0, 1.0, 3.0]
+    store = MatrixSampleStore(col[:, None])
+    assert store.sample_in_columns([0], np.array([1.0])).tolist() == [
+        ROW_BLOCK + 9]
+
+
+def column_layer(store):
+    """(block sums, column trees) of the store's column layer, as copies,
+    after every written block is summed afresh."""
+    store._column_trees(np.arange(store.n))
+    return store._block_sq.copy(), store._col_sums.copy()
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (63, 2), (64, 1), (65, 4),
+                                  (300, 1), (300, 7), (4097, 3)])
+def test_column_layer_sums_every_block_in_order(monkeypatch, m, n):
+    # built 64 rows at a time, the block sums are bitwise the last prefix
+    # of each block's cumsum, and the trees those of a one-chunk build
+    monkeypatch.setattr("levsketch.sample_store._CHUNK_BYTES", 1)
+    rng = stream(50 + m + n)
+    a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 8, (m, 1))
+    chunked = column_layer(MatrixSampleStore(a))
+    sq = a * a
+    pad = np.zeros((-m % ROW_BLOCK, n))
+    cum = np.cumsum(np.vstack([sq, pad]).reshape(-1, ROW_BLOCK, n), axis=1)
+    assert np.array_equal(chunked[0], cum[:, -1].T)
+    monkeypatch.undo()
+    assert all(np.array_equal(x, y) for x, y in zip(
+        chunked, column_layer(MatrixSampleStore(a))))
+
+
+def row_draw_reads(store, cols, idx):
+    """Reads that sample_rows makes for the draws ``idx`` from ``cols``:
+    one norm read and one index draw per draw, each distinct block of a
+    drawn column once and each distinct drawn row's p sketch entries."""
+    pairs = {(int(j), int(i) // ROW_BLOCK) for j, i in zip(cols, idx)}
+    blocks = sum(min(ROW_BLOCK, store.m - b * ROW_BLOCK) for _, b in pairs)
+    return 2 * len(cols) + blocks + len(cols) * np.unique(idx).size, pairs
+
+
+def test_row_draw_reads_do_not_grow_with_m():
+    p = 60
+    bound = 2 * p + ROW_BLOCK * p + p * p
+    for m in (1000, 4000, 16000):
+        store = MatrixSampleStore(gen_example1(m, 100, 70, seed=9 ^ m))
+        rng = trial_stream(9 ^ m, 0)
+        cols, _ = sample_columns(store, p, rng)
+        state = rng.bit_generator.state
+        before = store.queries
+        idx, _ = sample_rows(store, cols, p, rng)
+        reads = store.queries - before
+        # the columns of the same draws: one index, then one uniform
+        rng.bit_generator.state = state
+        drawn = []
+        for _ in range(p):
+            drawn.append(int(cols[rng.integers(0, p)]))
+            rng.random()
+        expected, pairs = row_draw_reads(store, drawn, idx)
+        assert reads == expected <= bound
+        assert len(pairs) <= p
+
+
+def test_within_column_draws_follow_squared_entries():
+    for m in (1, 63, 64, 65, 4097):
+        rng = stream(60 + m)
+        col = rng.standard_normal(m)
+        # a zero block, a zero tail and a few zero entries
+        col[ROW_BLOCK:2 * ROW_BLOCK] = 0.0
+        col[max(1, m - 30):] = 0.0
+        col[rng.integers(0, m, m // 10)] = 0.0
+        if not col.any():
+            col[0] = 1.5
+        # the distribution on few rows, for cells that fill up
+        if m > 200:
+            keep = rng.choice(np.flatnonzero(col), 40, replace=False)
+            col[np.setdiff1d(np.arange(m), keep)] = 0.0
+        a = np.column_stack([rng.standard_normal(m), col])
+        store = MatrixSampleStore(a)
+        draws = store.sample_in_columns(np.ones(30_000, dtype=np.int64),
+                                        stream(70 + m).random(30_000))
+        assert (col[draws] != 0.0).all()
+        counts = np.bincount(draws, minlength=m)
+        if m > 1:
+            assert chisquare_pvalue(counts, col * col / (col @ col)) >= 0.01
+
+
+def test_within_column_draw_rejects_bad_input(small_store):
+    for cols in ([2], [-1]):
+        with pytest.raises(IndexError, match="out of range"):
+            small_store.sample_in_columns(cols, [0.5])
+    for u in (-0.25, 1.5, np.nan):
+        with pytest.raises(ValueError, match="uniforms"):
+            small_store.sample_in_columns([0], [u])
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (64, 5), (65, 4), (700, 9)])
+def test_column_layer_after_writes_is_a_fresh_build(m, n):
+    rng = stream(80 + m)
+    a = rng.standard_normal((m, n)) + 3.0
+    store = MatrixSampleStore(a.copy())
+    for burst in range(4):
+        for _ in range(3 * m):
+            i, j = int(rng.integers(0, m)), int(rng.integers(0, n))
+            v = 0.0 if rng.random() < 0.2 else float(rng.standard_normal())
+            a[i, j] = v
+            store.update(i, j, v)
+        a[0] = 1.0
+        for j in range(n):
+            store.update(0, j, 1.0)
+        fresh = MatrixSampleStore(a)
+        cols = rng.integers(0, n, 25)
+        uniforms = rng.random(40)
+        picks = rng.integers(0, cols.size, 40)
+        assert np.array_equal(
+            store.sample_in_columns(cols[picks], uniforms),
+            fresh.sample_in_columns(cols[picks], uniforms))
+        # seeded row draws on the written store are a fresh store's
+        got, _ = sample_rows(store, cols, 40, stream(burst))
+        want, _ = sample_rows(fresh, cols, 40, stream(burst))
+        assert np.array_equal(got, want)
+        # the refresh reads each written block of a drawn column once
+        store.sample_in_columns(np.arange(n), np.zeros(n))
+        assert not store._stale_flags.any()
+        assert all(np.array_equal(x, y) for x, y in zip(
+            column_layer(store), column_layer(fresh)))
+
+
+def test_threads_sketching_after_writes_match_serial():
+    rng = stream(90)
+    a = gen_example1(4000, 40, 10, seed=91)
+    writes = [(int(rng.integers(0, 4000)), int(rng.integers(0, 40)),
+               float(rng.standard_normal())) for _ in range(3000)]
+    stores = [MatrixSampleStore(a), MatrixSampleStore(a)]
+    for store in stores:
+        for i, j, v in writes:
+            store.update(i, j, v)
+    frob = math.sqrt(stores[0].sq_frobenius)
+    params = compute_params(0.5, 0.1, 8, 1.0, frob, frob, p_override=40)
+
+    def sketch(store, t):
+        return qisvd(store, params, trial_stream(92, t))
+
+    serial = [sketch(stores[0], t) for t in range(16)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # more threads than the reference host's two cores
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda t: sketch(stores[1], t),
+                                     range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    for one, other in zip(serial, threaded):
+        for name in ("col_indices", "col_probs", "row_indices", "row_probs",
+                     "v", "sigma"):
+            assert np.array_equal(getattr(one, name), getattr(other, name))
+    assert all(np.array_equal(x, y) for x, y in zip(
+        column_layer(stores[0]), column_layer(stores[1])))
+
+
+def test_readers_racing_to_the_column_layer_build_it_once(monkeypatch):
+    store = MatrixSampleStore(stream(93).standard_normal((300, 5)) + 2.0)
+    builds = []
+    real = MatrixSampleStore._build_column_layer
+
+    def slow(self):
+        builds.append(self)
+        time.sleep(0.05)
+        real(self)
+
+    monkeypatch.setattr(MatrixSampleStore, "_build_column_layer", slow)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(
+            lambda _: store.sample_in_columns([0, 1, 2], [0.3, 0.6, 0.9]),
+            range(8), timeout=60))
+    assert len(builds) == 1
+    assert all(np.array_equal(g, got[0]) for g in got)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from levsketch import MatrixSampleStore, SampleTree, stream
-from levsketch.sample_store import fill_sums, sample_leaves
+from levsketch.sample_store import descend, fill_sums, sample_leaves
 
 from oracles import chisquare_pvalue, sample_leaves_reference
 
@@ -159,9 +159,15 @@ def _forest(leaves, counts, uniforms):
 def test_sample_leaves_matches_scalar_reference(forest):
     sums, counts, uniforms = forest
     tree, leaf = sample_leaves(sums, counts, Uniforms(uniforms))
-    ref_tree, ref_leaf = sample_leaves_reference(sums, counts, uniforms)
+    ref_tree, ref_leaf, ref_rest = sample_leaves_reference(sums, counts,
+                                                           uniforms)
     assert np.array_equal(tree, ref_tree)
     assert np.array_equal(leaf, ref_leaf)
+    # the same walk from the same masses, with the residual it leaves
+    u = np.array(uniforms, dtype=np.float64) * sums[tree, 1]
+    walked, rest = descend(sums, tree, u)
+    assert np.array_equal(walked, leaf)
+    assert np.array_equal(rest, ref_rest)
     # every draw lands on a leaf with mass
     cap = sums.shape[1] // 2
     assert (sums[tree, cap + leaf] > 0.0).all()

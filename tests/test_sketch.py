@@ -116,6 +116,20 @@ def test_sample_rows_mixture_probs(small_store):
     assert probs.sum() > 0
 
 
+@given(st.integers(0, 5000), st.integers(1, 200), st.integers(1, 150))
+def test_row_probs_are_bitwise_per_row_sums(seed, m, p):
+    # one gather and a row-wise sum, bitwise each drawn row's own sum
+    rng = stream(seed)
+    a = standard_normal(rng, (m, 12)) * 10.0 ** rng.integers(-5, 5, (m, 1))
+    store = MatrixSampleStore(a)
+    cols, _ = sample_columns(store, p, rng)
+    rows, probs = sample_rows(store, cols, p, rng)
+    col_sq = np.array([store.col_sq_norm(j) for j in cols])
+    for i, prob in zip(rows, probs):
+        vals = store.block_values([i], cols)[0]
+        assert prob == float((vals * vals / col_sq).sum() / cols.size)
+
+
 def test_sample_rows_zero_column_rejected():
     store = MatrixSampleStore([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="zero column"):

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import textfile
 from .diagnostics import concentration_ratios, deviation_bound
 from .estimator import LeverageReport, qisls_all, write_report_csv
 from .oracle import gen_example1, gen_example2, oracle_facts
@@ -254,14 +255,13 @@ def cmd_concentration(cfg: RunConfig) -> int:
     bound = deviation_bound(cfg.theta, cfg.p)
     exceed_aat = float(np.mean(aat >= cfg.theta))
     exceed_wtw = float(np.mean(wtw >= cfg.theta))
-    lines = [f"# theta={cfg.theta!r}", f"# p={cfg.p}",
-             f"# trials={cfg.trials}", f"# seed={cfg.seed}",
-             f"# bound={bound!r}", f"# exceed_aat={exceed_aat!r}",
-             f"# exceed_wtw={exceed_wtw!r}", "trial,aat_ratio,wtw_ratio"]
-    for t in range(cfg.trials):
-        lines.append(f"{t + 1},{aat[t]!r},{wtw[t]!r}")
-    with open(cfg.output, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = textfile.meta_lines(
+        theta=cfg.theta, p=cfg.p, trials=cfg.trials, seed=cfg.seed,
+        bound=bound, exceed_aat=exceed_aat, exceed_wtw=exceed_wtw)
+    lines.append("trial,aat_ratio,wtw_ratio")
+    lines += [f"{t + 1},{textfile.floats(pair)}"
+              for t, pair in enumerate(zip(aat, wtw))]
+    textfile.write(cfg.output, lines)
     print(f"bound={bound!r} exceed_aat={exceed_aat!r} exceed_wtw={exceed_wtw!r}")
     return 0
 
@@ -289,13 +289,11 @@ def cmd_bench(cfg: RunConfig) -> int:
             wall[t] = (time.perf_counter() - start) * 1e3
             per_score[t] = (store.queries - before) / store.m
         rows_out.append((m, cfg.n, float(per_score.mean()), float(wall.mean())))
-    lines = [f"# p={cfg.p}", f"# k={cfg.k}", f"# zero={cfg.zero}",
-             f"# trials={cfg.trials}", f"# seed={cfg.seed}",
-             "m,n,queries,wall_ms"]
-    for m, n, q, w in rows_out:
-        lines.append(f"{m},{n},{q!r},{w!r}")
-    with open(cfg.output, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = textfile.meta_lines(p=cfg.p, k=cfg.k, zero=cfg.zero,
+                                trials=cfg.trials, seed=cfg.seed)
+    lines.append("m,n,queries,wall_ms")
+    lines += [f"{m},{n},{textfile.floats(qw)}" for m, n, *qw in rows_out]
+    textfile.write(cfg.output, lines)
     for m, n, q, w in rows_out:
         print(f"m={m} n={n} queries_per_score={q!r} wall_ms={w!r}")
     return 0

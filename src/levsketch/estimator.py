@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textfile
 from .rng import stream
 from .sample_store import (MatrixSampleStore, SampleTree, fill_sums,
                            sample_leaves)
-from .sketch import (Params, SketchDescription, positive_integers, s_matrix,
-                     s_rows)
+from .sketch import Params, SketchDescription, s_matrix, s_rows
 
 MODES = ("exact-dot", "sampled-dot")
 # draws per block of sampled-dot rows: enough to spread numpy's fixed cost
@@ -29,20 +29,19 @@ BLOCK_DRAWS = 1 << 14
 MAX_COORD_DRAWS = 1 << 24
 
 
-def mom_groups(eta: float) -> int:
-    """Group count for failure probability eta: Chernoff gives
-    9 ln(1/eta) groups."""
+def mom_group_shape(xi, eta: float) -> tuple[int, float | np.ndarray]:
+    """(group count, group size) for additive error xi||x||||y|| with
+    failure probability eta: Chernoff gives 9 ln(1/eta) groups and
+    Chebyshev ceil(6/xi^2) draws per group, as a float that is inf where
+    it overflows. An array ``xi`` gives one size per value."""
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    return max(math.ceil(9.0 * math.log(1.0 / eta)), 1)
-
-
-def mom_group_shape(xi: float, eta: float) -> tuple[int, int]:
-    """(group count, group size) for additive error xi||x||||y|| with
-    failure probability eta: Chebyshev gives 6/xi^2 per group."""
-    if xi <= 0.0:
+    xi = np.asarray(xi, dtype=np.float64)
+    if not (xi > 0.0).all():
         raise ValueError("xi must be positive")
-    return mom_groups(eta), math.ceil(6.0 / (xi * xi))
+    with np.errstate(divide="ignore", over="ignore"):
+        sizes = np.ceil(6.0 / (xi * xi))
+    return max(math.ceil(9.0 * math.log(1.0 / eta)), 1), sizes
 
 
 def estimate_inner(x_tree: SampleTree, y, xi: float, eta: float,
@@ -60,7 +59,7 @@ def estimate_inner(x_tree: SampleTree, y, xi: float, eta: float,
     y = np.asarray(y, dtype=np.float64)
     est = mom_estimates(x_tree._sums[None], x_tree._leaf[None], y[:, None],
                         groups, np.array([size]), rng)
-    x_tree.touches += groups * size * (2 * x_tree._levels + 1)
+    x_tree.touches += groups * int(size) * (2 * x_tree._levels + 1)
     return float(est[0, 0])
 
 
@@ -168,12 +167,9 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
     live = np.flatnonzero(sq)
     if live.size == 0:
         return
-    # mom_group_shape's group size ceil(6 / xi^2) for each row's own xi; a
-    # size that overflows is inf, which mom_estimates refuses
-    groups = mom_groups(eta)
-    xi = scale / np.sqrt(sq[live])
-    with np.errstate(divide="ignore", over="ignore"):
-        sizes = np.ceil(6.0 / (xi * xi))
+    # each row's own xi; a size that overflows is inf, which mom_estimates
+    # refuses
+    groups, sizes = mom_group_shape(scale / np.sqrt(sq[live]), eta)
     ends = np.cumsum(sketch.k * groups * sizes)
     start = 0
     while start < live.size:
@@ -283,30 +279,19 @@ def write_report_csv(path, report: LeverageReport) -> None:
     """Header `i,approx,exact,abs_err`, 1-based indices, with metadata
     comments carrying mode, seed, coherence, and the full params."""
     p = report.params
-    lines = [f"# mode={report.mode}",
-             f"# seed={report.seed}",
-             f"# coherence_row={report.coherence_row + 1}",
-             f"# coherence={repr(report.coherence)}",
-             f"# k={p.k}", f"# p={p.p}"]
-    for name in _REPORT_FLOATS:
-        lines.append(f"# {name}={repr(getattr(p, name))}")
-    if p.p_override is not None:
-        lines.append(f"# p_override={p.p_override}")
-    if p.xi_override is not None:
-        lines.append(f"# xi_override={repr(p.xi_override)}")
+    lines = textfile.meta_lines(
+        mode=report.mode, seed=report.seed,
+        coherence_row=report.coherence_row + 1, coherence=report.coherence,
+        k=p.k, p=p.p, **{name: getattr(p, name) for name in _REPORT_FLOATS},
+        p_override=p.p_override, xi_override=p.xi_override)
+    nan = np.full(report.rows.size, np.nan)
+    table = np.column_stack([
+        report.approx, nan if report.exact is None else report.exact,
+        nan if report.abs_err is None else report.abs_err]).tolist()
     lines.append("i,approx,exact,abs_err")
-    nan = float("nan")
-    for t in range(report.rows.size):
-        e = nan if report.exact is None else float(report.exact[t])
-        a = nan if report.abs_err is None else float(report.abs_err[t])
-        lines.append(f"{int(report.rows[t]) + 1},"
-                     f"{repr(float(report.approx[t]))},{repr(e)},{repr(a)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _malformed(path, what: str) -> ValueError:
-    return ValueError(f"malformed report file {path}: {what}")
+    lines += [f"{i + 1},{textfile.floats(vals)}"
+              for i, vals in zip(report.rows.tolist(), table)]
+    textfile.write(path, lines)
 
 
 def read_report_csv(path) -> LeverageReport:
@@ -314,52 +299,35 @@ def read_report_csv(path) -> LeverageReport:
     metadata key, a non-numeric field, a row index that is not a positive
     integer, a data row of other than 4 fields or a file without data rows
     raises a one-line ValueError."""
-    meta: dict[str, str] = {}
-    body: list[list[str]] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("i,"):
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key] = val
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise _malformed(path, f"data row of {len(fields)} fields")
-            body.append(fields)
+    f = textfile.TextFile(path, "report", header="i,")
+    body = [line.split(",") for line in f.sections[None]]
+    for fields in body:
+        if len(fields) != 4:
+            raise f.malformed(f"data row of {len(fields)} fields")
     if not body:
-        raise _malformed(path, "no data rows")
-    try:
-        data = np.array([[float(x) for x in fields] for fields in body])
-        params = Params(
-            epsilon=float(meta["epsilon"]), delta=float(meta["delta"]),
-            k=int(meta["k"]), kappa=float(meta["kappa"]),
-            spectral_norm=float(meta["spectral_norm"]),
-            frob_norm=float(meta["frob_norm"]), omega=float(meta["omega"]),
-            theta=float(meta["theta"]), p=int(meta["p"]),
-            xi=float(meta["xi"]),
-            p_override=(int(meta["p_override"]) if "p_override" in meta
-                        else None),
-            xi_override=(float(meta["xi_override"]) if "xi_override" in meta
-                         else None))
-        coherence_row = int(meta["coherence_row"]) - 1
-        coherence = float(meta["coherence"])
-        seed = int(meta["seed"])
-        mode = meta["mode"]
-    except KeyError as exc:
-        raise _malformed(path, f"no {exc.args[0]} line") from None
-    except ValueError as exc:
-        raise _malformed(path, f"non-numeric field ({exc})") from None
-    index = data[:, 0]
-    if not positive_integers(index):
-        raise _malformed(path, "row index not a positive integer")
+        raise f.malformed("no data rows")
+    data = np.array([f.numbers(fields) for fields in body])
+    meta = f.metadata()
+    missing = [key for key in (*_REPORT_FLOATS, "k", "p", "coherence_row",
+                               "coherence", "seed", "mode")
+               if key not in meta]
+    if missing:
+        raise f.malformed(f"no {missing[0]} line")
+
+    def number(key: str, cast=float):
+        return f.numbers([meta[key]], cast)[0] if key in meta else None
+
+    params = Params(k=number("k", int), p=number("p", int),
+                    p_override=number("p_override", int),
+                    xi_override=number("xi_override"),
+                    **{name: number(name) for name in _REPORT_FLOATS})
     exact = data[:, 2]
     abs_err = data[:, 3]
     if np.isnan(exact).all():
         exact = abs_err = None
     return LeverageReport(
-        rows=index.astype(np.int64) - 1, approx=data[:, 1],
-        exact=exact, abs_err=abs_err, coherence_row=coherence_row,
-        coherence=coherence, mode=mode, seed=seed, params=params)
+        rows=f.indices(data[:, 0], "row index"), approx=data[:, 1],
+        exact=exact, abs_err=abs_err,
+        coherence_row=number("coherence_row", int) - 1,
+        coherence=number("coherence"), mode=meta["mode"],
+        seed=number("seed", int), params=params)

@@ -39,6 +39,8 @@ import threading
 
 import numpy as np
 
+from . import textfile
+
 # store rebuild after this many updates, to bound column-norm drift
 REBUILD_EVERY = 1_000_000
 # threshold of an empty right subtree: no residual reaches it, and
@@ -305,11 +307,6 @@ class MatrixSampleStore:
         # needs to round as each row's own product does
         return self._entries.take(rows, axis=0).take(idx, axis=1)
 
-    def column_values(self, j: int) -> np.ndarray:
-        """Column A[:, j]; costs m entry reads."""
-        self.queries += self.m
-        return self._entries[:, int(j)].copy()
-
     def col_sq_norm(self, j: int) -> float:
         j = int(j)
         if not 0 <= j < self.n:
@@ -436,40 +433,15 @@ def write_matrix_csv(path, matrix, metadata: dict | None = None) -> None:
     """Write a dense matrix as comma-separated rows with `#` metadata lines.
 
     ``m`` and ``n`` are always recorded; extra metadata keys are written one
-    per line as ``# key=value``. Values are formatted with ``repr`` so the
-    file round-trips bit-exactly.
+    per line as ``# key=value``. Values are formatted as the text file
+    format does (see ``textfile``), so the file round-trips bit-exactly.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    lines = [f"# m={arr.shape[0]} n={arr.shape[1]}"]
-    for key, val in (metadata or {}).items():
-        if key in ("m", "n"):
-            continue
-        val = repr(float(val)) if isinstance(val, float) else val
-        lines.append(f"# {key}={val}")
-    for row in arr:
-        lines.append(",".join(repr(float(x)) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_meta_token(token: str):
-    for cast in (int, float):
-        try:
-            return cast(token)
-        except ValueError:
-            pass
-    return token
-
-
-def _malformed(path, what: str) -> ValueError:
-    return ValueError(f"malformed matrix file {path}: {what}")
-
-
-def _numbers(path, cast, fields) -> list:
-    try:
-        return [cast(x) for x in fields]
-    except ValueError as exc:
-        raise _malformed(path, f"non-numeric field ({exc})") from None
+    meta = {key: val for key, val in (metadata or {}).items()
+            if key not in ("m", "n")}
+    textfile.write(path, [f"# m={arr.shape[0]} n={arr.shape[1]}",
+                          *textfile.meta_lines(**meta),
+                          *map(textfile.floats, arr)])
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
@@ -477,30 +449,18 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     form (``# coo m n`` header, then 1-based ``i,j,value`` lines, each
     position at most once). A malformed file raises a one-line ValueError.
     """
-    meta: dict = {}
+    f = textfile.TextFile(path, "matrix")
+    meta = {key: textfile.typed(val) for key, val in f.metadata().items()}
+    rows = f.sections[None]
     coo = None
-    rows = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("coo"):
-                    parts = body.split()
-                    if len(parts) != 3:
-                        raise _malformed(path, "expected a '# coo m n' header")
-                    coo = tuple(_numbers(path, int, parts[1:]))
-                    if min(coo) < 1:
-                        raise _malformed(path, f"'# {body}' needs m, n >= 1")
-                    continue
-                for token in body.split():
-                    if "=" in token:
-                        key, _, val = token.partition("=")
-                        meta[key] = _parse_meta_token(val)
-                continue
-            rows.append(line)
+    for body in f.comments:
+        if body.startswith("coo"):
+            parts = body.split()
+            if len(parts) != 3:
+                raise f.malformed("expected a '# coo m n' header")
+            coo = tuple(f.numbers(parts[1:], int))
+            if min(coo) < 1:
+                raise f.malformed(f"'# {body}' needs m, n >= 1")
     if coo is not None:
         m, n = coo
         arr = np.zeros((m, n))
@@ -508,24 +468,24 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
         for line in rows:
             fields = line.split(",")
             if len(fields) != 3:
-                raise _malformed(path, "triplet lines must be i,j,value")
-            i, j = _numbers(path, int, fields[:2])
+                raise f.malformed("triplet lines must be i,j,value")
+            i, j = f.numbers(fields[:2], int)
             if not (1 <= i <= m and 1 <= j <= n):
-                raise _malformed(path, f"entry ({i}, {j}) outside the "
-                                 f"{m}x{n} matrix")
+                raise f.malformed(f"entry ({i}, {j}) outside the {m}x{n} "
+                                  "matrix")
             if (i, j) in seen:
-                raise _malformed(path, f"entry ({i}, {j}) given twice")
+                raise f.malformed(f"entry ({i}, {j}) given twice")
             seen.add((i, j))
-            arr[i - 1, j - 1] = _numbers(path, float, fields[2:])[0]
+            arr[i - 1, j - 1] = f.numbers(fields[2:])[0]
         meta.setdefault("m", m)
         meta.setdefault("n", n)
         return arr, meta
-    values = [_numbers(path, float, line.split(",")) for line in rows]
+    values = [f.numbers(line.split(",")) for line in rows]
     widths = {len(row) for row in values}
     if len(widths) > 1:
-        raise _malformed(path, f"rows of {sorted(widths)} fields")
+        raise f.malformed(f"rows of {sorted(widths)} fields")
     shape = (len(values), widths.pop() if widths else 0)
     if (meta.get("m", shape[0]), meta.get("n", shape[1])) != shape:
-        raise _malformed(path, f"header m={meta.get('m')} n={meta.get('n')} "
-                         f"but {shape[0]} rows of {shape[1]} values")
+        raise f.malformed(f"header m={meta.get('m')} n={meta.get('n')} "
+                          f"but {shape[0]} rows of {shape[1]} values")
     return np.array(values), meta

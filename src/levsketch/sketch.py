@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textfile
 from .sample_store import MatrixSampleStore
 from .svd import svd_dense, truncate_top_k
 
@@ -194,11 +195,8 @@ def s_rows(store: MatrixSampleStore, sketch: SketchDescription,
 
 def s_matrix(store: MatrixSampleStore,
              sketch: SketchDescription) -> np.ndarray:
-    """Dense m-by-p S, one counted column read (m entries) per sample."""
-    s = np.empty((store.m, sketch.p))
-    for t, j in enumerate(sketch.col_indices):
-        s[:, t] = store.column_values(int(j)) * sketch.col_scale[t]
-    return s
+    """Dense m-by-p S, as one counted gather of every row (m p entries)."""
+    return s_rows(store, sketch, np.arange(store.m))
 
 
 def build_w(store: MatrixSampleStore, sketch: SketchDescription) -> np.ndarray:
@@ -267,92 +265,64 @@ def write_sketch_csv(path, sketch: SketchDescription) -> None:
 
     Indices are written 1-based, matching the matrix file conventions.
     """
-    lines = [f"# frob_norm={repr(float(sketch.frob_norm))}", "[cols]"]
-    for j, prob in zip(sketch.col_indices, sketch.col_probs):
-        lines.append(f"{int(j) + 1},{repr(float(prob))}")
-    lines.append("[rows]")
-    for i, prob in zip(sketch.row_indices, sketch.row_probs):
-        lines.append(f"{int(i) + 1},{repr(float(prob))}")
-    lines.append("[V]")
-    for row in sketch.v:
-        lines.append(",".join(repr(float(x)) for x in row))
-    lines.append("[sigma]")
-    lines.append(",".join(repr(float(x)) for x in sketch.sigma))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = textfile.meta_lines(frob_norm=float(sketch.frob_norm))
+    for name, index, probs in (
+            ("cols", sketch.col_indices, sketch.col_probs),
+            ("rows", sketch.row_indices, sketch.row_probs)):
+        lines.append(f"[{name}]")
+        lines += [f"{int(i) + 1},{textfile.floats([prob])}"
+                  for i, prob in zip(index, probs)]
+    textfile.write(path, [*lines, "[V]", *map(textfile.floats, sketch.v),
+                          "[sigma]", textfile.floats(sketch.sigma)])
 
 
-def _floats(path, fields) -> list[float]:
-    try:
-        return [float(x) for x in fields]
-    except ValueError as exc:
-        raise ValueError(f"malformed sketch file {path}: non-numeric field "
-                         f"({exc})") from None
+def _positive(values: np.ndarray) -> bool:
+    return bool((np.isfinite(values) & (values > 0.0)).all())
 
 
-def positive_integers(values: np.ndarray) -> bool:
-    """Whether every value is a positive integer that a double holds
-    exactly, so that a cast to int64 keeps it."""
-    return bool((np.isfinite(values) & (values >= 1) & (values <= 2.0 ** 53)
-                 & (values == np.floor(values))).all())
-
-
-def _draws(path, name: str, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+def _draws(f: textfile.TextFile, name: str,
+           pairs: list) -> tuple[np.ndarray, np.ndarray]:
     """0-based indices and probabilities of the ``[name]`` section's
     1-based (index, probability) lines."""
     index, probs = np.array(pairs).T
-    if not positive_integers(index):
-        raise ValueError(f"malformed sketch file {path}: [{name}] index not "
-                         "a positive integer")
-    if not (np.isfinite(probs) & (probs > 0.0)).all():
-        raise ValueError(f"malformed sketch file {path}: [{name}] "
-                         "probability not positive")
-    return index.astype(np.int64) - 1, probs
+    index = f.indices(index, f"[{name}] index")
+    if not _positive(probs):
+        raise f.malformed(f"[{name}] probability not positive")
+    return index, probs
 
 
 def read_sketch_csv(path) -> SketchDescription:
     """Read a file written by :func:`write_sketch_csv`.
 
     Raises ValueError with a one-line message if the file is truncated or
-    its sections are malformed, an index is not a positive integer or a
-    probability is not positive and finite.
+    its sections are malformed, an index is not a positive integer, a
+    probability, a singular value or frob_norm is not positive and finite,
+    or an entry of V is not finite.
     """
-    section = None
-    frob = None
-    parts: dict[str, list] = {"cols": [], "rows": [], "V": [], "sigma": []}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("frob_norm="):
-                    frob = _floats(path, [body.partition("=")[2]])[0]
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1]
-                continue
-            if section not in parts:
-                raise ValueError(f"malformed sketch file {path}: data "
-                                 "outside the [cols], [rows], [V], [sigma] "
-                                 "sections")
-            parts[section].append(_floats(path, line.split(",")))
-    missing = [f"[{name}]" for name, rows in parts.items() if not rows]
-    if frob is None:
+    f = textfile.TextFile(path, "sketch", sections=("cols", "rows", "V",
+                                                    "sigma"))
+    meta = f.metadata()
+    missing = [f"[{name}]" for name, rows in f.sections.items() if not rows]
+    if "frob_norm" not in meta:
         missing.insert(0, "frob_norm")
     if missing:
         raise ValueError(f"truncated sketch file {path}: missing "
                          f"{', '.join(missing)}")
-    p, k = len(parts["cols"]), len(parts["sigma"][0])
-    if (any(len(r) != 2 for r in parts["cols"] + parts["rows"])
-            or len(parts["rows"]) != p or len(parts["sigma"]) != 1
-            or len(parts["V"]) != p or any(len(r) != k for r in parts["V"])):
-        raise ValueError(f"malformed sketch file {path}: section sizes "
-                         "disagree")
-    cols, col_probs = _draws(path, "cols", parts["cols"])
-    rows, row_probs = _draws(path, "rows", parts["rows"])
+    frob = f.numbers([meta["frob_norm"]])[0]
+    cols, rows, v, sigma = ([f.numbers(line.split(",")) for line in part]
+                            for part in f.sections.values())
+    p, k = len(cols), len(sigma[0])
+    if (any(len(r) != 2 for r in cols + rows) or len(rows) != p
+            or len(sigma) != 1 or len(v) != p
+            or any(len(r) != k for r in v)):
+        raise f.malformed("section sizes disagree")
+    v, sigma = np.array(v), np.array(sigma[0])
+    if not (np.isfinite(v).all() and _positive(sigma)
+            and 0.0 < frob < math.inf):
+        raise f.malformed("[V] not finite, or [sigma] or frob_norm not "
+                          "positive")
+    cols, col_probs = _draws(f, "cols", cols)
+    rows, row_probs = _draws(f, "rows", rows)
     return SketchDescription(col_indices=cols, col_probs=col_probs,
                              row_indices=rows, row_probs=row_probs,
-                             frob_norm=frob, v=np.array(parts["V"]),
-                             sigma=np.array(parts["sigma"][0]))
+                             frob_norm=frob, v=v, sigma=sigma)

@@ -191,6 +191,9 @@ def test_concentration_bound_holds(tmp_path, gaussian_csv):
     data = [l for l in lines if l and not l.startswith(("#", "trial,"))]
     assert len(data) == 50
     assert data[0].split(",")[0] == "1"
+    # every field is a plain number, never a numpy scalar's repr
+    ratios = np.array([[float(x) for x in l.split(",")] for l in data])
+    assert ratios.shape == (50, 3)
 
 
 def test_concentration_huge_theta_never_exceeded(tmp_path, gaussian_csv):
@@ -221,6 +224,19 @@ def test_concentration_reruns_byte_identical(tmp_path, gaussian_csv):
     run(argv + ["-o", outs[0]])
     run(argv + ["-o", outs[1]])
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_concentration_output_is_pinned(tmp_path):
+    # the deviation ratios are written as plain floats, pinned byte for
+    # byte from a generated matrix
+    mat = tmp_path / "e1.csv"
+    assert run(["gen", "--family", "example1", "--m", 40, "--n", 6,
+                "--seed", 1, "-o", mat]) == 0
+    out = tmp_path / "conc.csv"
+    assert run(["concentration", mat, "--theta", 0.15, "--p", 20,
+                "--trials", 6, "--seed", 2, "-o", out]) == 0
+    assert sha256_of(out) == ("7b69e4031c6cecba5539796cbc998a29"
+                              "30e75294134aacd074e4393e8d03abb1")
 
 
 def test_bench_header_and_constant_per_score_queries(tmp_path, capsys):

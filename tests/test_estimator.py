@@ -23,6 +23,8 @@ def test_mom_group_shape():
     assert groups == math.ceil(9.0 * math.log(20.0))
     with pytest.raises(ValueError, match="xi"):
         mom_group_shape(0.0, 0.1)
+    # a group size that overflows is inf, which the draw cap refuses
+    assert mom_group_shape(1e-170, 0.1)[1] == math.inf
     with pytest.raises(ValueError, match="eta"):
         mom_group_shape(0.1, 1.0)
 
@@ -122,7 +124,7 @@ def loop_sampled_score(store, sketch, i, params, rng):
     for j in range(sketch.k):
         idx = tree.sample_indices(rng, groups * size)
         z = sketch.v[idx, j] * (tree.sq_norm / srow[idx])
-        t[j] = np.median(z.reshape(groups, size).mean(axis=1))
+        t[j] = np.median(z.reshape(groups, int(size)).mean(axis=1))
     u_row = t / sketch.sigma
     return float(u_row @ u_row)
 
@@ -203,6 +205,9 @@ def test_vanishing_xi_is_a_value_error():
                             xi_override=1e-170)
     with pytest.raises(ValueError, match="inf draws"):
         sampled_block(s, sketch, params, stream(0), np.zeros(2))
+    with pytest.raises(ValueError, match="inf draws"):
+        estimate_inner(SampleTree([1.0, 2.0]), [1.0, 1.0], 1e-170, 0.1,
+                       stream(0))
 
 
 @pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 800])
@@ -511,9 +516,10 @@ def some_report(tmp_path):
     (lambda t: t.rpartition(",")[0] + "\n", "3 fields"),
     (lambda t: t.partition("i,approx")[0], "no data rows"),
     (lambda t: "# mode=x\n1,0.5,nan,nan\n", "no epsilon line"),
+    (lambda t: t.replace("i,approx", "[V]\ni,approx"), "1 fields"),
 ], ids=["missing-key", "non-numeric-meta", "empty-meta", "five-fields",
         "non-numeric-field", "fractional-index", "zero-index", "three-fields",
-        "no-data", "mode-only"])
+        "no-data", "mode-only", "section-line"])
 def test_malformed_report_is_value_error(tmp_path, edit, reason):
     path = some_report(tmp_path)
     path.write_text(edit(path.read_text()))
@@ -525,6 +531,8 @@ def test_malformed_report_is_value_error(tmp_path, edit, reason):
 
 FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+# numpy scalars reach Params from callers that pass numpy norms
+POSITIVE_OR_NUMPY = POSITIVE | POSITIVE.map(np.float64)
 
 
 @st.composite
@@ -534,8 +542,8 @@ def reports(draw):
     params = Params(
         k=draw(st.integers(1, 500)), p=draw(st.integers(1, 10**6)),
         p_override=draw(st.none() | st.integers(1, 10**6)),
-        xi_override=draw(st.none() | POSITIVE),
-        **{name: draw(POSITIVE) for name in (
+        xi_override=draw(st.none() | POSITIVE_OR_NUMPY),
+        **{name: draw(POSITIVE_OR_NUMPY) for name in (
             "epsilon", "delta", "kappa", "spectral_norm", "frob_norm",
             "omega", "theta", "xi")})
     exact = draw(st.none() | vectors)

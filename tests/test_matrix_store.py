@@ -56,7 +56,7 @@ def test_entry_and_gather_access(small_store):
     np.testing.assert_array_equal(
         small_store.block_values([1], [1, 0]), np.array([[4.0, 3.0]]))
     np.testing.assert_array_equal(
-        small_store.column_values(1), np.array([2.0, 4.0]))
+        small_store.block_values([0, 1], [1]), np.array([[2.0], [4.0]]))
     arr = small_store.to_array()
     arr[0, 0] = 99.0
     assert small_store.query(0, 0) == 1.0
@@ -280,7 +280,7 @@ def test_query_counter_accounting(small_store):
     assert small_store.queries == 1
     small_store.block_values([0], [0, 1])
     assert small_store.queries == 3
-    small_store.column_values(0)
+    small_store.block_values([0, 1], [0])
     assert small_store.queries == 5
     small_store.col_sq_norm(1)
     assert small_store.queries == 6
@@ -375,12 +375,14 @@ DENSE = "# m=3 n=2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n"
     (COO + "1,x,1.0\n", "non-numeric field"),
     (COO.replace("1.5", "abc"), "non-numeric field"),
     (DENSE.replace("3.0,4.0", "3.0,x"), "non-numeric field"),
+    (DENSE + "[V]\n7.0,8.0\n", "non-numeric field"),
+    (COO + "[V]\n", "i,j,value"),
 ], ids=["coo-row-0", "coo-col-0", "coo-row-above-m", "coo-col-above-n",
         "coo-duplicate", "coo-two-fields", "coo-four-fields", "coo-header",
         "coo-negative-m", "coo-zero-n",
         "dense-header-m", "dense-header-n", "dense-extra-row", "dense-ragged",
         "coo-header-text", "coo-index-text", "coo-value-text",
-        "dense-value-text"])
+        "dense-value-text", "dense-section-line", "coo-section-line"])
 def test_malformed_matrix_file_exits_two(tmp_path, capsys, text, reason):
     path = tmp_path / "bad.csv"
     path.write_text(text)

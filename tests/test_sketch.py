@@ -1,5 +1,6 @@
 """Parameter derivation and the two-stage column/row sketch."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -303,6 +304,17 @@ def test_sketch_csv_round_trip(tmp_path):
     assert back.frob_norm == sketch.frob_norm
 
 
+def test_sketch_csv_output_is_pinned(tmp_path):
+    # a seeded sketch file, pinned byte for byte
+    store = MatrixSampleStore(standard_normal(stream(33), (10, 6)))
+    prm = compute_params(0.5, 0.1, 3, 1.0, 1.0, 1.0, p_override=8)
+    path = tmp_path / "sketch.csv"
+    write_sketch_csv(path, qisvd(store, prm, stream(34)))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == ("e218a72ff5cac8f98b449ac3e32c19d1"
+                      "7f5e5a3390c920d1f2273a472ca9dc0c")
+
+
 @given(st.integers(0, 5000), st.integers(2, 10), st.integers(2, 8),
        st.integers(1, 30))
 def test_frobenius_preserved_property(seed, m, n, p):
@@ -329,15 +341,20 @@ def _cut_before(text, marker):
     return text[:text.index(marker)]
 
 
-def _first_entry(section, index=None, prob=None):
-    """An edit replacing the index or probability of the first line of
-    ``[section]``."""
+def _first_line(section, value, at=0):
+    """An edit replacing field ``at`` of the first line of ``[section]``
+    with ``value``."""
     def edit(text):
         head, _, rest = text.partition(f"[{section}]\n")
         line, _, tail = rest.partition("\n")
-        i, p = line.split(",")
-        return f"{head}[{section}]\n{index or i},{prob or p}\n{tail}"
+        fields = line.split(",")
+        fields[at] = value
+        return f"{head}[{section}]\n{','.join(fields)}\n{tail}"
     return edit
+
+
+def _frob_norm(value):
+    return lambda t: f"# frob_norm={value}\n" + t.partition("\n")[2]
 
 
 @pytest.mark.parametrize("cut", [
@@ -348,17 +365,27 @@ def _first_entry(section, index=None, prob=None):
     lambda t: t.replace("# frob_norm=", "# other="),
     lambda t: t.replace("[cols]\n", "[cols]\n1,x\n"),
     lambda t: t.replace("# frob_norm=", "# frob_norm=x"),
-    _first_entry("cols", index="2.7"),
-    _first_entry("cols", index="0"),
-    _first_entry("rows", index="-3"),
-    _first_entry("rows", index="inf"),
-    _first_entry("cols", prob="0.0"),
-    _first_entry("rows", prob="-0.25"),
-    _first_entry("cols", prob="nan"),
+    _first_line("cols", "2.7"),
+    _first_line("cols", "0"),
+    _first_line("rows", "-3"),
+    _first_line("rows", "inf"),
+    _first_line("cols", "0.0", at=1),
+    _first_line("rows", "-0.25", at=1),
+    _first_line("cols", "nan", at=1),
+    _first_line("sigma", "nan"),
+    _first_line("sigma", "0.0"),
+    _first_line("sigma", "-1.0", at=2),
+    _first_line("V", "inf", at=1),
+    _first_line("V", "nan"),
+    _frob_norm("nan"),
+    _frob_norm("0.0"),
+    _frob_norm("inf"),
 ], ids=["no-rows", "no-V", "no-sigma", "short-sigma", "no-frob-norm",
         "non-numeric-col-prob", "non-numeric-frob-norm", "fractional-col",
         "zero-col", "negative-row", "infinite-row", "zero-col-prob",
-        "negative-row-prob", "nan-col-prob"])
+        "negative-row-prob", "nan-col-prob", "nan-sigma", "zero-sigma",
+        "negative-sigma", "infinite-V", "nan-V", "nan-frob-norm",
+        "zero-frob-norm", "infinite-frob-norm"])
 def test_truncated_sketch_csv_is_value_error(tmp_path, cut):
     store = MatrixSampleStore(standard_normal(stream(33), (10, 6)))
     prm = compute_params(0.5, 0.1, 3, 1.0, 1.0, 1.0, p_override=8)

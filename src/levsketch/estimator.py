@@ -3,8 +3,9 @@
 The score of row i is ||t Sigma^-1||^2 with t_j close to S_{i,:} V_{:,j}.
 Exact-dot mode sums the p products directly, which is cheap whenever p is
 desk-scale. Sampled-dot mode draws indices from the row's squared-value
-distribution and runs a median-of-means estimate per coordinate; that is
-the access pattern whose cost does not grow with p.
+distribution, one draw set per row shared by the k coordinates, and takes
+a median-of-means of each coordinate; that is the access pattern whose
+cost does not grow with p.
 """
 from __future__ import annotations
 
@@ -20,12 +21,14 @@ from .sample_store import (MatrixSampleStore, SampleTree, fill_sums,
 from .sketch import Params, SketchDescription, s_matrix, s_rows
 
 MODES = ("exact-dot", "sampled-dot")
-# draws per block of sampled-dot rows: enough to spread numpy's fixed cost
-# per call over many draws, few enough that a block's arrays stay small
-# (8 to 16 rows at k=20; the fastest of the sizes tried on a 2-core host)
+# gathered values (draws times k) per block of sampled-dot rows: enough to
+# spread numpy's fixed cost per call over many draws, few enough that a
+# block's arrays stay small (8 to 16 rows at k=20; the fastest of the sizes
+# tried on a 2-core host)
 BLOCK_DRAWS = 1 << 14
-# most draws one coordinate of one row may take: above this a descent's
-# arrays run to gigabytes (a floored CLI run peaks near 3.7e6)
+# most draws one row may take, each shared by its k coordinates: above
+# this a descent's arrays run to gigabytes (a floored CLI run peaks near
+# 3.7e6)
 MAX_COORD_DRAWS = 1 << 24
 
 
@@ -70,47 +73,60 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
     ``leaves`` (trees in the rows of ``sums``, see ``fill_sums``) and every
     column y_c of ``ys``, as a (rows, columns) array.
 
-    Each estimate takes ``groups`` groups of ``sizes[r]`` draws, whole
-    numbers held as integers or floats. The draws come from one descent,
-    in the order row, column, group, sample: the stream is read as if by
-    one ``estimate_inner`` call per row and column. More than
-    MAX_COORD_DRAWS draws for one estimate (inf included) raises
-    ValueError.
+    Row r takes one draw set of ``groups`` groups of ``sizes[r]`` draws,
+    whole numbers held as integers or floats, and every column shares it:
+    draw i gives the row of values ys[i, :] ||x_r||^2 / x_i, whose group
+    means and median across groups are the estimates. The draws read the
+    stream in the order row, group, sample, so a one-column call reads it
+    as ``estimate_inner`` does. A single row whose draws times columns
+    exceed BLOCK_DRAWS descends BLOCK_DRAWS // (columns * size) groups at
+    a time (at least one), which reads the stream as one descent would;
+    the caller keeps a block of several rows within BLOCK_DRAWS. More than
+    MAX_COORD_DRAWS draws for one row (inf included) raises ValueError
+    before any draw.
     """
-    per_col = groups * sizes
-    if per_col.max() > MAX_COORD_DRAWS:
-        raise ValueError(f"sampled-dot needs {per_col.max():.0f} draws for "
+    per_row = groups * sizes
+    if per_row.max() > MAX_COORD_DRAWS:
+        raise ValueError(f"sampled-dot needs {per_row.max():.0f} draws for "
                          f"one coordinate, more than {MAX_COORD_DRAWS}; "
                          "pass a larger xi_override")
     sizes = sizes.astype(np.int64)
-    per_col = groups * sizes
+    step = groups if sizes.size > 1 else max(1, min(
+        groups, BLOCK_DRAWS // (ys.shape[1] * int(sizes[0]))))
+    means = np.concatenate([
+        group_means(sums, leaves, ys, min(step, groups - first), sizes, rng)
+        for first in range(0, groups, step)], axis=1)
+    # np.median's arithmetic, the mean of the middle one or two group
+    # means, taken from a sort, which is faster here than its partition
+    mid = slice((groups - 1) // 2, groups // 2 + 1)
+    return np.sort(means, axis=1)[:, mid].mean(axis=1)
+
+
+def group_means(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
+                groups: int, sizes: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """The (rows, groups, columns) group means of ``mom_estimates`` from
+    one descent of ``groups`` groups of ``sizes[r]`` draws per row."""
     rows, cap = leaves.shape
-    p, cols = ys.shape
-    counts = cols * per_col
+    counts = groups * sizes
     tree, idx = sample_leaves(sums, counts, rng)
     picked = leaves.ravel()[tree * cap + idx]
     if not picked.all():
         raise ValueError("sampled a zero coordinate")
-    # flat index of y_c[i] in the columns of ys laid end to end
-    at = np.repeat(np.tile(np.arange(0, cols * p, p), rows),
-                   np.repeat(per_col, cols))
-    at += idx
-    z = ys.T.ravel()[at] * (np.repeat(sums[:, 1], counts) / picked)
+    z = ys[idx]
+    z *= (sums[tree, 1] / picked)[:, None]
     # rows of one group size share a reshape; a mean of one draw is the
     # reduction's 0.0 + z, which is z except that -0.0 turns to 0.0
     starts = np.cumsum(counts) - counts
-    # np.median's arithmetic, the mean of the middle one or two group
-    # means, taken from a sort, which is faster here than its partition
-    mid = slice((groups - 1) // 2, groups // 2 + 1)
-    est = np.empty((rows, cols))
+    means = np.empty((rows, groups, ys.shape[1]))
     for size in np.unique(sizes):
         same = np.flatnonzero(sizes == size)
         draws = z if same.size == rows else z[
             starts[same, None] + np.arange(counts[same[0]])]
-        draws = draws.reshape(same.size, cols, groups, size)
-        means = draws[..., 0] + 0.0 if size == 1 else draws.mean(axis=3)
-        est[same] = np.sort(means, axis=2)[..., mid].mean(axis=2)
-    return est
+        draws = draws.reshape(same.size, groups, size, -1)
+        means[same] = draws[:, :, 0] + 0.0 if size == 1 else draws.mean(
+            axis=2)
+    return means
 
 
 def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
@@ -146,19 +162,20 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
     """Write the sampled-dot scores of the gathered rows ``s`` of S to the
     zeroed ``out``.
 
-    The nonzero rows are scored in blocks of consecutive rows with at most
-    BLOCK_DRAWS draws in all: one tree per row, one descent per block. A
-    row with more draws is a block of its own and descends a few
-    coordinates at a time, so no descent is larger than BLOCK_DRAWS or one
-    coordinate's draws.
+    Each nonzero row takes one draw set, shared by its k coordinates (see
+    ``mom_estimates``). Every draw gathers k values, so a block's budget
+    is BLOCK_DRAWS of those values, draws times k: the rows are scored in
+    blocks of consecutive rows within it, one tree per row and one descent
+    per block. A row over the budget by itself is a block of its own and
+    descends a few groups at a time.
 
-    The k coordinate estimates each get an independent run of the
-    estimator at per-coordinate success probability (1 - delta)^(1/k), and
-    the precision target is absolute, xi ||S||_F, so the relative xi handed
-    to the estimator is scaled by the row norm. A zero row scores 0 and
-    draws nothing.
+    Each coordinate lands within xi_i ||S_i|| ||V_{:,j}|| of the truth
+    with probability at least 1 - delta / k, so all k do at least with
+    1 - delta, by the union bound. The precision target is absolute,
+    xi ||S||_F, so the relative xi_i handed to the estimator is scaled by
+    the row norm. A zero row scores 0 and draws nothing.
     """
-    eta = 1.0 - (1.0 - params.delta) ** (1.0 / params.k)
+    eta = params.delta / params.k
     scale = params.xi_effective * sketch.frob_norm
     p = sketch.p
     cap = 1 << max(0, (p - 1).bit_length())
@@ -181,12 +198,8 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
         leaves[:, :p] = s[block]
         sums = np.zeros((block.size, 2 * cap))
         fill_sums(sums, leaves)
-        # a row over the bound draws a few coordinates at a time
-        cols = max(1, min(sketch.k, int(BLOCK_DRAWS // (
-            groups * sizes[start:stop].sum()))))
-        t = np.hstack([mom_estimates(sums, leaves, sketch.v[:, c:c + cols],
-                                     groups, sizes[start:stop], rng)
-                       for c in range(0, sketch.k, cols)])
+        t = mom_estimates(sums, leaves, sketch.v, groups, sizes[start:stop],
+                          rng)
         u = t / sketch.sigma
         out[block] = (u[:, None, :] @ u[:, :, None])[:, 0, 0]
         start = stop

@@ -304,8 +304,11 @@ class MatrixSampleStore:
         idx = np.asarray(cols, dtype=np.int64)
         self.queries += rows.size * idx.size
         # two takes are C-contiguous, which the stacked exact-dot product
-        # needs to round as each row's own product does
-        return self._entries.take(rows, axis=0).take(idx, axis=1)
+        # needs to round as each row's own product does; the axis whose
+        # take leaves the smaller intermediate goes first (same bits)
+        if rows.size * self.n <= self.m * idx.size:
+            return self._entries.take(rows, axis=0).take(idx, axis=1)
+        return self._entries.take(idx, axis=1).take(rows, axis=0)
 
     def col_sq_norm(self, j: int) -> float:
         j = int(j)
@@ -454,8 +457,8 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
     rows = f.sections[None]
     coo = None
     for body in f.comments:
-        if body.startswith("coo"):
-            parts = body.split()
+        parts = body.split()
+        if parts[:1] == ["coo"]:
             if len(parts) != 3:
                 raise f.malformed("expected a '# coo m n' header")
             coo = tuple(f.numbers(parts[1:], int))

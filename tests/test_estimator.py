@@ -11,8 +11,8 @@ from levsketch import (LeverageReport, MatrixSampleStore, Params, SampleTree,
                        qisls_all, qisls_score, qisvd, read_report_csv,
                        SketchDescription, standard_normal, stream,
                        write_report_csv)
-from levsketch.estimator import (BLOCK_DRAWS, MODES, mom_estimates,
-                                 row_scores, sampled_block)
+from levsketch.estimator import (BLOCK_DRAWS, MODES, group_means,
+                                 mom_estimates, row_scores, sampled_block)
 from levsketch.sample_store import fill_sums, sample_leaves
 from levsketch.sketch import s_rows
 
@@ -79,6 +79,29 @@ def test_estimate_inner_hits_additive_target_mostly():
     assert hits >= 48
 
 
+def test_shared_draws_cover_each_coordinate_and_all_together():
+    # one draw set per row serves all k columns of y: each coordinate keeps
+    # the one-column guarantee at eta = delta / k, and so, by the union
+    # bound, all k land together with probability at least 1 - delta
+    rng = stream(3)
+    x = standard_normal(rng, 40) * np.exp(standard_normal(rng, 40))
+    ys = standard_normal(rng, (40, 6))
+    xi, delta, k = 0.3, 0.1, ys.shape[1]
+    eta = delta / k
+    leaves = np.zeros((1, 64))
+    leaves[0, :40] = x
+    sums = np.zeros((1, 128))
+    fill_sums(sums, leaves)
+    groups, size = mom_group_shape(xi, eta)
+    bound = xi * math.sqrt(x @ x) * np.sqrt((ys * ys).sum(axis=0))
+    hits = np.array([
+        np.abs(mom_estimates(sums, leaves, ys, groups, np.array([size]),
+                             stream(5000 + t))[0] - x @ ys) <= bound
+        for t in range(300)])
+    assert (hits.mean(axis=0) >= 1.0 - eta).all()
+    assert hits.all(axis=1).mean() >= 1.0 - delta
+
+
 def rank_one_store():
     a = np.outer([3.0, -4.0, 0.0], [1.0, 2.0])
     return a, MatrixSampleStore(a)
@@ -109,59 +132,34 @@ def test_zero_row_scores_zero_in_both_modes():
                        rng=stream(5)) == 0.0
 
 
-def loop_sampled_score(store, sketch, i, params, rng):
-    """Sampled-dot score of row i the plain way: one tree for the row and
-    one draw call per coordinate."""
-    srow = s_rows(store, sketch, [i])[0]
+def loop_row_score(srow, sketch, params, rng):
+    """Sampled-dot score of one row of S the plain way: one tree for the
+    row and one draw call, whose draws every coordinate shares."""
     sq = float(srow @ srow)
     if sq == 0.0:
         return 0.0
     tree = SampleTree(srow)
-    eta = 1.0 - (1.0 - params.delta) ** (1.0 / params.k)
     groups, size = mom_group_shape(
-        params.xi_effective * sketch.frob_norm / math.sqrt(sq), eta)
-    t = np.empty(sketch.k)
-    for j in range(sketch.k):
-        idx = tree.sample_indices(rng, groups * size)
-        z = sketch.v[idx, j] * (tree.sq_norm / srow[idx])
-        t[j] = np.median(z.reshape(groups, int(size)).mean(axis=1))
+        params.xi_effective * sketch.frob_norm / math.sqrt(sq),
+        params.delta / params.k)
+    idx = tree.sample_indices(rng, groups * int(size))
+    z = sketch.v[idx] * (tree.sq_norm / srow[idx])[:, None]
+    t = np.median(z.reshape(groups, int(size), sketch.k).mean(axis=1),
+                  axis=0)
     u_row = t / sketch.sigma
     return float(u_row @ u_row)
 
 
+def loop_sampled_score(store, sketch, i, params, rng):
+    """Sampled-dot score of row i, gathered alone."""
+    return loop_row_score(s_rows(store, sketch, [i])[0], sketch, params, rng)
+
+
 def loop_sampled_block(s, sketch, params, rng, out):
-    """``sampled_block`` with a Python loop over the rows for their
-    squared norms, group shapes and closing products."""
-    eta = 1.0 - (1.0 - params.delta) ** (1.0 / params.k)
-    scale = params.xi_effective * sketch.frob_norm
-    p = sketch.p
-    cap = 1 << max(0, (p - 1).bit_length())
-    sq = [float(srow @ srow) for srow in s]
-    live = np.flatnonzero(sq)
-    if live.size == 0:
-        return
-    shapes = [mom_group_shape(scale / math.sqrt(sq[r]), eta) for r in live]
-    groups = shapes[0][0]
-    sizes = np.array([size for _, size in shapes])
-    ends = np.cumsum(sketch.k * groups * sizes)
-    start = 0
-    while start < live.size:
-        drawn = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(
-            ends, drawn + BLOCK_DRAWS, side="right")))
-        block = live[start:stop]
-        leaves = np.zeros((block.size, cap))
-        leaves[:, :p] = s[block]
-        sums = np.zeros((block.size, 2 * cap))
-        fill_sums(sums, leaves)
-        cols = max(1, min(sketch.k, BLOCK_DRAWS // int(
-            groups * sizes[start:stop].sum())))
-        t = np.hstack([mom_estimates(sums, leaves, sketch.v[:, c:c + cols],
-                                     groups, sizes[start:stop], rng)
-                       for c in range(0, sketch.k, cols)])
-        for r, u_row in zip(block, t / sketch.sigma):
-            out[r] = u_row @ u_row
-        start = stop
+    """``sampled_block`` as a Python loop over the rows, each drawn
+    whole."""
+    for r, srow in enumerate(s):
+        out[r] = loop_row_score(srow, sketch, params, rng)
 
 
 @given(st.integers(1, 40), st.integers(1, 6), st.lists(
@@ -212,10 +210,10 @@ def test_vanishing_xi_is_a_value_error():
 
 @pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 800])
 def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
-    # 130 rows, one of them zero, over several draw blocks; at 800 draws a
-    # block S is also gathered in several parts, and a row takes 4 times
-    # 33 to 726 draws, so the heavier rows are drawn a few coordinates at
-    # a time
+    # 130 rows, one of them zero, over several draw blocks; at a budget of
+    # 800 values a block S is also gathered in several parts, and a row
+    # takes 34 to 748 draws of 4 values each, so the heavier rows are over
+    # the budget by themselves and are drawn a few groups at a time
     monkeypatch.setattr("levsketch.estimator.BLOCK_DRAWS", block_draws)
     blocks = []
 
@@ -224,6 +222,13 @@ def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
         return sample_leaves(sums, counts, rng)
 
     monkeypatch.setattr("levsketch.estimator.sample_leaves", counting)
+    chunks = []
+
+    def chunk(sums, leaves, ys, groups, sizes, rng):
+        chunks.append(groups)
+        return group_means(sums, leaves, ys, groups, sizes, rng)
+
+    monkeypatch.setattr("levsketch.estimator.group_means", chunk)
     rng = stream(31)
     a = standard_normal(rng, (130, 6)) @ standard_normal(rng, (6, 10))
     a[57] = 0.0
@@ -238,7 +243,10 @@ def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
     block = qisls_all(store, sketch, prm, rows=rows, mode="sampled-dot",
                       rng=together).approx
     assert len(blocks) >= 3
-    assert all(c.sum() <= block_draws for c in blocks)
+    # no descent gathers more than the budget's values, 4 per draw
+    assert all(c.sum() <= block_draws // 4 for c in blocks)
+    # only under the small budget did a row descend a few groups at a time
+    assert (min(chunks) < 34) == (block_draws < BLOCK_DRAWS)
     single = np.array([qisls_score(store, sketch, int(i), mode="sampled-dot",
                                    params=prm, rng=one_by_one) for i in rows])
     plain = np.array([loop_sampled_score(store, sketch, int(i), prm, loop)

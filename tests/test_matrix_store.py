@@ -62,6 +62,17 @@ def test_entry_and_gather_access(small_store):
     assert small_store.query(0, 0) == 1.0
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (np.arange(40), [3, 0, 3]), ([5, 2, 5], np.arange(7)), ([1], [6])])
+def test_block_values_is_a_contiguous_gather(rows, cols):
+    # either axis may be taken first; the result is bitwise A[rows][:, cols]
+    # and C-contiguous, which the stacked exact-dot product needs
+    a = stream(9).standard_normal((40, 7))
+    got = MatrixSampleStore(a).block_values(rows, cols)
+    assert np.array_equal(got, a[np.asarray(rows)][:, np.asarray(cols)])
+    assert got.flags.c_contiguous
+
+
 def test_column_sampling_one_third_two_thirds(small_store):
     rng = stream(31)
     counts = np.bincount(small_store.sample_column_indices(rng, 30_000),
@@ -310,6 +321,14 @@ def test_dense_csv_round_trip(tmp_path):
     assert meta["m"] == 5 and meta["n"] == 3
     assert meta["rank"] == 3
     assert meta["frob_norm"] == float(np.sqrt((a * a).sum()))
+
+
+def test_metadata_key_starting_coo_is_not_a_triplet_header(tmp_path):
+    path = tmp_path / "mat.csv"
+    write_matrix_csv(path, np.eye(3), {"cool": 1})
+    back, meta = read_matrix_csv(path)
+    assert np.array_equal(back, np.eye(3))
+    assert meta == {"m": 3, "n": 3, "cool": 1}
 
 
 def test_coo_csv_one_based(tmp_path):

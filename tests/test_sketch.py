@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import given, strategies as st
 
 import levsketch.sketch
 from levsketch import (MatrixSampleStore, build_w, compute_params,
-                       draw_sketch, gen_example2, qisls_all, qisvd,
-                       read_sketch_csv, sample_columns, sample_rows,
+                       draw_sketch, gen_example1, gen_example2, qisls_all,
+                       qisvd, read_sketch_csv, sample_columns, sample_rows,
                        standard_normal, stream, theta_upper,
                        write_sketch_csv)
-from levsketch.sketch import s_rows
+from levsketch.sketch import s_matrix, s_rows
 
 from oracles import dense_s, dense_w
 from test_matrix_store import TopDraw
@@ -159,6 +160,21 @@ def test_entry_and_row_match_dense_s():
     assert s_rows(store, sketch, [2])[0, 4] == pytest.approx(s[2, 4],
                                                             rel=1e-14)
     np.testing.assert_allclose(s_rows(store, sketch, [3]), s[3:4], rtol=1e-14)
+
+
+def test_s_matrix_peak_allocation_stays_near_its_output():
+    # a tall store gathered at few columns must not copy all m x n entries
+    # on the way to its m x p output
+    store = MatrixSampleStore(gen_example1(20000, 100, 0, 40))
+    sketch = draw_sketch(store, 20, stream(41))
+    tracemalloc.start()
+    try:
+        s = s_matrix(store, sketch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (20000, 20)
+    assert peak < 3 * s.nbytes
 
 
 def test_build_w_matches_dense_oracle():

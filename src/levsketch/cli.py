@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,62 +30,6 @@ from .sketch import compute_params, qisvd
 # sampled-dot floor: theoretical xi at desk scale implies sample counts
 # beyond any budget, so the CLI never estimates below this precision
 XI_FLOOR = 0.1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed flag set; `parse_argv(cfg.to_argv()) == cfg` for every
-    command, which is the config round-trip the tests pin."""
-    command: str
-    output: str
-    input: str | None = None
-    family: str = "example1"
-    m: tuple[int, ...] = (1000,)
-    n: int = 100
-    zero: int = 0
-    r: int = 10
-    kappa: float = 1.0
-    a: int = 1
-    b: int = 10
-    seed: int = 0
-    trials: int = 1
-    epsilon: float = 0.5
-    delta: float = 0.1
-    k: int = 10
-    p: int | None = None
-    mode: str = "exact-dot"
-    rows: tuple[int, ...] | None = None
-    theta: float = 0.5
-
-    def to_argv(self) -> list[str]:
-        av = [self.command]
-        if self.input is not None:
-            av.append(self.input)
-        if self.command == "gen":
-            av += ["--family", self.family, "--m", str(self.m[0]),
-                   "--n", str(self.n), "--zero", str(self.zero),
-                   "--r", str(self.r), "--kappa", repr(self.kappa),
-                   "--a", str(self.a), "--b", str(self.b),
-                   "--seed", str(self.seed)]
-        elif self.command == "compare":
-            av += ["--seed", str(self.seed), "--trials", str(self.trials),
-                   "--epsilon", repr(self.epsilon), "--delta", repr(self.delta),
-                   "--k", str(self.k), "--mode", self.mode]
-            if self.p is not None:
-                av += ["--p", str(self.p)]
-            if self.rows is not None:
-                av += ["--rows", ",".join(str(i) for i in self.rows)]
-        elif self.command == "concentration":
-            av += ["--theta", repr(self.theta), "--p", str(self.p),
-                   "--trials", str(self.trials), "--seed", str(self.seed)]
-        elif self.command == "bench":
-            av += ["--m", ",".join(str(v) for v in self.m),
-                   "--n", str(self.n), "--zero", str(self.zero),
-                   "--p", str(self.p), "--k", str(self.k),
-                   "--trials", str(self.trials), "--seed", str(self.seed),
-                   "--epsilon", repr(self.epsilon), "--delta", repr(self.delta)]
-        av += ["-o", self.output]
-        return av
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -156,11 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def parse_argv(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    fields = {f: getattr(ns, f) for f in RunConfig.__dataclass_fields__
-              if hasattr(ns, f)}
-    return RunConfig(**fields)
+def parse_argv(argv) -> argparse.Namespace:
+    """The flags of one command line; each subcommand's namespace holds
+    exactly the flags its parser defines."""
+    return _build_parser().parse_args(argv)
 
 
 def _worker_count() -> int:
@@ -175,14 +118,16 @@ def _map_trials(fn, trials: int) -> list:
         return list(pool.map(fn, range(trials)))
 
 
-def _check_paths(cfg: RunConfig) -> None:
-    if cfg.input is not None and os.path.abspath(cfg.input) == os.path.abspath(cfg.output):
+def _check_paths(cfg: argparse.Namespace) -> None:
+    # bench reads no input file, so its namespace has no input
+    inp = getattr(cfg, "input", None)
+    if inp is not None and os.path.abspath(inp) == os.path.abspath(cfg.output):
         raise ValueError("input and output paths must be distinct")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: argparse.Namespace) -> int:
     if len(cfg.m) != 1:
         raise ValueError("gen takes a single --m value")
     m = cfg.m[0]
@@ -202,7 +147,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: argparse.Namespace) -> int:
     _check_paths(cfg)
     a, _ = read_matrix_csv(cfg.input)
     store = MatrixSampleStore(a)
@@ -240,19 +185,17 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_concentration(cfg: RunConfig) -> int:
+def cmd_concentration(cfg: argparse.Namespace) -> int:
     _check_paths(cfg)
     a, _ = read_matrix_csv(cfg.input)
     store = MatrixSampleStore(a)
-    if cfg.theta <= 0.0:
-        raise ValueError("theta must be positive")
+    bound = deviation_bound(cfg.theta, cfg.p)
 
     ratios = _map_trials(
         lambda t: concentration_ratios(store, cfg.p, trial_stream(cfg.seed, t)),
         cfg.trials)
     aat = np.array([r[0] for r in ratios])
     wtw = np.array([r[1] for r in ratios])
-    bound = deviation_bound(cfg.theta, cfg.p)
     exceed_aat = float(np.mean(aat >= cfg.theta))
     exceed_wtw = float(np.mean(wtw >= cfg.theta))
     lines = textfile.meta_lines(
@@ -266,7 +209,7 @@ def cmd_concentration(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: argparse.Namespace) -> int:
     _check_paths(cfg)
     # query counters are plain attributes, so bench always runs serially;
     # params here are practical-only (p and k drive everything measured)

@@ -26,9 +26,11 @@ import numpy as np
 from .sample_store import MatrixSampleStore
 from .sketch import Params, build_w, draw_sketch, s_matrix
 
+# singular values at or below this fraction of the largest are dropped
+REL_THRESHOLD = 1e-12
 
-def counted_sketch_spectrum(matrix, p: int, k: int, rng: np.random.Generator,
-                            rel_threshold: float = 1e-12
+
+def counted_sketch_spectrum(matrix, p: int, k: int, rng: np.random.Generator
                             ) -> tuple[np.ndarray, float]:
     """Top-k singular values of W and the defect ||U^T U - I||_F, for a
     sketch of `p` column and row draws evaluated through count statistics.
@@ -59,7 +61,7 @@ def counted_sketch_spectrum(matrix, p: int, k: int, rng: np.random.Generator,
     lam, vec = np.linalg.eigh(core)
     order = np.argsort(-lam, kind="stable")
     sigma = np.sqrt(np.clip(lam[order], 0.0, None))
-    significant = int((sigma > rel_threshold * sigma[0]).sum())
+    significant = int((sigma > REL_THRESHOLD * sigma[0]).sum())
     if significant == 0:
         raise ValueError("numerically rank zero")
     keep = min(int(k), significant)
@@ -93,7 +95,7 @@ def concentration_ratios(store: MatrixSampleStore, p: int,
 
 def deviation_bound(theta: float, p: int) -> float:
     """Tail probability bound 1 / (theta^2 p), clipped to 1."""
-    if theta <= 0.0 or p < 1:
+    if not theta > 0.0 or p < 1:
         raise ValueError("need theta > 0 and p >= 1")
     return min(1.0 / (theta * theta * p), 1.0)
 

@@ -9,6 +9,7 @@ matrix with a prescribed condition number.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -86,8 +87,8 @@ def gen_example2(m: int, n: int, r: int, kappa: float, a: int, b: int,
         raise ValueError("need 1 <= r <= min(m, n)")
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and >= 1")
     if r < 2 and kappa > 1.0:
         raise ValueError("r < 2 with kappa > 1: no distinct min and max")
     rng = stream(seed)

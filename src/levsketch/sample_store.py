@@ -251,10 +251,14 @@ class MatrixSampleStore:
 
     def rebuild(self) -> None:
         """Recompute both norm arrays from the stored entries; the column
-        layer is built afresh at the next within-column draw."""
-        sq = self._entries * self._entries
-        self._row_norms = np.sqrt(sq.sum(axis=1))
-        self._col_norms = np.sqrt(sq.sum(axis=0))
+        layer is built afresh at the next within-column draw. A norm whose
+        square overflows raises ValueError and leaves the store as it was."""
+        with np.errstate(over="ignore"):
+            sq = self._entries * self._entries
+            rows, cols = np.sqrt(sq.sum(axis=1)), np.sqrt(sq.sum(axis=0))
+        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+            raise ValueError("squared norm overflows")
+        self._row_norms, self._col_norms = rows, cols
         self._trees = None
         self._updates = 0
         self._col_sums = None

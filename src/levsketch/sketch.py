@@ -87,10 +87,10 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
         raise ValueError("delta must lie in (0, 1)")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
-    if spectral_norm <= 0.0 or frob_norm <= 0.0:
-        raise ValueError("norms must be positive")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and >= 1")
+    if not (0.0 < spectral_norm < math.inf and 0.0 < frob_norm < math.inf):
+        raise ValueError("norms must be positive and finite")
     k = int(k)
     omega, upper = theta_upper(epsilon, k, kappa, spectral_norm, frob_norm)
     if theta is None:

@@ -25,6 +25,8 @@ import numpy as np
 _TOL = 1e-14
 _MAX_SWEEPS = 60
 _EPS = np.finfo(float).eps
+# truncate_top_k drops singular values at or below this fraction of sigma_1
+REL_THRESHOLD = 1e-12
 
 
 @dataclass
@@ -53,8 +55,9 @@ def svd_dense(matrix) -> SvdResult:
     Returns
     -------
     SvdResult with min(m, n) triplets. Ties among equal singular values keep
-    the lower original column index first. Raises ValueError if the sweeps
-    have not converged after ``_MAX_SWEEPS``.
+    the lower original column index first. Raises ValueError if a squared
+    column norm overflows or the sweeps have not converged after
+    ``_MAX_SWEEPS``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if a.ndim != 2 or a.size == 0:
@@ -192,6 +195,8 @@ def pivoted_qr(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sq = np.einsum("ij,ij->j", rest, rest)
         top = sq.max()
         if j == 0:
+            if not math.isfinite(top):
+                raise ValueError("squared norm overflows")
             floor = (n * _EPS) ** 2 * top
         if top <= floor:
             break
@@ -223,8 +228,8 @@ def pivoted_qr(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, upper, perm
 
 
-def truncate_top_k(res: SvdResult, k: int, rel_threshold: float = 1e-12) -> SvdResult:
-    """Keep the leading triplets: min(k, count of sigma_i > rel_threshold * sigma_1).
+def truncate_top_k(res: SvdResult, k: int) -> SvdResult:
+    """Keep the leading triplets: min(k, count of sigma_i > REL_THRESHOLD * sigma_1).
 
     Raises if ``k`` is out of range or nothing survives the threshold
     ("numerically rank zero").
@@ -232,7 +237,7 @@ def truncate_top_k(res: SvdResult, k: int, rel_threshold: float = 1e-12) -> SvdR
     k = int(k)
     if not 1 <= k <= res.sigma.size:
         raise ValueError(f"k={k} out of range 1..{res.sigma.size}")
-    significant = int((res.sigma > rel_threshold * res.sigma[0]).sum())
+    significant = int((res.sigma > REL_THRESHOLD * res.sigma[0]).sum())
     if significant == 0:
         raise ValueError("numerically rank zero")
     keep = min(k, significant)

@@ -1,11 +1,15 @@
 """Command-line harness: flags, outputs, determinism, exit codes."""
 import hashlib
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levsketch import read_matrix_csv, read_report_csv, standard_normal, stream, write_matrix_csv
-from levsketch.cli import RunConfig, main, parse_argv
+from levsketch.cli import main, parse_argv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv):
@@ -24,22 +28,47 @@ def meta_floats(path):
     return out
 
 
-@pytest.mark.parametrize("cfg", [
-    RunConfig(command="gen", output="x.csv", family="example2", m=(64,),
-              n=16, r=3, kappa=2.5, a=2, b=7, seed=5),
-    RunConfig(command="gen", output="y.csv", family="example1", m=(40,),
-              n=10, zero=3, seed=1),
-    RunConfig(command="compare", output="r.csv", input="x.csv", seed=9,
-              trials=3, epsilon=0.25, delta=0.05, k=4, p=30,
-              mode="sampled-dot", rows=(1, 5, 9)),
-    RunConfig(command="compare", output="r.csv", input="x.csv"),
-    RunConfig(command="concentration", output="c.csv", input="x.csv",
-              theta=0.75, p=50, trials=20, seed=2),
-    RunConfig(command="bench", output="b.csv", m=(100, 200), n=8, zero=2,
-              p=12, k=3, trials=2, seed=7),
-])
-def test_config_round_trip(cfg):
-    assert parse_argv(cfg.to_argv()) == cfg
+@pytest.mark.parametrize("argv, expected", [
+    ("gen --family example2 --m 64 --n 16 --r 3 --kappa 2.5 --a 2 --b 7 "
+     "--seed 5 -o x.csv",
+     dict(command="gen", family="example2", m=(64,), n=16, zero=0, r=3,
+          kappa=2.5, a=2, b=7, seed=5, output="x.csv")),
+    ("gen --family example1 --m 40 --n 10 --zero 3 --seed 1 -o y.csv",
+     dict(command="gen", family="example1", m=(40,), n=10, zero=3, r=10,
+          kappa=1.0, a=1, b=10, seed=1, output="y.csv")),
+    ("compare x.csv --seed 9 --trials 3 --epsilon 0.25 --delta 0.05 --k 4 "
+     "--p 30 --mode sampled-dot --rows 1,5,9 -o r.csv",
+     dict(command="compare", input="x.csv", seed=9, trials=3, epsilon=0.25,
+          delta=0.05, k=4, p=30, mode="sampled-dot", rows=(1, 5, 9),
+          output="r.csv")),
+    ("compare x.csv -o r.csv",
+     dict(command="compare", input="x.csv", seed=0, trials=1, epsilon=0.5,
+          delta=0.1, k=10, p=None, mode="exact-dot", rows=None,
+          output="r.csv")),
+    ("concentration x.csv --theta 0.75 --p 50 --trials 20 --seed 2 -o c.csv",
+     dict(command="concentration", input="x.csv", theta=0.75, p=50,
+          trials=20, seed=2, output="c.csv")),
+    ("bench --m 100,200 --n 8 --zero 2 --p 12 --k 3 --trials 2 --seed 7 "
+     "-o b.csv",
+     dict(command="bench", m=(100, 200), n=8, zero=2, p=12, k=3, trials=2,
+          seed=7, epsilon=0.5, delta=0.1, output="b.csv")),
+    ("bench -o b.csv",
+     dict(command="bench", m=(1000, 4000, 16000), n=100, zero=70, p=60,
+          k=20, trials=1, seed=0, epsilon=0.5, delta=0.1, output="b.csv")),
+], ids=["gen-example2", "gen-example1", "compare", "compare-defaults",
+        "concentration", "bench", "bench-defaults"])
+def test_argv_parses_to_flags(argv, expected):
+    # every flag of the subcommand, given or defaulted, and no other
+    assert vars(parse_argv(argv.split())) == expected
+
+
+def test_readme_command_lines_parse():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [line.split()[1:] for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("levsketch ")]
+    assert sorted(parse_argv(argv).command for argv in lines) == [
+        "bench", "compare", "concentration", "gen"]
 
 
 def test_gen_example1_rank_metadata(tmp_path, capsys):
@@ -75,6 +104,15 @@ def test_gen_multiple_m_rejected(tmp_path, capsys):
     assert run(["gen", "--m", "8,12", "--n", 4,
                 "-o", tmp_path / "x.csv"]) == 2
     assert "single --m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_gen_non_finite_kappa_exits_two(tmp_path, capsys, kappa):
+    assert run(["gen", "--family", "example2", "--m", 10, "--n", 8,
+                "--r", 3, "--kappa", kappa, "-o", tmp_path / "g.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "kappa must" in err
+    assert err.count("\n") == 1
 
 
 def test_compare_covers_every_row(tmp_path, capsys):
@@ -217,6 +255,14 @@ def test_concentration_rejects_bad_theta(tmp_path, gaussian_csv):
                 "--trials", 2, "-o", tmp_path / "c.csv"]) == 2
 
 
+def test_concentration_rejects_nan_theta(tmp_path, gaussian_csv, capsys):
+    out = tmp_path / "c.csv"
+    assert run(["concentration", gaussian_csv, "--theta", "nan", "--p", 10,
+                "--trials", 2, "-o", out]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_concentration_reruns_byte_identical(tmp_path, gaussian_csv):
     outs = [tmp_path / f"c{i}.csv" for i in range(2)]
     argv = ["concentration", gaussian_csv, "--theta", 0.5, "--p", 30,
@@ -348,3 +394,15 @@ def test_zero_matrix_compare_exits_two(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_compare_overflowing_matrix_exits_two(tmp_path, capsys):
+    # every squared entry overflows: the store build refuses the matrix
+    # before any sketch, and no numpy warning adds a second stderr line
+    mat = tmp_path / "big.csv"
+    write_matrix_csv(mat, standard_normal(stream(1), (40, 8)) * 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["compare", mat, "--p", 10, "--k", 2,
+                    "-o", tmp_path / "rep.csv"]) == 2
+    assert capsys.readouterr().err == "error: squared norm overflows\n"

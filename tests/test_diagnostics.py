@@ -18,6 +18,8 @@ def test_deviation_bound_values():
         deviation_bound(0.0, 10)
     with pytest.raises(ValueError):
         deviation_bound(0.5, 0)
+    with pytest.raises(ValueError, match="theta > 0"):
+        deviation_bound(float("nan"), 5)
 
 
 def test_sigma_min_bound_formula():

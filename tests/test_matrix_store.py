@@ -2,6 +2,7 @@
 import math
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -110,6 +111,11 @@ def test_constructor_errors():
         MatrixSampleStore(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         MatrixSampleStore([[1.0, np.inf]])
+    # refused without a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            MatrixSampleStore(stream(1).standard_normal((40, 8)) * 1e200)
 
 
 def test_update_refreshes_all_layers(small_store):

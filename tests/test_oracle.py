@@ -148,6 +148,9 @@ def test_example2_validation():
         gen_example2(4, 3, 2, kappa=1.0, a=5, b=2, seed=0)
     with pytest.raises(ValueError, match="kappa"):
         gen_example2(4, 3, 2, kappa=0.5, a=1, b=2, seed=0)
+    for kappa in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="kappa must"):
+            gen_example2(10, 8, 3, kappa=kappa, a=1, b=10, seed=0)
 
 
 def test_row_permutation_permutes_scores():

@@ -67,6 +67,13 @@ def test_parameter_validation():
         compute_params(0.5, 0.1, 1, 0.9, 1.0, 1.0)
     with pytest.raises(ValueError, match="norms"):
         compute_params(0.5, 0.1, 1, 1.0, 0.0, 1.0)
+    for kappa, spectral, frob, match in [(math.inf, 1.0, 1.0, "kappa must"),
+                                         (math.nan, 1.0, 1.0, "kappa must"),
+                                         (2.0, math.nan, 1.0, "norms must"),
+                                         (2.0, math.inf, 1.0, "norms must"),
+                                         (2.0, 1.0, math.inf, "norms must")]:
+        with pytest.raises(ValueError, match=match):
+            compute_params(0.5, 0.1, 2, kappa, spectral, frob, p_override=10)
     with pytest.raises(ValueError, match="p_override"):
         compute_params(**REF, p_override=0)
     with pytest.raises(ValueError, match="xi_override"):

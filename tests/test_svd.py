@@ -95,6 +95,10 @@ def test_input_validation():
         svd_dense(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         svd_dense([[1.0, np.nan]])
+    # the first squared column norm is inf: factoring on would stop at rank
+    # 0 and report all-zero singular values
+    with pytest.raises(ValueError, match="squared norm overflows"):
+        svd_dense(standard_normal(stream(1), (40, 8)) * 1e200)
 
 
 def test_truncate_drops_below_relative_threshold():

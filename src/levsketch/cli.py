@@ -3,10 +3,9 @@ Monte Carlo, and query-count benchmarking.
 
 Every command is deterministic given --seed; rerunning writes byte-identical
 files, with the single exception of the wall_ms column of bench output.
-Trial-level work may run concurrently (LEVSKETCH_THREADS caps the workers)
-without affecting results, because trial t always draws from the stream
-seeded with seed XOR t. Row and trial indices on the command line and in
-files are 1-based; the Python API is 0-based.
+Trials run one after another, and trial t draws from the stream seeded
+with seed XOR t. Row and trial indices on the command line and in files
+are 1-based; the Python API is 0-based.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -86,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conc.add_argument("-o", dest="output", required=True)
 
     bench = sub.add_parser("bench", help="per-score query counts and wall "
-                           "time across matrix sizes (runs serially)")
+                           "time across matrix sizes")
     bench.add_argument("--m", type=_int_list, default=(1000, 4000, 16000))
     bench.add_argument("--n", type=int, default=100)
     bench.add_argument("--zero", type=int, default=70)
@@ -104,18 +102,6 @@ def parse_argv(argv) -> argparse.Namespace:
     """The flags of one command line; each subcommand's namespace holds
     exactly the flags its parser defines."""
     return _build_parser().parse_args(argv)
-
-
-def _worker_count() -> int:
-    return max(1, int(os.environ.get("LEVSKETCH_THREADS", "1")))
-
-
-def _map_trials(fn, trials: int) -> list:
-    workers = _worker_count()
-    if workers <= 1 or trials <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=min(workers, trials)) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def _check_paths(cfg: argparse.Namespace) -> None:
@@ -162,13 +148,13 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
         rows = np.asarray(cfg.rows, dtype=np.int64) - 1
     print(f"oracle-assisted: kappa={kappa!r} spectral_norm={spectral!r}")
 
-    def run_trial(t: int) -> LeverageReport:
+    reports = []
+    for t in range(cfg.trials):
         rng = trial_stream(cfg.seed, t)
         sketch = qisvd(store, params, rng)
-        return qisls_all(store, sketch, params, rows=rows, mode=cfg.mode,
-                         rng=rng, seed=cfg.seed ^ t, exact=exact)
-
-    reports = _map_trials(run_trial, cfg.trials)
+        reports.append(qisls_all(store, sketch, params, rows=rows,
+                                 mode=cfg.mode, rng=rng, seed=cfg.seed ^ t,
+                                 exact=exact))
     mean_approx = np.mean([r.approx for r in reports], axis=0)
     agg = LeverageReport.from_scores(reports[0].rows, mean_approx, exact,
                                      cfg.mode, cfg.seed, params)
@@ -191,9 +177,8 @@ def cmd_concentration(cfg: argparse.Namespace) -> int:
     store = MatrixSampleStore(a)
     bound = deviation_bound(cfg.theta, cfg.p)
 
-    ratios = _map_trials(
-        lambda t: concentration_ratios(store, cfg.p, trial_stream(cfg.seed, t)),
-        cfg.trials)
+    ratios = [concentration_ratios(store, cfg.p, trial_stream(cfg.seed, t))
+              for t in range(cfg.trials)]
     aat = np.array([r[0] for r in ratios])
     wtw = np.array([r[1] for r in ratios])
     exceed_aat = float(np.mean(aat >= cfg.theta))
@@ -211,7 +196,6 @@ def cmd_concentration(cfg: argparse.Namespace) -> int:
 
 def cmd_bench(cfg: argparse.Namespace) -> int:
     _check_paths(cfg)
-    # query counters are plain attributes, so bench always runs serially;
     # params here are practical-only (p and k drive everything measured)
     rows_out = []
     for m in cfg.m:

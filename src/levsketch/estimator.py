@@ -56,10 +56,13 @@ def estimate_inner(x_tree: SampleTree, y, xi: float, eta: float,
     across groups boosts the success probability, so the result lands
     within xi ||x|| ||y|| of the truth with probability at least 1 - eta.
     Draws land on nonzero coordinates by construction; a draw that does
-    not raises ValueError.
+    not raises ValueError, and so does a ``y`` whose length is not x's.
     """
-    groups, size = mom_group_shape(xi, eta)
     y = np.asarray(y, dtype=np.float64)
+    if y.shape != (x_tree.size,):
+        raise ValueError(f"y has shape {y.shape}, x has {x_tree.size} "
+                         "entries")
+    groups, size = mom_group_shape(xi, eta)
     est = mom_estimates(x_tree._sums[None], x_tree._leaf[None], y[:, None],
                         groups, np.array([size]), rng)
     x_tree.touches += groups * int(size) * (2 * x_tree._levels + 1)
@@ -136,13 +139,21 @@ def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
     at a time (at least one). Exact-dot takes each row's own product
     S_i V as one stacked matmul of 1-by-p rows, which is bitwise the
     per-row product where a block product S V is not; sampled-dot
-    estimates it with ``sampled_block``."""
+    estimates it with ``sampled_block``. A sketch whose columns the store
+    does not have, or whose V is not p by k, raises ValueError."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "sampled-dot" and (params is None or rng is None):
         raise ValueError("sampled-dot mode needs params and rng")
     if sketch.v is None or sketch.sigma is None:
         raise ValueError("sketch carries no singular triplets")
+    cols = sketch.col_indices
+    if cols.min() < 0 or cols.max() >= store.n:
+        raise ValueError(f"sketch columns out of range for the store's "
+                         f"{store.n} columns")
+    if sketch.v.shape != (sketch.p, sketch.k):
+        raise ValueError(f"sketch v has shape {sketch.v.shape}, not (p, k) "
+                         f"= ({sketch.p}, {sketch.k})")
     scores = np.zeros(rows.size)
     step = max(1, BLOCK_DRAWS // sketch.p)
     for first in range(0, rows.size, step):
@@ -205,16 +216,27 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
         start = stop
 
 
+def _row_indices(rows, m: int) -> np.ndarray:
+    """``rows`` as int64 indices of an m-row store. An empty set, an index
+    that is not a whole number or one outside [0, m) raises ValueError."""
+    rows = np.asarray(rows)
+    if rows.size == 0:
+        raise ValueError("empty row set")
+    if rows.dtype.kind not in "iu":
+        raise ValueError("row index must be a whole number")
+    if rows.min() < 0 or rows.max() >= m:
+        raise ValueError("row index out of range")
+    return rows.astype(np.int64)
+
+
 def qisls_score(store: MatrixSampleStore, sketch: SketchDescription, i: int,
                 mode: str = "exact-dot", params: Params | None = None,
                 rng: np.random.Generator | None = None) -> float:
     """Approximate leverage score of row i, as a one-row ``row_scores``
     call. Exact-dot needs only the sketch; sampled-dot additionally needs
     params (for xi and delta) and an rng."""
-    if not 0 <= i < store.m:
-        raise ValueError("row index out of range")
-    return float(row_scores(store, sketch, np.array([i], dtype=np.int64),
-                            mode, params, rng)[0])
+    return float(row_scores(store, sketch, _row_indices([i], store.m), mode,
+                            params, rng)[0])
 
 
 @dataclass
@@ -256,11 +278,7 @@ def qisls_all(store: MatrixSampleStore, sketch: SketchDescription,
     if rows is None:
         rows = np.arange(store.m, dtype=np.int64)
     else:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            raise ValueError("empty row set")
-        if rows.min() < 0 or rows.max() >= store.m:
-            raise ValueError("row index out of range")
+        rows = _row_indices(rows, store.m)
     if exact is not None:
         exact = np.asarray(exact, dtype=np.float64)
         if exact.shape != (store.m,):

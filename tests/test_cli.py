@@ -184,14 +184,13 @@ def test_compare_missing_input_exits_one(tmp_path):
                 "-o", tmp_path / "rep.csv"]) == 1
 
 
-def test_compare_reruns_byte_identical(tmp_path, monkeypatch):
+def test_compare_reruns_byte_identical(tmp_path):
     mat = tmp_path / "m.csv"
     write_matrix_csv(mat, standard_normal(stream(15), (24, 8)))
     outs = [tmp_path / f"rep{i}.csv" for i in range(3)]
     argv = ["compare", mat, "--p", 12, "--k", 2, "--trials", 3, "--seed", 5]
     run(argv + ["-o", outs[0]])
     run(argv + ["-o", outs[1]])
-    monkeypatch.setenv("LEVSKETCH_THREADS", "4")
     run(argv + ["-o", outs[2]])
     b0 = outs[0].read_bytes()
     assert outs[1].read_bytes() == b0
@@ -325,17 +324,15 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_sampled_dot_compare_output_is_pinned(tmp_path, monkeypatch):
+def test_sampled_dot_compare_output_is_pinned(tmp_path):
     # seeded sampled-dot scores must not move when the scorer is
-    # restructured: the report is pinned byte for byte, with two trial
-    # threads, which change no output
+    # restructured: the report is pinned byte for byte
     mat = tmp_path / "e2.csv"
     assert run(["gen", "--family", "example2", "--m", 600, "--n", 80,
                 "--r", 25, "--kappa", 10, "--a", 2, "--b", 9, "--seed", 5,
                 "-o", mat]) == 0
     assert sha256_of(mat) == ("929c496a809f5171417d2aee6f5da2be"
                               "fa4c95c8ecccb4bd426c4c0e2fdc0c90")
-    monkeypatch.setenv("LEVSKETCH_THREADS", "2")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--mode", "sampled-dot", "--p", 50,
                 "--k", 12, "--trials", 3, "--seed", 8,

@@ -56,6 +56,14 @@ def test_estimate_inner_rejects_a_zero_coordinate_draw(monkeypatch):
         estimate_inner(tree, np.array([1.0, 1.0]), 0.5, 0.1, stream(0))
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_estimate_inner_rejects_y_of_another_length(length):
+    match = r"y has shape \(%d,\), x has 3 entries" % length
+    with pytest.raises(ValueError, match=match):
+        estimate_inner(SampleTree([1.0, 2.0, 3.0]), np.ones(length), 0.5,
+                       0.1, stream(0))
+
+
 def test_single_draw_estimate_is_unbiased():
     rng = stream(17)
     x = standard_normal(rng, 100)
@@ -464,6 +472,29 @@ def test_qisls_all_validation():
         qisls_all(store, sketch, prm, rows=[5])
     with pytest.raises(ValueError, match="cover every row"):
         qisls_all(store, sketch, prm, exact=np.ones(2))
+
+
+def test_scoring_rejects_a_sketch_of_another_store():
+    big = MatrixSampleStore(gen_example1(20, 10, 0, 3))
+    prm = compute_params(0.5, 0.1, 2, 1.0, 1.0, 1.0, p_override=8)
+    sketch = qisvd(big, prm, stream(3))
+    small = MatrixSampleStore(big.to_array()[:5, :4])
+    assert sketch.col_indices.max() >= small.n
+    with pytest.raises(ValueError, match="sketch columns out of range"):
+        qisls_all(small, sketch, prm)
+    sketch.v = sketch.v[:, :1]
+    with pytest.raises(ValueError, match=r"\(8, 1\), not \(p, k\) = \(8, 2\)"):
+        qisls_all(big, sketch, prm)
+
+
+def test_scoring_rejects_row_indices_that_are_not_whole():
+    a, store = rank_one_store()
+    prm = compute_params(0.5, 0.1, 1, 1.0, 1.0, 1.0, p_override=8)
+    sketch = qisvd(store, prm, stream(9))
+    with pytest.raises(ValueError, match="whole number"):
+        qisls_all(store, sketch, prm, rows=[1.5, 0.9])
+    with pytest.raises(ValueError, match="whole number"):
+        qisls_score(store, sketch, 1.5)
 
 
 def test_report_round_trip(tmp_path):

@@ -129,6 +129,29 @@ def test_update_refreshes_all_layers(small_store):
     assert small_store._row_norms[1] ** 2 == fresh._row_norms[1] ** 2
 
 
+def test_update_whose_square_overflows_changes_nothing():
+    store = MatrixSampleStore([[1.2e154, 0.0], [0.0, 1.0]])
+    before = store.to_array()
+    frob = store.sq_frobenius
+    cols = [store.col_sq_norm(j) for j in range(2)]
+    # refused without a numpy overflow warning: first the row's sum of
+    # squares overflows, then only the column's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, j, value in [(0, 0, 1e200), (1, 0, 1.2e154)]:
+            with pytest.raises(ValueError, match="squared norm overflows"):
+                store.update(i, j, value)
+            np.testing.assert_array_equal(store.to_array(), before)
+            assert store.sq_frobenius == frob
+            assert [store.col_sq_norm(j) for j in range(2)] == cols
+        # a row whose squares sum past half the largest double is kept,
+        # bitwise as a rebuild sums it
+        store.update(0, 1, 1e153)
+    written = store._row_norms.copy()
+    store.rebuild()
+    assert np.array_equal(written, store._row_norms)
+
+
 @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
 def test_out_of_range_update_changes_nothing(small_store, i, j):
     before = small_store.to_array()

@@ -92,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--k", type=int, default=20)
     bench.add_argument("--trials", type=int, default=1)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--epsilon", type=float, default=0.5)
-    bench.add_argument("--delta", type=float, default=0.1)
     bench.add_argument("-o", dest="output", required=True)
     return top
 
@@ -196,14 +194,14 @@ def cmd_concentration(cfg: argparse.Namespace) -> int:
 
 def cmd_bench(cfg: argparse.Namespace) -> int:
     _check_paths(cfg)
-    # params here are practical-only (p and k drive everything measured)
     rows_out = []
     for m in cfg.m:
         a = gen_example1(m, cfg.n, cfg.zero, cfg.seed ^ m)
         store = MatrixSampleStore(a)
         frob = float(np.sqrt(store.sq_frobenius))
-        params = compute_params(cfg.epsilon, cfg.delta, cfg.k, 1.0, frob,
-                                frob, p_override=cfg.p)
+        # any valid epsilon, delta: p_override fixes p, exact-dot reads no xi
+        params = compute_params(0.5, 0.1, cfg.k, 1.0, frob, frob,
+                                p_override=cfg.p)
         per_score = np.empty(cfg.trials)
         wall = np.empty(cfg.trials)
         for t in range(cfg.trials):

@@ -37,8 +37,6 @@ def oracle_facts(matrix) -> OracleFacts:
     """
     res = svd_dense(matrix)
     top = float(res.sigma[0])
-    if top <= 0.0:
-        raise ValueError("zero matrix")
     r = int((res.sigma > RANK_TOL * top).sum())
     u = res.u[:, :r]
     return OracleFacts((u * u).sum(axis=1), r, top,

@@ -46,6 +46,7 @@ REBUILD_EVERY = 1_000_000
 # threshold of an empty right subtree: no residual reaches it, and
 # _NEVER * False is 0.0
 _NEVER = np.finfo(np.float64).max
+_TINY = np.finfo(np.float64).tiny
 # rows per block of the store's column layer: 2^ROW_BLOCK_BITS
 ROW_BLOCK_BITS = 6
 ROW_BLOCK = 1 << ROW_BLOCK_BITS
@@ -240,23 +241,30 @@ class MatrixSampleStore:
         entries = np.array(matrix, dtype=np.float64, order="C", ndmin=2)
         if entries.ndim != 2 or entries.size == 0:
             raise ValueError("matrix must be two-dimensional and non-empty")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("non-finite input")
         self.m, self.n = entries.shape
         self._entries = entries
         self.queries = 0
         # serializes the column layer's build and refreshes between readers
         self._lock = threading.Lock()
         self.rebuild()
+        # subnormal squares lose bits: sampling by them would be inexact
+        with np.errstate(over="ignore"):
+            sq_frobenius = self._row_norms @ self._row_norms
+        if sq_frobenius < _TINY and entries.any():
+            raise ValueError("squared norm underflows")
 
     def rebuild(self) -> None:
         """Recompute both norm arrays from the stored entries; the column
-        layer is built afresh at the next within-column draw. A norm whose
-        square overflows raises ValueError and leaves the store as it was."""
+        layer is built afresh at the next within-column draw. A non-finite
+        entry, or a norm whose square overflows, raises ValueError and leaves
+        the store as it was."""
         with np.errstate(over="ignore"):
             sq = self._entries * self._entries
             rows, cols = np.sqrt(sq.sum(axis=1)), np.sqrt(sq.sum(axis=0))
         if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+            # a nan or inf entry makes its norms non-finite too
+            if not np.isfinite(self._entries).all():
+                raise ValueError("non-finite input")
             raise ValueError("squared norm overflows")
         self._row_norms, self._col_norms = rows, cols
         self._trees = None

@@ -12,6 +12,7 @@ that is never materialized at full size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,14 @@ def theta_upper(epsilon: float, k: int, kappa: float, spectral_norm: float,
     return omega, upper
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int: a whole number >= 1 of any real type."""
+    if not (isinstance(value, numbers.Real) and value >= 1
+            and float(value).is_integer()):
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
+
+
 def compute_params(epsilon: float, delta: float, k: int, kappa: float,
                    spectral_norm: float, frob_norm: float,
                    p_override: int | None = None,
@@ -80,18 +89,18 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
 
     ``theta`` defaults to the upper end of its admissible interval (any
     smaller value only inflates p). ``p_override`` replaces p alone.
+    ``k`` and ``p_override`` are whole numbers of any real type, stored
+    as int.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    k = _positive_int(k, "k")
     if not 1.0 <= kappa < math.inf:
         raise ValueError("kappa must be finite and >= 1")
     if not (0.0 < spectral_norm < math.inf and 0.0 < frob_norm < math.inf):
         raise ValueError("norms must be positive and finite")
-    k = int(k)
     omega, upper = theta_upper(epsilon, k, kappa, spectral_norm, frob_norm)
     if theta is None:
         theta = upper
@@ -99,9 +108,7 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
         raise ValueError(f"theta must lie in (0, {upper!r}]")
     p = math.ceil(1.0 / (theta * theta * delta))
     if p_override is not None:
-        if p_override < 1:
-            raise ValueError("p_override must be a positive integer")
-        p = int(p_override)
+        p = p_override = _positive_int(p_override, "p_override")
     xi = (math.sqrt(2.0 * epsilon * spectral_norm ** 2
                     / (kappa ** 2 * (4 * k + 5) * frob_norm ** 2) + 1.0)
           - 1.0) / math.sqrt(k)
@@ -226,7 +233,7 @@ def qisvd(store: MatrixSampleStore, params: Params,
     column appears once, scaled by the square root of its draw count. That
     core has W's singular values, and W's V is the core's V expanded back,
     entry t being the entry of draw t's group over sqrt(count). At most
-    min(k, side of the merged core) triplets are kept; k above p raises.
+    min(k, rank of the merged core) triplets are kept; k above p raises.
 
     Parameters
     ----------
@@ -254,7 +261,8 @@ def qisvd(store: MatrixSampleStore, params: Params,
         return_counts=True)
     core = w[np.ix_(rows, cols)] * np.sqrt(row_count)[:, None] * np.sqrt(
         col_count)
-    res = truncate_top_k(svd_dense(core), min(params.k, min(core.shape)))
+    res = svd_dense(core)
+    res = truncate_top_k(res, min(params.k, res.sigma.size))
     sketch.v = res.v[col_group] / np.sqrt(col_count[col_group])[:, None]
     sketch.sigma = res.sigma
     return sketch

@@ -10,10 +10,12 @@ orthogonal columns, since T^T T = R_r R_r^T, so a few Jacobi sweeps
 orthogonalize them: each round rotates r/2 disjoint column pairs in one
 array step, in Brent and Luk's round-robin order. The final column norms
 are the singular values, T = U_T Sigma V_T^T, and A = (Q V_T) Sigma
-(P Q2 U_T)^T. The n - r null-space triplets take the trailing columns of Q
-and P Q2. The order is fixed, so the result is deterministic for a fixed
-input, and working on the matrix directly avoids the squared conditioning
-of a Gram-matrix eigensolve.
+(P Q2 U_T)^T. Only the triplets with sigma > 0 are returned: the thin SVD
+U_A Sigma_A V_A^T of the paper, with U_A m-by-r and V_A n-by-r. An input
+whose largest entry is below 2^-500 is factored after an exact power-of-two
+scaling, so that its squares do not underflow. The order is fixed, so the
+result is deterministic for a fixed input, and working on the matrix
+directly avoids the squared conditioning of a Gram-matrix eigensolve.
 """
 from __future__ import annotations
 
@@ -27,12 +29,15 @@ _MAX_SWEEPS = 60
 _EPS = np.finfo(float).eps
 # truncate_top_k drops singular values at or below this fraction of sigma_1
 REL_THRESHOLD = 1e-12
+# inputs whose largest entry is below this are scaled before they are factored
+_TINY_ENTRY = 2.0 ** -500
 
 
 @dataclass
 class SvdResult:
     """Factors M = U diag(sigma) V^T with orthonormal U, V columns and
-    sigma sorted non-increasing.
+    sigma sorted non-increasing. ``svd_dense`` returns r triplets, every
+    sigma > 0, where r is the numerical rank.
 
     ``sweeps`` counts the Jacobi sweeps run, the last of which rotated
     nothing; ``residual`` is the largest |u_i . u_j| / (|u_i| |u_j|) over
@@ -46,48 +51,53 @@ class SvdResult:
 
 
 def svd_dense(matrix) -> SvdResult:
-    """Full SVD of a dense matrix.
+    """Thin SVD of a dense matrix.
 
     Parameters
     ----------
-    matrix : (m, n) array-like with finite entries.
+    matrix : (m, n) array-like with finite entries, not all zero.
 
     Returns
     -------
-    SvdResult with min(m, n) triplets. Ties among equal singular values keep
-    the lower original column index first. Raises ValueError if a squared
-    column norm overflows or the sweeps have not converged after
-    ``_MAX_SWEEPS``.
+    SvdResult with r triplets, every sigma > 0: U is (m, r) and V is (n, r),
+    where r is the numerical rank. Ties among equal singular values keep
+    the lower original column index first. Raises ValueError on an all-zero
+    input ("zero matrix"), if a squared column norm overflows or if the
+    sweeps have not converged after ``_MAX_SWEEPS``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if a.ndim != 2 or a.size == 0:
         raise ValueError("matrix must be two-dimensional and non-empty")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries")
     if a.shape[0] < a.shape[1]:
         res = svd_dense(a.T)
         return replace(res, u=res.v, v=res.u)
-    n = a.shape[1]
-    q, upper, perm = pivoted_qr(a)
-    r = upper.shape[0]
+    top = float(np.abs(a).max())
+    if not math.isfinite(top):
+        raise ValueError("non-finite entries")
+    if top == 0.0:
+        raise ValueError("zero matrix")
+    # the power of two that brings the largest entry into [0.5, 1)
+    shift = math.frexp(top)[1] if top < _TINY_ENTRY else 0
+    q, upper, perm = pivoted_qr(np.ldexp(a, -shift) if shift else a)
+    n, r = a.shape[1], upper.shape[0]
+    # padded to n x n: a thin n x r QR rounds differently on rank-deficient
+    # inputs
     padded = np.zeros((n, n))
     padded[:, :r] = upper.T
-    # the trailing n - r columns of Q2 complete P Q2 U_T to a basis
     q2, t = householder_qr(padded)
     sigma, u_t, v_t, sweeps, residual = _jacobi(t[:r, :r])
-    q[:, :r] = q[:, :r] @ v_t
-    q2[:, :r] = q2[:, :r] @ u_t
-    v = np.empty((n, n))
-    v[perm] = q2
-    return SvdResult(u=q, sigma=np.concatenate([sigma, np.zeros(n - r)]),
-                     v=v, sweeps=sweeps, residual=residual)
+    v = np.empty((n, sigma.size))
+    v[perm] = q2[:, :r] @ u_t
+    return SvdResult(u=q[:, :r] @ v_t, sigma=np.ldexp(sigma, shift), v=v,
+                     sweeps=sweeps, residual=residual)
 
 
 def _jacobi(a: np.ndarray):
     """One-sided Jacobi on the columns of the square ``a``.
 
-    Returns (sigma, U, V, sweeps, residual) with a = U diag(sigma) V^T and
-    sigma sorted non-increasing, ties in column order.
+    Returns (sigma, U, V, sweeps, residual) with a = U diag(sigma) V^T,
+    only the columns with sigma > 0, sorted non-increasing, ties in column
+    order.
     """
     # row i holds column i of the working matrix, then column i of V (a zero
     # row pads odd n). Position k pairs with position size-1-k; positions 1..
@@ -143,32 +153,11 @@ def _jacobi(a: np.ndarray):
                              f"{residual:.3g})")
 
     sigma = np.sqrt(np.einsum("ij,ij->i", work[:n, :n], work[:n, :n]))
-    order = np.argsort(-sigma, kind="stable")
+    # zero columns sort last and are dropped
+    order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
     sigma = sigma[order]
-    u = work[order, :n].T
-    v = work[order, n:].T
-    positive = sigma > 0.0
-    u[:, positive] /= sigma[positive]
-    if not positive.all():
-        _complete_basis(u, np.flatnonzero(~positive))
-    return sigma, u, v, sweeps, residual
-
-
-def _complete_basis(u: np.ndarray, empty: np.ndarray) -> None:
-    """Fill zero columns of ``u`` with unit vectors orthogonal to the rest.
-
-    Candidates are canonical basis vectors, chosen deterministically by the
-    smallest current row mass, with one re-orthogonalization pass.
-    """
-    for idx in empty:
-        filled = np.flatnonzero((u * u).sum(axis=0) > 0.0)
-        basis = u[:, filled]
-        b = int(np.argmin((basis * basis).sum(axis=1)))
-        vec = np.zeros(u.shape[0])
-        vec[b] = 1.0
-        for _ in range(2):
-            vec -= basis @ (basis.T @ vec)
-        u[:, idx] = vec / np.sqrt((vec * vec).sum())
+    u = work[order, :n].T / sigma
+    return sigma, u, work[order, n:].T, sweeps, residual
 
 
 def pivoted_qr(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

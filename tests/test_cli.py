@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levsketch import read_matrix_csv, read_report_csv, standard_normal, stream, write_matrix_csv
+from levsketch import (gen_example2, read_matrix_csv, read_report_csv,
+                       standard_normal, stream, write_matrix_csv)
 from levsketch.cli import main, parse_argv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,10 +52,10 @@ def meta_floats(path):
     ("bench --m 100,200 --n 8 --zero 2 --p 12 --k 3 --trials 2 --seed 7 "
      "-o b.csv",
      dict(command="bench", m=(100, 200), n=8, zero=2, p=12, k=3, trials=2,
-          seed=7, epsilon=0.5, delta=0.1, output="b.csv")),
+          seed=7, output="b.csv")),
     ("bench -o b.csv",
      dict(command="bench", m=(1000, 4000, 16000), n=100, zero=70, p=60,
-          k=20, trials=1, seed=0, epsilon=0.5, delta=0.1, output="b.csv")),
+          k=20, trials=1, seed=0, output="b.csv")),
 ], ids=["gen-example2", "gen-example1", "compare", "compare-defaults",
         "concentration", "bench", "bench-defaults"])
 def test_argv_parses_to_flags(argv, expected):
@@ -391,6 +392,23 @@ def test_zero_matrix_compare_exits_two(tmp_path, capsys, mode):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_compare_underflowing_matrix_exits_two(tmp_path, capsys):
+    # every squared entry underflows: the store build refuses the matrix
+    # instead of sampling by subnormal norms
+    mat = tmp_path / "tiny.csv"
+    write_matrix_csv(mat, gen_example2(40, 8, 3, 2.0, 1, 10, 4) * 1e-165)
+    assert run(["compare", mat, "--p", 10, "--k", 2,
+                "-o", tmp_path / "rep.csv"]) == 2
+    assert capsys.readouterr().err == "error: squared norm underflows\n"
+
+
+def test_bench_epsilon_is_a_usage_error(tmp_path):
+    # bench fixes p, so epsilon and delta changed none of its output
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--epsilon", 0.3, "-o", tmp_path / "b.csv"])
+    assert exc.value.code == 2
 
 
 def test_compare_overflowing_matrix_exits_two(tmp_path, capsys):

@@ -521,6 +521,21 @@ def test_report_round_trip(tmp_path):
     assert back.params == rep.params
 
 
+@pytest.mark.parametrize("whole", [12.0, np.int64(12)],
+                         ids=["float", "numpy-int"])
+def test_report_round_trip_with_whole_number_params(tmp_path, whole):
+    a, store = rank_one_store()
+    prm = compute_params(0.5, 0.1, whole // 4, 1.0, 1.0, 1.0,
+                         p_override=whole)
+    assert (prm.k, prm.p_override, prm.p) == (3, 12, 12)
+    assert type(prm.k) is type(prm.p_override) is int
+    rep = qisls_all(store, qisvd(store, prm, stream(11)), prm)
+    path = tmp_path / "whole.csv"
+    write_report_csv(path, rep)
+    assert "# p_override=12\n" in path.read_text()
+    assert read_report_csv(path).params == prm
+
+
 def test_report_round_trip_without_exact(tmp_path):
     a, store = rank_one_store()
     prm = compute_params(0.5, 0.1, 1, 1.0, 1.0, 1.0, p_override=8)

@@ -118,6 +118,27 @@ def test_constructor_errors():
             MatrixSampleStore(stream(1).standard_normal((40, 8)) * 1e200)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_is_refused_without_warning(bad):
+    # found from the norms the build sums: a huge finite entry beside it
+    # must not turn the message into an overflow
+    a = np.ones((70, 3))
+    a[65, 1] = bad
+    a[3, 2] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite input"):
+            MatrixSampleStore(a)
+
+
+def test_squared_norm_underflow_is_refused():
+    # squares below the smallest normal double are subnormal and inexact
+    with pytest.raises(ValueError, match="squared norm underflows"):
+        MatrixSampleStore(np.eye(4) * 1e-160)
+    # an all-zero matrix still builds, as before
+    assert MatrixSampleStore(np.zeros((3, 3))).sq_frobenius == 0.0
+
+
 def test_update_refreshes_all_layers(small_store):
     small_store.update(0, 0, 5.0)
     assert small_store.query(0, 0) == 5.0

@@ -55,6 +55,19 @@ def test_zero_matrix_errors():
             oracle_facts(np.zeros(shape))
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-165])
+def test_tiny_matrix_facts_match_the_unscaled(scale):
+    # the squares of every entry underflow: factored as given, the sweeps
+    # did not converge (1e-160) or found no rank at all (1e-165)
+    a = gen_example2(40, 8, 3, 2.0, 1, 10, 4)
+    scores, rank, _, kappa = oracle_facts(a)
+    tiny = oracle_facts(a * scale)
+    assert tiny.rank == rank == 3
+    assert tiny.kappa == pytest.approx(2.0, abs=1e-12)
+    assert tiny.kappa == pytest.approx(kappa, abs=1e-12)
+    np.testing.assert_allclose(tiny.scores, scores, rtol=0.0, atol=1e-15)
+
+
 def test_one_svd_answers_every_question():
     a = gen_example2(40, 15, 5, kappa=3.0, a=1, b=10, seed=3)
     scores, rank, norm, kappa = oracle_facts(a)

@@ -56,6 +56,15 @@ def test_theta_out_of_range():
         compute_params(**REF, theta=0.0)
 
 
+def test_fractional_k_and_p_override_are_rejected():
+    # truncated, they would run a value other than the one reported
+    with pytest.raises(ValueError, match="p_override must be a positive "
+                       "integer"):
+        compute_params(**REF, p_override=12.7)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        compute_params(0.5, 0.1, 2.5, 1.0, 1.0, 1.0)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError, match="epsilon"):
         compute_params(1.5, 0.1, 1, 1.0, 1.0, 1.0)

@@ -21,6 +21,21 @@ def orthonormality_defect(q):
     return np.abs(g).max()
 
 
+def assert_sigma_matches(res, expected, shape, rtol=0.0, atol=0.0):
+    """The r returned triplets are the rank-r SVD: U is m x r, V is n x r,
+    sigma matches the leading r of ``expected`` and the rest of
+    ``expected`` lies within the same tolerance of zero."""
+    r = res.sigma.size
+    assert res.u.shape == (shape[0], r) and res.v.shape == (shape[1], r)
+    padded = np.concatenate([res.sigma, np.zeros(expected.size - r)])
+    np.testing.assert_allclose(padded, expected, rtol=rtol, atol=atol)
+
+
+def assert_matches_numpy(a, res, rtol=0.0, atol=0.0):
+    assert_sigma_matches(res, np.linalg.svd(a, compute_uv=False), a.shape,
+                         rtol, atol)
+
+
 def test_identity():
     res = svd_dense(np.eye(3))
     np.testing.assert_allclose(res.sigma, np.ones(3), atol=1e-15)
@@ -32,7 +47,8 @@ def test_identity():
 def test_diag_with_zero():
     a = np.diag([3.0, 0.0])
     res = svd_dense(a)
-    np.testing.assert_allclose(res.sigma, [3.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(res.sigma, [3.0], atol=1e-15)
+    assert_matches_numpy(a, res, atol=1e-15)
     # leading right vector is e1 up to sign
     np.testing.assert_allclose(np.abs(res.v[:, 0]), [1.0, 0.0], atol=1e-15)
     assert reconstruction_error(a, res) < 1e-14
@@ -76,11 +92,10 @@ def test_wide_matrix_shapes():
     assert reconstruction_error(a, res) < 1e-12 * np.sqrt((a * a).sum())
 
 
-def test_zero_matrix_full_orthonormal_basis():
-    res = svd_dense(np.zeros((4, 2)))
-    np.testing.assert_array_equal(res.sigma, np.zeros(2))
-    assert orthonormality_defect(res.u) < 1e-14
-    assert orthonormality_defect(res.v) < 1e-14
+def test_zero_matrix_raises():
+    for shape in ((4, 2), (2, 4)):
+        with pytest.raises(ValueError, match="zero matrix"):
+            svd_dense(np.zeros(shape))
 
 
 def test_one_by_one_negative():
@@ -122,7 +137,8 @@ def test_truncate_errors():
         truncate_top_k(res, 0)
     with pytest.raises(ValueError, match="out of range"):
         truncate_top_k(res, 3)
-    zero = svd_dense(np.zeros((2, 2)))
+    # svd_dense never returns a zero sigma, but truncate_top_k still checks
+    zero = SvdResult(u=np.eye(2), sigma=np.zeros(2), v=np.eye(2))
     with pytest.raises(ValueError, match="numerically rank zero"):
         truncate_top_k(zero, 1)
 
@@ -146,9 +162,8 @@ def test_scaled_columns_remain_accurate():
     a = base * scales
     res = svd_dense(a)
     ref = np.linalg.svd(a, compute_uv=False)
-    np.testing.assert_allclose(res.sigma, ref, rtol=1e-10,
-                               atol=1e-12 * ref[0])
-    assert orthonormality_defect(res.u[:, res.sigma > 0]) < 1e-10
+    assert_matches_numpy(a, res, rtol=1e-10, atol=1e-12 * ref[0])
+    assert orthonormality_defect(res.u) < 1e-10
 
 
 def test_convergence_is_reported():
@@ -179,7 +194,7 @@ def test_rank_70_core_converges_like_lapack():
     # 61 sweeps of plain Jacobi on the unreduced core
     assert res.sweeps <= 12
     ref = np.linalg.svd(w, compute_uv=False)
-    np.testing.assert_allclose(res.sigma, ref, rtol=0.0, atol=1e-12 * ref[0])
+    assert_matches_numpy(w, res, atol=1e-12 * ref[0])
     assert reconstruction_error(w, res) <= 1e-12 * ref[0]
     assert orthonormality_defect(res.u) < 1e-10
     assert orthonormality_defect(res.v) < 1e-10
@@ -201,15 +216,36 @@ def rank_deficient(draw):
     return a
 
 
+def svd_or_zero(a):
+    """svd_dense(a), or None after checking that an all-zero ``a``
+    raises."""
+    if a.any():
+        return svd_dense(a)
+    with pytest.raises(ValueError, match="zero matrix"):
+        svd_dense(a)
+    return None
+
+
 @given(rank_deficient())
 def test_rank_deficient_matches_numpy(a):
-    res = svd_dense(a)
+    res = svd_or_zero(a)
+    if res is None:
+        return
     fro = np.sqrt((a * a).sum())
     assert reconstruction_error(a, res) <= 1e-10 * max(fro, 1.0)
     assert orthonormality_defect(res.u) < 1e-10
     assert orthonormality_defect(res.v) < 1e-10
-    ref = np.linalg.svd(a, compute_uv=False)
-    np.testing.assert_allclose(res.sigma, ref, atol=1e-10 * max(fro, 1.0))
+    assert_matches_numpy(a, res, atol=1e-10 * max(fro, 1.0))
+
+
+@given(rank_deficient())
+def test_rank_deficient_returns_only_positive_sigma(a):
+    res = svd_or_zero(a)
+    if res is None:
+        return
+    assert res.sigma.size >= 1
+    assert np.all(res.sigma > 0.0)
+    assert np.all(np.diff(res.sigma) <= 0.0)
 
 
 def test_tall_equal_singular_values_keep_column_order():
@@ -250,8 +286,11 @@ def test_permuted_scaled_diagonal_is_exact(n, extra_rows, wide, seed):
     d[rng.random(n) < 0.2] = 0.0
     a = np.zeros((n + extra_rows, n))
     a[rng.permutation(n + extra_rows)[:n], rng.permutation(n)] = d
-    res = svd_dense(a.T if wide else a)
-    np.testing.assert_array_equal(res.sigma, np.sort(np.abs(d))[::-1])
+    a = a.T if wide else a
+    res = svd_or_zero(a)
+    if res is None:
+        return
+    assert_sigma_matches(res, np.sort(np.abs(d))[::-1], a.shape)
     assert orthonormality_defect(res.u) < 1e-14
     assert orthonormality_defect(res.v) < 1e-14
 
@@ -267,13 +306,33 @@ def kahan(n, theta):
 @pytest.mark.parametrize("n, theta", [(30, 0.3), (60, 0.6), (90, 1.2)])
 def test_singular_values_below_the_qr_rank_are_completed(n, theta):
     # the sweeps zero some columns of the triangle that the pivoted QR
-    # kept; their right vectors must still complete an orthonormal basis
+    # kept: those triplets are dropped, and what numpy finds there is
+    # below the tolerance
     a = kahan(n, theta)
     res = svd_dense(a)
     rank = svd_module.pivoted_qr(a)[1].shape[0]
-    assert res.sigma[rank - 1] == 0.0
+    assert res.sigma.size < rank
     ref = np.linalg.svd(a, compute_uv=False)
-    np.testing.assert_allclose(res.sigma, ref, rtol=0.0, atol=1e-13 * ref[0])
+    assert_matches_numpy(a, res, atol=1e-13 * ref[0])
     assert reconstruction_error(a, res) <= 1e-13 * ref[0]
     assert orthonormality_defect(res.u) < 1e-13
     assert orthonormality_defect(res.v) < 1e-13
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-300])
+def test_tiny_identity_sigma_is_exact(scale):
+    # the squares of these entries underflow unless the input is scaled
+    res = svd_dense(np.eye(4) * scale)
+    assert np.all(np.abs(res.sigma - scale) <= np.spacing(scale))
+    assert orthonormality_defect(res.u) < 1e-14
+    assert orthonormality_defect(res.v) < 1e-14
+
+
+@pytest.mark.parametrize("shape", [(20, 8), (8, 20), (12, 12)])
+def test_tiny_input_is_factored_after_an_exact_power_of_two(shape):
+    a = standard_normal(stream(33), shape)
+    a *= 0.75 / np.abs(a).max()  # largest entry 0.75, in [0.5, 1)
+    ref, tiny = svd_dense(a), svd_dense(np.ldexp(a, -700))
+    np.testing.assert_array_equal(tiny.u, ref.u)
+    np.testing.assert_array_equal(tiny.v, ref.v)
+    np.testing.assert_array_equal(tiny.sigma, np.ldexp(ref.sigma, -700))

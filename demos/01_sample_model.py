@@ -41,7 +41,7 @@ def main() -> None:
     print(f"column draw frequencies {(col_draws / 30_000).round(4)} "
           f"vs expected [1/3 2/3]")
 
-    rows, _ = sample_rows(store, [0], 1, rng)
+    rows, _, _ = sample_rows(store, [0], [store.col_sq_norm(0)], 1, rng)
     print(f"a row drawn inside column 0 (probabilities 0.1 / 0.9): {rows[0]}")
     print(f"total counted queries so far: {store.queries}")
 

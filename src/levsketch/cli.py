@@ -177,8 +177,7 @@ def cmd_concentration(cfg: argparse.Namespace) -> int:
 
     ratios = [concentration_ratios(store, cfg.p, trial_stream(cfg.seed, t))
               for t in range(cfg.trials)]
-    aat = np.array([r[0] for r in ratios])
-    wtw = np.array([r[1] for r in ratios])
+    aat, wtw = np.array(ratios).T
     exceed_aat = float(np.mean(aat >= cfg.theta))
     exceed_wtw = float(np.mean(wtw >= cfg.theta))
     lines = textfile.meta_lines(

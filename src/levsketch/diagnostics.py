@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .sample_store import MatrixSampleStore
-from .sketch import Params, build_w, draw_sketch, s_matrix
+from .sketch import Params, draw_sketch, s_matrix
 
 # singular values at or below this fraction of the largest are dropped
 REL_THRESHOLD = 1e-12
@@ -82,10 +82,9 @@ def concentration_ratios(store: MatrixSampleStore, p: int,
     Uses the real sampling path and dense products; intended for small
     matrices and desk-scale p.
     """
-    sketch = draw_sketch(store, p, rng)
+    sketch, w = draw_sketch(store, p, rng)
     a = store.to_array()
     s = s_matrix(store, sketch)
-    w = build_w(store, sketch)
     fro2 = store.sq_frobenius
     d1 = a @ a.T - s @ s.T
     d2 = s.T @ s - w.T @ w

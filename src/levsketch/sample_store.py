@@ -16,8 +16,9 @@ the threshold and never into a zero-mass subtree.
 A :class:`MatrixSampleStore` keeps the dense entries and flat row-norm and
 column-norm arrays, which a write updates in place. The first read of
 ||A||_F or column draw after a write builds a tree over each array afresh,
-in O(m + n); later reads reuse them. Entry reads, norm reads and index
-draws are counted on the store for cost instrumentation.
+in O(m + n), and raises if ||A||_F^2 overflows or is subnormal, as the
+store's build does; later reads reuse them. Entry reads, norm reads and
+index draws are counted on the store for cost instrumentation.
 
 For draws within a column the store keeps a column layer: the sum of
 squares of every ROW_BLOCK-row block of every column, and one tree per
@@ -156,6 +157,16 @@ def descend(sums: np.ndarray, tree: np.ndarray,
     return flat & (half - 1), u
 
 
+def _check_total(sq_frobenius: float, nonzero: bool) -> None:
+    """Raise ValueError for a squared Frobenius norm that overflows, or
+    that is subnormal or zero for a matrix that is ``nonzero``: sampling by
+    subnormal squares would be inexact."""
+    if sq_frobenius == math.inf:
+        raise ValueError("squared norm overflows")
+    if sq_frobenius < _TINY and nonzero:
+        raise ValueError("squared norm underflows")
+
+
 class SampleTree:
     """Squared-magnitude sampling tree over a fixed-length signed vector."""
 
@@ -247,11 +258,10 @@ class MatrixSampleStore:
         # serializes the column layer's build and refreshes between readers
         self._lock = threading.Lock()
         self.rebuild()
-        # subnormal squares lose bits: sampling by them would be inexact
         with np.errstate(over="ignore"):
             sq_frobenius = self._row_norms @ self._row_norms
-        if sq_frobenius < _TINY and entries.any():
-            raise ValueError("squared norm underflows")
+        # squares can all underflow to 0: only then are the entries scanned
+        _check_total(sq_frobenius, sq_frobenius > 0.0 or entries.any())
 
     def rebuild(self) -> None:
         """Recompute both norm arrays from the stored entries; the column
@@ -279,10 +289,15 @@ class MatrixSampleStore:
 
     def _norm_trees(self) -> tuple[SampleTree, SampleTree]:
         """The row-norm and column-norm trees, built after the last write;
-        reader threads that race here build equal trees, and any is kept."""
+        reader threads that race here build equal trees, and any is kept.
+        Writes can leave a total that the build refuses, which raises
+        here."""
         if self._trees is None:
-            self._trees = (SampleTree(self._row_norms),
-                           SampleTree(self._col_norms))
+            with np.errstate(over="ignore"):
+                trees = (SampleTree(self._row_norms),
+                         SampleTree(self._col_norms))
+            _check_total(trees[0].sq_norm, trees[0].sq_norm > 0.0)
+            self._trees = trees
         return self._trees
 
     @property

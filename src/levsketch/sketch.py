@@ -8,12 +8,18 @@ W[t, :] = S[i_t, :] / sqrt(p P'_{i_t}). Both rescalings preserve the
 Frobenius norm exactly, and the top right singular triplets of W are a
 succinct description of approximate left singular vectors U^ = S V Sigma^-1
 that is never materialized at full size.
+
+A sketch reads each column norm and each entry it needs once: the column
+draws hand their squared norms to the row draws, and the row draws' one
+gather of the drawn rows at the sampled columns gives both the mixture
+probabilities and the entries of W.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,7 +137,6 @@ class SketchDescription:
     frob_norm: float
     v: np.ndarray | None = None
     sigma: np.ndarray | None = None
-    _col_scale: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def p(self) -> int:
@@ -141,57 +146,61 @@ class SketchDescription:
     def k(self) -> int:
         return 0 if self.sigma is None else int(self.sigma.size)
 
-    @property
+    @cached_property
     def col_scale(self) -> np.ndarray:
         """Per-column factors 1 / sqrt(p P_{j_t}) of S."""
-        if self._col_scale is None:
-            self._col_scale = 1.0 / np.sqrt(self.p * self.col_probs)
-        return self._col_scale
+        return 1.0 / np.sqrt(self.p * self.col_probs)
 
 
-def sample_columns(store: MatrixSampleStore, p: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def sample_columns(store: MatrixSampleStore, p: int, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p i.i.d. column indices by squared column norm, with replacement.
 
-    Returns the indices and their exact probabilities P_j.
+    Returns the indices, their exact probabilities P_j and their squared
+    norms ||A_{:,j}||^2, one norm read per draw. A zero matrix raises
+    ValueError.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    fro = store.sq_frobenius
-    if fro <= 0.0:
-        raise ValueError("zero matrix")
     idx = store.sample_column_indices(rng, p)
-    probs = np.array([store.col_sq_norm(j) for j in idx]) / fro
-    return idx, probs
+    col_sq = np.array([store.col_sq_norm(j) for j in idx])
+    return idx, col_sq / store.sq_frobenius, col_sq
 
 
-def sample_rows(store: MatrixSampleStore, col_indices, p: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def sample_rows(store: MatrixSampleStore, col_indices, col_sq, p: int,
+                rng: np.random.Generator
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p row indices from the mixture of the sampled columns' distributions.
 
+    ``col_sq`` holds the squared norms of the columns ``col_indices``, one
+    per column, as ``sample_columns`` returns them; no norm is read again.
     Each draw picks t uniformly, then a row within column j_t by squared
     entry, from one ``rng.integers`` and one ``rng.random`` call in that
     order; the store then walks all p draws together
     (``MatrixSampleStore.sample_in_columns``), the library's one
-    within-column draw. The returned probabilities are the exact mixture
-    values P'_i = sum_t A[i, j_t]^2 / (p ||A_{:,j_t}||^2), which equal
-    ||S_{i,:}||^2 / ||S||_F^2, from one gather of the distinct rows.
+    within-column draw.
+
+    One gather reads the distinct drawn rows at the sampled columns. From
+    it come the exact mixture probabilities P'_i = sum_t A[i, j_t]^2 /
+    (p ||A_{:,j_t}||^2), which equal ||S_{i,:}||^2 / ||S||_F^2, and the
+    p-by-p block A[i_s, j_t] of the drawn rows, which ``build_w`` scales
+    into W. Returns the row indices, their probabilities and that block.
     """
     cols = np.asarray(col_indices, dtype=np.int64)
-    col_sq = np.array([store.col_sq_norm(j) for j in cols])
-    if np.any(col_sq <= 0.0):
+    if np.shape(col_sq) != cols.shape:
+        raise ValueError("col_sq must hold one squared norm per column")
+    if np.any(np.asarray(col_sq) <= 0.0):
         raise ValueError("zero column")
     picks = np.empty(p, dtype=np.int64)
     u = np.empty(p)
     for t in range(p):
-        picks[t] = rng.integers(0, cols.size)
-        u[t] = rng.random()
+        picks[t], u[t] = rng.integers(0, cols.size), rng.random()
     idx = store.sample_in_columns(cols[picks], u)
     rows, at = np.unique(idx, return_inverse=True)
     vals = store.block_values(rows, cols)
     # a row-wise sum adds each row as the sum of that row alone does
     probs = (vals * vals / col_sq).sum(axis=1) / cols.size
-    return idx, probs[at]
+    return idx, probs[at], vals[at]
 
 
 def s_rows(store: MatrixSampleStore, sketch: SketchDescription,
@@ -206,22 +215,24 @@ def s_matrix(store: MatrixSampleStore,
     return s_rows(store, sketch, np.arange(store.m))
 
 
-def build_w(store: MatrixSampleStore, sketch: SketchDescription) -> np.ndarray:
-    """Dense p-by-p core W, rows being rescaled sampled rows of S."""
+def build_w(sketch: SketchDescription, block: np.ndarray) -> np.ndarray:
+    """Dense p-by-p core W, rows being rescaled sampled rows of S, from the
+    block A[i_s, j_t] that ``sample_rows`` gathered; reads no entry."""
     if (sketch.row_probs <= 0.0).any():
         raise ValueError("drawn row has zero mixture probability")
     scale = np.sqrt(sketch.p * sketch.row_probs)
-    return s_rows(store, sketch, sketch.row_indices) / scale[:, None]
+    return (block * sketch.col_scale) / scale[:, None]
 
 
-def draw_sketch(store: MatrixSampleStore, p: int,
-                rng: np.random.Generator) -> SketchDescription:
-    """The p column and p row draws of one sketch, without the core SVD."""
-    cols, col_probs = sample_columns(store, p, rng)
-    rows, row_probs = sample_rows(store, cols, p, rng)
-    return SketchDescription(col_indices=cols, col_probs=col_probs,
-                             row_indices=rows, row_probs=row_probs,
-                             frob_norm=float(np.sqrt(store.sq_frobenius)))
+def draw_sketch(store: MatrixSampleStore, p: int, rng: np.random.Generator
+                ) -> tuple[SketchDescription, np.ndarray]:
+    """The p column and p row draws of one sketch and its core W, without
+    the core SVD."""
+    cols, col_probs, col_sq = sample_columns(store, p, rng)
+    rows, row_probs, block = sample_rows(store, cols, col_sq, p, rng)
+    sketch = SketchDescription(cols, col_probs, rows, row_probs,
+                               float(np.sqrt(store.sq_frobenius)))
+    return sketch, build_w(sketch, block)
 
 
 def qisvd(store: MatrixSampleStore, params: Params,
@@ -250,8 +261,7 @@ def qisvd(store: MatrixSampleStore, params: Params,
             "theoretical p")
     if not 1 <= params.k <= p:
         raise ValueError(f"k={params.k} out of range 1..{p}")
-    sketch = draw_sketch(store, p, rng)
-    w = build_w(store, sketch)
+    sketch, w = draw_sketch(store, p, rng)
     # a row or column drawn c times is c equal rows or columns of W: one
     # copy scaled by sqrt(c) leaves W^T W, so sigma and V, unchanged
     _, rows, row_count = np.unique(sketch.row_indices, return_index=True,

@@ -65,12 +65,12 @@ def test_criterion_3_core_frobenius_matches_input():
         a = standard_normal(stream(seed), (12, 8))
         store = MatrixSampleStore(a)
         rng = stream(seed + 40_000)
-        cols, col_probs = sample_columns(store, 10, rng)
-        rows, row_probs = sample_rows(store, cols, 10, rng)
+        cols, col_probs, col_sq = sample_columns(store, 10, rng)
+        rows, row_probs, block = sample_rows(store, cols, col_sq, 10, rng)
         sketch = SketchDescription(col_indices=cols, col_probs=col_probs,
                                    row_indices=rows, row_probs=row_probs,
                                    frob_norm=math.sqrt(store.sq_frobenius))
-        w = build_w(store, sketch)
+        w = build_w(sketch, block)
         ratio = math.sqrt((w * w).sum()) / sketch.frob_norm
         assert abs(ratio - 1.0) <= 1e-8
     elapsed_under(start, 5.0)

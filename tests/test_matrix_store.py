@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from levsketch import (MatrixSampleStore, SampleTree, compute_params,
-                       gen_example1, qisvd, read_matrix_csv, sample_columns,
-                       sample_rows, stream, trial_stream, write_matrix_csv)
+                       draw_sketch, gen_example1, qisvd, read_matrix_csv,
+                       sample_columns, sample_rows, stream, trial_stream,
+                       write_matrix_csv)
 from levsketch.cli import main
 from levsketch.sample_store import ROW_BLOCK, pick_in_block
 
@@ -90,7 +91,8 @@ def test_row_sampling_distribution(small_store):
 
 def test_row_given_column(small_store):
     # column 0 is (1, 3): conditional row probabilities (0.1, 0.9)
-    rows, _ = sample_rows(small_store, [0], 5000, stream(33))
+    rows, _, _ = sample_rows(small_store, [0], [small_store.col_sq_norm(0)],
+                             5000, stream(33))
     counts = np.bincount(rows, minlength=2)
     assert chisquare_pvalue(counts, np.array([0.1, 0.9])) >= 0.01
 
@@ -101,7 +103,7 @@ def test_zero_matrix_and_zero_column_errors():
         store.sample_column_indices(stream(0), 1)
     mixed = MatrixSampleStore([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="zero column"):
-        sample_rows(mixed, [1], 1, stream(0))
+        sample_rows(mixed, [1], [mixed.col_sq_norm(1)], 1, stream(0))
 
 
 def test_constructor_errors():
@@ -137,6 +139,36 @@ def test_squared_norm_underflow_is_refused():
         MatrixSampleStore(np.eye(4) * 1e-160)
     # an all-zero matrix still builds, as before
     assert MatrixSampleStore(np.zeros((3, 3))).sq_frobenius == 0.0
+
+
+def test_total_that_overflows_is_refused_at_build():
+    # every row and column squared norm is finite, their sum is not;
+    # refused without a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            MatrixSampleStore(np.full((2, 2), 0.9e154))
+
+
+@pytest.mark.parametrize("writes, reason", [
+    ([(0, 0, 1e-160), (1, 1, 0.0)], "squared norm underflows"),
+    ([(0, 0, 1.3e154), (1, 1, 1.3e154)], "squared norm overflows"),
+], ids=["subnormal", "infinite"])
+def test_writes_that_leave_a_bad_total_fail_at_the_next_read(writes, reason):
+    # each write is accepted on its own row and column; the total is
+    # checked where the norm trees are next built
+    store = MatrixSampleStore(np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, j, value in writes:
+            store.update(i, j, value)
+        with pytest.raises(ValueError, match=reason):
+            store.sq_frobenius
+        with pytest.raises(ValueError, match=reason):
+            sample_columns(store, 4, stream(0))
+    # a write that brings the total back makes the store readable again
+    store.update(1, 1, 1.0)
+    assert store.sq_frobenius == pytest.approx(1.0 + writes[0][2] ** 2)
 
 
 def test_update_refreshes_all_layers(small_store):
@@ -566,11 +598,22 @@ def test_column_layer_sums_every_block_in_order(monkeypatch, m, n):
 
 def row_draw_reads(store, cols, idx):
     """Reads that sample_rows makes for the draws ``idx`` from ``cols``:
-    one norm read and one index draw per draw, each distinct block of a
-    drawn column once and each distinct drawn row's p sketch entries."""
+    one index draw per draw, each distinct block of a drawn column once and
+    each distinct drawn row's p sketch entries. The column norms come from
+    the column draws, so no norm is read."""
     pairs = {(int(j), int(i) // ROW_BLOCK) for j, i in zip(cols, idx)}
     blocks = sum(min(ROW_BLOCK, store.m - b * ROW_BLOCK) for _, b in pairs)
-    return 2 * len(cols) + blocks + len(cols) * np.unique(idx).size, pairs
+    return len(cols) + blocks + len(cols) * np.unique(idx).size, pairs
+
+
+def drawn_columns(rng, cols, p):
+    """The column of each of sample_rows' p draws from ``cols``, replayed
+    from its stream: one index, then one uniform per draw."""
+    drawn = []
+    for _ in range(p):
+        drawn.append(int(cols[rng.integers(0, len(cols))]))
+        rng.random()
+    return drawn
 
 
 def test_row_draw_reads_do_not_grow_with_m():
@@ -579,20 +622,31 @@ def test_row_draw_reads_do_not_grow_with_m():
     for m in (1000, 4000, 16000):
         store = MatrixSampleStore(gen_example1(m, 100, 70, seed=9 ^ m))
         rng = trial_stream(9 ^ m, 0)
-        cols, _ = sample_columns(store, p, rng)
+        cols, _, col_sq = sample_columns(store, p, rng)
         state = rng.bit_generator.state
         before = store.queries
-        idx, _ = sample_rows(store, cols, p, rng)
+        idx, _, _ = sample_rows(store, cols, col_sq, p, rng)
         reads = store.queries - before
-        # the columns of the same draws: one index, then one uniform
         rng.bit_generator.state = state
-        drawn = []
-        for _ in range(p):
-            drawn.append(int(cols[rng.integers(0, p)]))
-            rng.random()
-        expected, pairs = row_draw_reads(store, drawn, idx)
+        expected, pairs = row_draw_reads(store, drawn_columns(rng, cols, p),
+                                         idx)
         assert reads == expected <= bound
         assert len(pairs) <= p
+
+
+def test_sketch_reads_each_norm_and_entry_once():
+    # p column draws, p column-norm reads and the row draws' reads; W is
+    # built from the row draws' own gather, so there is no p * p term
+    p = 60
+    a = gen_example1(1000, 100, 70, seed=5)
+    store = MatrixSampleStore(a)
+    sketch, _ = draw_sketch(store, p, trial_stream(5, 0))
+    rng = trial_stream(5, 0)
+    cols, _, _ = sample_columns(MatrixSampleStore(a), p, rng)
+    assert np.array_equal(cols, sketch.col_indices)
+    rows, _ = row_draw_reads(store, drawn_columns(rng, cols, p),
+                             sketch.row_indices)
+    assert store.queries == 2 * p + rows == 6216
 
 
 def test_within_column_draws_follow_squared_entries():
@@ -628,6 +682,10 @@ def test_within_column_draw_rejects_bad_input(small_store):
             small_store.sample_in_columns([0], [u])
 
 
+def col_norms(store, cols):
+    return [store.col_sq_norm(j) for j in cols]
+
+
 @pytest.mark.parametrize("m, n", [(1, 3), (64, 5), (65, 4), (700, 9)])
 def test_column_layer_after_writes_is_a_fresh_build(m, n):
     rng = stream(80 + m)
@@ -650,8 +708,10 @@ def test_column_layer_after_writes_is_a_fresh_build(m, n):
             store.sample_in_columns(cols[picks], uniforms),
             fresh.sample_in_columns(cols[picks], uniforms))
         # seeded row draws on the written store are a fresh store's
-        got, _ = sample_rows(store, cols, 40, stream(burst))
-        want, _ = sample_rows(fresh, cols, 40, stream(burst))
+        got, _, _ = sample_rows(store, cols, col_norms(store, cols), 40,
+                                stream(burst))
+        want, _, _ = sample_rows(fresh, cols, col_norms(fresh, cols), 40,
+                                 stream(burst))
         assert np.array_equal(got, want)
         # the refresh reads each written block of a drawn column once
         store.sample_in_columns(np.arange(n), np.zeros(n))

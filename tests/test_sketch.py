@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import levsketch.sketch
-from levsketch import (MatrixSampleStore, build_w, compute_params,
-                       draw_sketch, gen_example1, gen_example2, qisls_all,
-                       qisvd, read_sketch_csv, sample_columns, sample_rows,
-                       standard_normal, stream, theta_upper,
-                       write_sketch_csv)
+from levsketch import (MatrixSampleStore, SketchDescription, build_w,
+                       compute_params, draw_sketch, gen_example1,
+                       gen_example2, qisls_all, qisvd, read_sketch_csv,
+                       sample_columns, sample_rows, standard_normal, stream,
+                       theta_upper, write_sketch_csv)
 from levsketch.sketch import s_matrix, s_rows
 
 from oracles import dense_s, dense_w
@@ -105,15 +105,16 @@ def small_store():
 
 
 def test_sample_columns_exact_probs(small_store):
-    cols, probs = sample_columns(small_store, 40, stream(3))
+    cols, probs, col_sq = sample_columns(small_store, 40, stream(3))
     expected = np.array([10.0, 20.0]) / 30.0
     np.testing.assert_allclose(probs, expected[cols], rtol=1e-14)
+    np.testing.assert_allclose(col_sq, 30.0 * expected[cols], rtol=1e-14)
     assert cols.shape == (40,)
 
 
 def test_sample_columns_skip_zero_column():
     store = MatrixSampleStore([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
-    cols, _ = sample_columns(store, 200, stream(4))
+    cols, _, _ = sample_columns(store, 200, stream(4))
     assert 1 not in set(cols.tolist())
 
 
@@ -126,12 +127,14 @@ def test_sample_columns_errors(small_store):
 
 def test_sample_rows_mixture_probs(small_store):
     cols = np.array([0, 1, 1])
-    rows, probs = sample_rows(small_store, cols, 50, stream(5))
-    a = small_store.to_array()
     col_sq = np.array([10.0, 20.0, 20.0])
+    rows, probs, block = sample_rows(small_store, cols, col_sq, 50,
+                                     stream(5))
+    a = small_store.to_array()
     mixture = (a[:, cols] ** 2 / col_sq).sum(axis=1) / 3.0
     np.testing.assert_allclose(probs, mixture[rows], rtol=1e-12)
     assert probs.sum() > 0
+    assert np.array_equal(block, a[np.ix_(rows, cols)])
 
 
 @given(st.integers(0, 5000), st.integers(1, 200), st.integers(1, 150))
@@ -140,18 +143,27 @@ def test_row_probs_are_bitwise_per_row_sums(seed, m, p):
     rng = stream(seed)
     a = standard_normal(rng, (m, 12)) * 10.0 ** rng.integers(-5, 5, (m, 1))
     store = MatrixSampleStore(a)
-    cols, _ = sample_columns(store, p, rng)
-    rows, probs = sample_rows(store, cols, p, rng)
-    col_sq = np.array([store.col_sq_norm(j) for j in cols])
-    for i, prob in zip(rows, probs):
+    cols, _, col_sq = sample_columns(store, p, rng)
+    rows, probs, block = sample_rows(store, cols, col_sq, p, rng)
+    assert np.array_equal(col_sq, [store.col_sq_norm(j) for j in cols])
+    for i, prob, drawn in zip(rows, probs, block):
         vals = store.block_values([i], cols)[0]
         assert prob == float((vals * vals / col_sq).sum() / cols.size)
+        assert np.array_equal(drawn, vals)
 
 
 def test_sample_rows_zero_column_rejected():
     store = MatrixSampleStore([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="zero column"):
-        sample_rows(store, np.array([1]), 3, stream(0))
+        sample_rows(store, np.array([1]), [store.col_sq_norm(1)], 3,
+                    stream(0))
+
+
+def test_sample_rows_needs_one_norm_per_column(small_store):
+    # one norm for two columns would broadcast into wrong probabilities
+    for col_sq in ([10.0], [10.0, 20.0, 20.0]):
+        with pytest.raises(ValueError, match="one squared norm per column"):
+            sample_rows(small_store, [0, 1], col_sq, 3, stream(0))
 
 
 def test_sketch_preserves_frobenius_norm():
@@ -159,10 +171,10 @@ def test_sketch_preserves_frobenius_norm():
     store = MatrixSampleStore(a)
     fro = math.sqrt(store.sq_frobenius)
     rng = stream(20)
-    cols, col_probs = sample_columns(store, 30, rng)
+    cols, col_probs, col_sq = sample_columns(store, 30, rng)
     s = dense_s(a, cols, col_probs)
     assert math.sqrt((s * s).sum()) == pytest.approx(fro, rel=1e-12)
-    rows, row_probs = sample_rows(store, cols, 30, rng)
+    rows, row_probs, _ = sample_rows(store, cols, col_sq, 30, rng)
     w = dense_w(s, rows, row_probs)
     assert math.sqrt((w * w).sum()) == pytest.approx(fro, rel=1e-8)
 
@@ -182,7 +194,7 @@ def test_s_matrix_peak_allocation_stays_near_its_output():
     # a tall store gathered at few columns must not copy all m x n entries
     # on the way to its m x p output
     store = MatrixSampleStore(gen_example1(20000, 100, 0, 40))
-    sketch = draw_sketch(store, 20, stream(41))
+    sketch, _ = draw_sketch(store, 20, stream(41))
     tracemalloc.start()
     try:
         s = s_matrix(store, sketch)
@@ -197,32 +209,40 @@ def test_build_w_matches_dense_oracle():
     a = standard_normal(stream(25), (8, 6))
     store = MatrixSampleStore(a)
     rng = stream(26)
-    cols, col_probs = sample_columns(store, 12, rng)
-    rows, row_probs = sample_rows(store, cols, 12, rng)
-    from levsketch import SketchDescription
+    cols, col_probs, col_sq = sample_columns(store, 12, rng)
+    rows, row_probs, block = sample_rows(store, cols, col_sq, 12, rng)
     sketch = SketchDescription(col_indices=cols, col_probs=col_probs,
                                row_indices=rows, row_probs=row_probs,
                                frob_norm=math.sqrt(store.sq_frobenius))
     s = dense_s(a, cols, col_probs)
-    np.testing.assert_allclose(build_w(store, sketch),
+    np.testing.assert_allclose(build_w(sketch, block),
                                dense_w(s, rows, row_probs), rtol=1e-12)
 
 
-def test_build_w_reads_p_squared_and_checks_probabilities_first():
+def test_build_w_reads_nothing_and_checks_probabilities_first():
     a = standard_normal(stream(27), (9, 5))
     store = MatrixSampleStore(a)
-    sketch = draw_sketch(store, 7, stream(28))
+    rng = stream(28)
+    cols, col_probs, col_sq = sample_columns(store, 7, rng)
+    rows, row_probs, block = sample_rows(store, cols, col_sq, 7, rng)
+    sketch = SketchDescription(col_indices=cols, col_probs=col_probs,
+                               row_indices=rows, row_probs=row_probs,
+                               frob_norm=math.sqrt(store.sq_frobenius))
     store.queries = 0
-    w = build_w(store, sketch)
-    assert store.queries == 7 * 7
+    w = build_w(sketch, block)
+    assert store.queries == 0
     plain = [a[i, sketch.col_indices] * sketch.col_scale / np.sqrt(7 * prob)
              for i, prob in zip(sketch.row_indices, sketch.row_probs)]
     assert np.array_equal(w, np.array(plain))
+    # draw_sketch makes the same draws and the same W
+    drawn, drawn_w = draw_sketch(store, 7, stream(28))
+    assert np.array_equal(drawn.row_indices, rows)
+    assert np.array_equal(drawn_w, w)
+    # the check comes before the block is touched: with no block at all,
+    # it still raises
     sketch.row_probs[-1] = 0.0
-    store.queries = 0
     with pytest.raises(ValueError, match="zero mixture probability"):
-        build_w(store, sketch)
-    assert store.queries == 0
+        build_w(sketch, None)
 
 
 def test_qisvd_rank_one_top_sigma():
@@ -274,7 +294,9 @@ def test_qisvd_merged_core_matches_unmerged_lapack(m, n, rank, p, k, seed):
     prm = compute_params(0.5, 0.1, k, 1.0, 1.0, 1.0, p_override=p)
     sketch = qisvd(store, prm, stream(seed + 100))
     assert np.unique(sketch.col_indices).size < p  # draws repeat
-    _, sigma, vt = np.linalg.svd(build_w(store, sketch))
+    # the same stream draws the same sketch and W
+    _, w = draw_sketch(store, p, stream(seed + 100))
+    _, sigma, vt = np.linalg.svd(w)
     keep = min(k, int((sigma > 1e-12 * sigma[0]).sum()))
     assert sketch.sigma.size == keep
     np.testing.assert_allclose(sketch.sigma, sigma[:keep], rtol=0.0,
@@ -353,10 +375,10 @@ def test_frobenius_preserved_property(seed, m, n, p):
     a = standard_normal(stream(seed), (m, n))
     store = MatrixSampleStore(a)
     rng = stream(seed + 1)
-    cols, col_probs = sample_columns(store, p, rng)
+    cols, col_probs, col_sq = sample_columns(store, p, rng)
     s = dense_s(a, cols, col_probs)
     assert (s * s).sum() == pytest.approx(store.sq_frobenius, rel=1e-10)
-    rows, row_probs = sample_rows(store, cols, p, rng)
+    rows, row_probs, _ = sample_rows(store, cols, col_sq, p, rng)
     w = dense_w(s, rows, row_probs)
     assert (w * w).sum() == pytest.approx(store.sq_frobenius, rel=1e-8)
 
@@ -364,7 +386,8 @@ def test_frobenius_preserved_property(seed, m, n, p):
 def test_sample_rows_never_lands_on_zero_mass_tail():
     store = MatrixSampleStore([[1.0, 1.0], [2.0, 1.0], [0.0, 1.0],
                                [0.0, 1.0]])
-    rows, probs = sample_rows(store, [0], 1, TopDraw())
+    rows, probs, _ = sample_rows(store, [0], [store.col_sq_norm(0)], 1,
+                                 TopDraw())
     np.testing.assert_array_equal(rows, [1])
     assert probs[0] > 0.0
 

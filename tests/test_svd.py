@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import levsketch.svd as svd_module
-from levsketch import (MatrixSampleStore, SvdResult, build_w, draw_sketch,
+from levsketch import (MatrixSampleStore, SvdResult, draw_sketch,
                        gen_example1, standard_normal, stream, svd_dense,
                        trial_stream, truncate_top_k)
 
@@ -189,7 +189,7 @@ def test_rank_70_core_converges_like_lapack():
     # 127x127 core of rank 70 whose null-space columns shrink toward
     # underflow under plain sweeps
     store = MatrixSampleStore(gen_example1(400, 150, 20, 2))
-    w = build_w(store, draw_sketch(store, 127, trial_stream(2, 1)))
+    _, w = draw_sketch(store, 127, trial_stream(2, 1))
     res = svd_dense(w)
     # 61 sweeps of plain Jacobi on the unreduced core
     assert res.sweeps <= 12

@@ -296,7 +296,9 @@ class MatrixSampleStore:
             with np.errstate(over="ignore"):
                 trees = (SampleTree(self._row_norms),
                          SampleTree(self._col_norms))
-            _check_total(trees[0].sq_norm, trees[0].sq_norm > 0.0)
+            # as at build, the entries are scanned only for a zero total
+            _check_total(trees[0].sq_norm,
+                         trees[0].sq_norm > 0.0 or self._entries.any())
             self._trees = trees
         return self._trees
 

@@ -271,7 +271,7 @@ def qisvd(store: MatrixSampleStore, params: Params,
         return_counts=True)
     core = w[np.ix_(rows, cols)] * np.sqrt(row_count)[:, None] * np.sqrt(
         col_count)
-    res = svd_dense(core)
+    res = svd_dense(core, left=False)
     res = truncate_top_k(res, min(params.k, res.sigma.size))
     sketch.v = res.v[col_group] / np.sqrt(col_count[col_group])[:, None]
     sketch.sigma = res.sigma

@@ -11,7 +11,9 @@ orthogonalize them: each round rotates r/2 disjoint column pairs in one
 array step, in Brent and Luk's round-robin order. The final column norms
 are the singular values, T = U_T Sigma V_T^T, and A = (Q V_T) Sigma
 (P Q2 U_T)^T. Only the triplets with sigma > 0 are returned: the thin SVD
-U_A Sigma_A V_A^T of the paper, with U_A m-by-r and V_A n-by-r. An input
+U_A Sigma_A V_A^T of the paper, with U_A m-by-r and V_A n-by-r. The sweeps
+rotate V_T beside the columns of T only when U_A is asked for, and always
+for a wide input, whose V_A is the transposed problem's U. An input
 whose largest entry is below 2^-500 is factored after an exact power-of-two
 scaling, so that its squares do not underflow. The order is fixed, so the
 result is deterministic for a fixed input, and working on the matrix
@@ -41,36 +43,43 @@ class SvdResult:
 
     ``sweeps`` counts the Jacobi sweeps run, the last of which rotated
     nothing; ``residual`` is the largest |u_i . u_j| / (|u_i| |u_j|) over
-    the column pairs of that last sweep.
+    the column pairs of that last sweep. ``u`` is None when the caller
+    did not ask for it.
     """
-    u: np.ndarray
+    u: np.ndarray | None
     sigma: np.ndarray
     v: np.ndarray
     sweeps: int = 0
     residual: float = 0.0
 
 
-def svd_dense(matrix) -> SvdResult:
+def svd_dense(matrix, *, left: bool = True) -> SvdResult:
     """Thin SVD of a dense matrix.
 
     Parameters
     ----------
     matrix : (m, n) array-like with finite entries, not all zero.
+    left : return U as well. With ``left=False`` the sweeps skip the V_T
+        accumulation that only U reads; sigma, V, ``sweeps`` and
+        ``residual`` are bitwise those of ``left=True``. A wide input
+        accumulates V_T either way, since its V is the transposed
+        problem's U.
 
     Returns
     -------
-    SvdResult with r triplets, every sigma > 0: U is (m, r) and V is (n, r),
-    where r is the numerical rank. Ties among equal singular values keep
-    the lower original column index first. Raises ValueError on an all-zero
-    input ("zero matrix"), if a squared column norm overflows or if the
-    sweeps have not converged after ``_MAX_SWEEPS``.
+    SvdResult with r triplets, every sigma > 0: U is (m, r), or None with
+    ``left=False``, and V is (n, r), where r is the numerical rank. Ties
+    among equal singular values keep the lower original column index
+    first. Raises ValueError on an all-zero input ("zero matrix"), if a
+    squared column norm overflows or if the sweeps have not converged
+    after ``_MAX_SWEEPS``.
     """
     a = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if a.ndim != 2 or a.size == 0:
         raise ValueError("matrix must be two-dimensional and non-empty")
     if a.shape[0] < a.shape[1]:
         res = svd_dense(a.T)
-        return replace(res, u=res.v, v=res.u)
+        return replace(res, u=res.v if left else None, v=res.u)
     top = float(np.abs(a).max())
     if not math.isfinite(top):
         raise ValueError("non-finite entries")
@@ -85,29 +94,32 @@ def svd_dense(matrix) -> SvdResult:
     padded = np.zeros((n, n))
     padded[:, :r] = upper.T
     q2, t = householder_qr(padded)
-    sigma, u_t, v_t, sweeps, residual = _jacobi(t[:r, :r])
+    sigma, u_t, v_t, sweeps, residual = _jacobi(t[:r, :r], left)
     v = np.empty((n, sigma.size))
     v[perm] = q2[:, :r] @ u_t
-    return SvdResult(u=q[:, :r] @ v_t, sigma=np.ldexp(sigma, shift), v=v,
-                     sweeps=sweeps, residual=residual)
+    return SvdResult(u=None if v_t is None else q[:, :r] @ v_t,
+                     sigma=np.ldexp(sigma, shift), v=v, sweeps=sweeps,
+                     residual=residual)
 
 
-def _jacobi(a: np.ndarray):
+def _jacobi(a: np.ndarray, left: bool):
     """One-sided Jacobi on the columns of the square ``a``.
 
     Returns (sigma, U, V, sweeps, residual) with a = U diag(sigma) V^T,
     only the columns with sigma > 0, sorted non-increasing, ties in column
-    order.
+    order; V is not accumulated, and is None, when ``left`` is false.
     """
-    # row i holds column i of the working matrix, then column i of V (a zero
-    # row pads odd n). Position k pairs with position size-1-k; positions 1..
-    # shift by one per round, so each sweep ends with every row back in place.
+    # row i holds column i of the working matrix, then column i of V if it
+    # is accumulated (a zero row pads odd n). Position k pairs with position
+    # size-1-k; positions 1.. shift by one per round, so each sweep ends
+    # with every row back in place.
     n = a.shape[1]
     size = n + n % 2
     half = size // 2
-    work = np.zeros((size, 2 * n))
+    work = np.zeros((size, 2 * n if left else n))
     work[:n, :n] = a.T
-    work[:n, n:] = np.eye(n)
+    if left:
+        work[:n, n:] = np.eye(n)
     cols = work[:, :n]
     top, bottom = work[:half], work[half:][::-1]
     # a pair with a zero column divides 0 by 0: never rotated, not counted
@@ -157,7 +169,8 @@ def _jacobi(a: np.ndarray):
     order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
     sigma = sigma[order]
     u = work[order, :n].T / sigma
-    return sigma, u, work[order, n:].T, sweeps, residual
+    return (sigma, u, work[order, n:].T if left else None, sweeps,
+            residual)
 
 
 def pivoted_qr(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,7 +243,7 @@ def truncate_top_k(res: SvdResult, k: int) -> SvdResult:
     if significant == 0:
         raise ValueError("numerically rank zero")
     keep = min(k, significant)
-    return replace(res, u=res.u[:, :keep].copy(),
+    return replace(res, u=None if res.u is None else res.u[:, :keep].copy(),
                    sigma=res.sigma[:keep].copy(), v=res.v[:, :keep].copy())
 
 

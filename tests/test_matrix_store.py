@@ -152,8 +152,10 @@ def test_total_that_overflows_is_refused_at_build():
 
 @pytest.mark.parametrize("writes, reason", [
     ([(0, 0, 1e-160), (1, 1, 0.0)], "squared norm underflows"),
+    # the square of 1e-170 underflows to 0: a nonzero matrix, zero total
+    ([(0, 0, 1e-170), (1, 1, 0.0)], "squared norm underflows"),
     ([(0, 0, 1.3e154), (1, 1, 1.3e154)], "squared norm overflows"),
-], ids=["subnormal", "infinite"])
+], ids=["subnormal", "zero", "infinite"])
 def test_writes_that_leave_a_bad_total_fail_at_the_next_read(writes, reason):
     # each write is accepted on its own row and column; the total is
     # checked where the norm trees are next built

@@ -286,7 +286,8 @@ def test_qisvd_rejects_theoretical_p():
     (50, 6, 6, 24, 6, 41),
     (40, 20, 5, 30, 10, 42),
     (200, 40, 40, 60, 20, 43),
-], ids=["square", "six-columns", "rank-5", "tall"])
+    (8, 40, 8, 30, 6, 46),
+], ids=["square", "six-columns", "rank-5", "tall", "wide"])
 def test_qisvd_merged_core_matches_unmerged_lapack(m, n, rank, p, k, seed):
     rng = stream(seed)
     a = standard_normal(rng, (m, rank)) @ standard_normal(rng, (rank, n))
@@ -327,8 +328,8 @@ def test_factor_core_converges_in_few_sweeps(monkeypatch):
     sweeps = []
     real = levsketch.sketch.svd_dense
 
-    def counting(matrix):
-        res = real(matrix)
+    def counting(matrix, **kw):
+        res = real(matrix, **kw)
         sweeps.append(res.sweeps)
         return res
 

@@ -183,13 +183,17 @@ def test_unconverged_sweeps_raise(monkeypatch):
     assert "\n" not in str(info.value)
 
 
-def test_rank_70_core_converges_like_lapack():
-    # trial 2 of `compare --p 127 --k 40 --trials 2 --seed 2` on
-    # `gen --family example1 --m 400 --n 150 --zero 20 --seed 2`: a valid
-    # 127x127 core of rank 70 whose null-space columns shrink toward
-    # underflow under plain sweeps
+def example1_core():
+    """Trial 2 of `compare --p 127 --k 40 --trials 2 --seed 2` on
+    `gen --family example1 --m 400 --n 150 --zero 20 --seed 2`: a valid
+    127x127 core of rank 70 whose null-space columns shrink toward
+    underflow under plain sweeps."""
     store = MatrixSampleStore(gen_example1(400, 150, 20, 2))
-    _, w = draw_sketch(store, 127, trial_stream(2, 1))
+    return draw_sketch(store, 127, trial_stream(2, 1))[1]
+
+
+def test_rank_70_core_converges_like_lapack():
+    w = example1_core()
     res = svd_dense(w)
     # 61 sweeps of plain Jacobi on the unreduced core
     assert res.sweeps <= 12
@@ -254,6 +258,25 @@ def test_tall_equal_singular_values_keep_column_order():
     np.testing.assert_array_equal(res.sigma, [2.0, 2.0, 2.0])
     np.testing.assert_allclose(np.abs(res.v), np.eye(3), atol=1e-12)
     np.testing.assert_allclose(np.abs(res.u), a / 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: stream(34).standard_normal((60, 20)),
+    lambda: stream(34).standard_normal((30, 30)),
+    example1_core,
+    lambda: np.ldexp(stream(34).standard_normal((20, 8)), -700),
+    lambda: stream(34).standard_normal((20, 60)),
+], ids=["tall", "square", "rank-deficient-core", "tiny", "wide"])
+def test_without_left_only_u_is_dropped(make):
+    a = make()
+    full, right = svd_dense(a), svd_dense(a, left=False)
+    assert right.u is None
+    np.testing.assert_array_equal(right.sigma, full.sigma)
+    np.testing.assert_array_equal(right.v, full.v)
+    assert (right.sweeps, right.residual) == (full.sweeps, full.residual)
+    cut = truncate_top_k(right, 3)
+    assert cut.u is None
+    np.testing.assert_array_equal(cut.v, full.v[:, :3])
 
 
 @pytest.mark.parametrize("shape", [(30, 30), (60, 20), (20, 60)])

@@ -13,25 +13,31 @@ threshold is its left child's sum, or the largest double where the right
 subtree is empty, so a draw steps right exactly when its residual reaches
 the threshold and never into a zero-mass subtree.
 
-A :class:`MatrixSampleStore` keeps the dense entries and flat row-norm and
-column-norm arrays, which a write updates in place. The first read of
-||A||_F or column draw after a write builds a tree over each array afresh,
-in O(m + n), and raises if ||A||_F^2 overflows or is subnormal, as the
-store's build does; later reads reuse them. Entry reads, norm reads and
-index draws are counted on the store for cost instrumentation.
+A :class:`MatrixSampleStore` keeps the dense entries and, per column, the
+squared norm ("mass"), a slack that bounds the rounding the mass has
+taken and, where it is known, the count of nonzero squares. The build
+sums the masses in one chunked pass. A write updates its column's mass by
+its change of square and reads no other entry, unless the slack shows
+that the mass has cancelled; a column whose count reaches 0 has mass
+exactly 0. The first read of ||A||_F or column draw after a write sums a
+tree over the masses afresh, in O(n), whose root is ||A||_F^2 and which
+raises if that overflows or is subnormal, as the store's build does;
+later reads reuse it. Entry reads, norm reads and index draws are
+counted on the store for cost instrumentation.
 
 For draws within a column the store keeps a column layer: the sum of
 squares of every ROW_BLOCK-row block of every column, and one tree per
 column over those block sums. A draw walks its column's tree to a block
 and then reads that block's entries, so it costs O(log m) tree steps and
 ROW_BLOCK entry reads, not m. The layer is built at the first such draw
-after the store's build. A write only flags its block; the next draw from
-that column first sums its flagged blocks afresh.
+after the store's build, from the same chunked pass. A write only flags
+its block; the next draw from that column first sums its flagged blocks
+afresh.
 
 A tree update redoes the adds of a fresh build, so its sums never drift,
-and so does a refreshed block. The store's column norms are updated
-incrementally and do drift; the store's periodic rebuild exists only for
-them.
+and so does a refreshed block. The store's masses are updated
+incrementally and drift within their slack; the store's periodic rebuild
+exists only for them.
 """
 from __future__ import annotations
 
@@ -42,8 +48,11 @@ import numpy as np
 
 from . import textfile
 
-# store rebuild after this many updates, to bound column-norm drift
+# store rebuild after this many updates, to bound column-mass drift
 REBUILD_EVERY = 1_000_000
+_EPS = np.finfo(np.float64).eps
+# a column whose mass is below its slack over _RESUM is summed afresh
+_RESUM = 2.0 ** -20
 # threshold of an empty right subtree: no residual reaches it, and
 # _NEVER * False is 0.0
 _NEVER = np.finfo(np.float64).max
@@ -51,9 +60,11 @@ _TINY = np.finfo(np.float64).tiny
 # rows per block of the store's column layer: 2^ROW_BLOCK_BITS
 ROW_BLOCK_BITS = 6
 ROW_BLOCK = 1 << ROW_BLOCK_BITS
-# the column layer's build squares about this many bytes of entries at a
-# time, so that each chunk's squares are still in cache when they are summed
-_CHUNK_BYTES = 1 << 20
+# the store's builds square about this many bytes of entries at a time, so
+# that each chunk's squares are still in cache when they are summed: a
+# 1000x100 store built in a median 0.43 ms at 256 KiB and 0.67 ms at 1 MiB,
+# a 64000x100 one in 30 ms at either (2-core host, numpy 2.4)
+_CHUNK_BYTES = 1 << 18
 
 
 def fill_sums(sums: np.ndarray, leaves: np.ndarray) -> None:
@@ -76,23 +87,6 @@ def sum_levels(sums: np.ndarray) -> None:
         np.add(child[..., 0::2], child[..., 1::2],
                out=sums[..., half:2 * half])
         half //= 2
-
-
-def block_sums(sq: np.ndarray) -> np.ndarray:
-    """Sums of every ROW_BLOCK consecutive rows of the 2-D ``sq``, whose
-    row count is a multiple of ROW_BLOCK, added strictly in order: bitwise
-    the last prefix that ``np.cumsum`` takes of each block.
-
-    numpy adds along an axis in order unless that axis is the innermost
-    one of the array, which it sums pairwise; so the blocks' rows are the
-    middle axis of a C-ordered array, next to a zero column if ``sq`` has
-    one column.
-    """
-    cols = sq.shape[1]
-    blocks = np.ascontiguousarray(sq).reshape(-1, ROW_BLOCK, cols)
-    if cols == 1:
-        blocks = np.concatenate([blocks, np.zeros_like(blocks)], axis=2)
-    return blocks.sum(axis=1)[:, :cols]
 
 
 def pick_in_block(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -157,16 +151,6 @@ def descend(sums: np.ndarray, tree: np.ndarray,
     return flat & (half - 1), u
 
 
-def _check_total(sq_frobenius: float, nonzero: bool) -> None:
-    """Raise ValueError for a squared Frobenius norm that overflows, or
-    that is subnormal or zero for a matrix that is ``nonzero``: sampling by
-    subnormal squares would be inexact."""
-    if sq_frobenius == math.inf:
-        raise ValueError("squared norm overflows")
-    if sq_frobenius < _TINY and nonzero:
-        raise ValueError("squared norm underflows")
-
-
 class SampleTree:
     """Squared-magnitude sampling tree over a fixed-length signed vector."""
 
@@ -184,8 +168,8 @@ class SampleTree:
         self._leaf = np.zeros(self._cap)
         self._leaf[:arr.size] = arr
         self._sums = np.zeros(2 * self._cap)
+        fill_sums(self._sums, self._leaf)
         self.touches = 0
-        self.rebuild()
 
     def __len__(self) -> int:
         return self.size
@@ -199,10 +183,6 @@ class SampleTree:
     def values(self) -> np.ndarray:
         """Copy of the stored vector."""
         return self._leaf[:self.size].copy()
-
-    def rebuild(self) -> None:
-        """Recompute every internal node from the leaves."""
-        fill_sums(self._sums, self._leaf)
 
     def _check_index(self, i: int) -> int:
         i = int(i)
@@ -244,6 +224,13 @@ class SampleTree:
 class MatrixSampleStore:
     """Sample-model store for a dense m-by-n matrix.
 
+    Keeps the entries and, per column, the squared norm ("mass") that
+    ``col_sq_norm`` reads and column draws sample by; no row norm is kept,
+    since the sketch draws rows only within columns. Each mass carries a
+    slack that bounds its rounding, and a write whose slack exceeds 2^-20
+    of its column's mass sums that column afresh, so no read returns a
+    cancelled mass or total.
+
     ``queries`` counts entry reads, norm reads and index draws; the counter
     is public and may be reset between phases of an experiment.
     """
@@ -254,53 +241,88 @@ class MatrixSampleStore:
             raise ValueError("matrix must be two-dimensional and non-empty")
         self.m, self.n = entries.shape
         self._entries = entries
+        # row blocks of the column layer, the last one possibly ragged
+        self._blocks = -(-self.m // ROW_BLOCK)
         self.queries = 0
         # serializes the column layer's build and refreshes between readers
         self._lock = threading.Lock()
         self.rebuild()
-        with np.errstate(over="ignore"):
-            sq_frobenius = self._row_norms @ self._row_norms
-        # squares can all underflow to 0: only then are the entries scanned
-        _check_total(sq_frobenius, sq_frobenius > 0.0 or entries.any())
+        self._mass_tree()
 
     def rebuild(self) -> None:
-        """Recompute both norm arrays from the stored entries; the column
-        layer is built afresh at the next within-column draw. A non-finite
-        entry, or a norm whose square overflows, raises ValueError and leaves
-        the store as it was."""
+        """Sum every column's squares afresh, in one chunked pass over the
+        entries: each mass is the in-order sum of its column's squares,
+        bitwise ``(a * a).sum(axis=0)`` for two or more columns, with no
+        m-by-n temporary. A column's slack starts at that sum's own
+        rounding bound, m eps times its mass, and its nonzero squares are
+        counted only where the count is free: 0 for a zero mass. The
+        column layer is built afresh at the next within-column draw. A
+        non-finite entry, or a mass that overflows, raises ValueError and
+        leaves the store as it was."""
         with np.errstate(over="ignore"):
-            sq = self._entries * self._entries
-            rows, cols = np.sqrt(sq.sum(axis=1)), np.sqrt(sq.sum(axis=0))
-        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
-            # a nan or inf entry makes its norms non-finite too
+            for _, rows, buf in self._square_chunks():
+                buf[0] = buf[:1 + rows].sum(axis=0)
+        masses = buf[0, :self.n]
+        if not np.isfinite(masses).all():
+            # a nan or inf entry makes its column's mass non-finite too
             if not np.isfinite(self._entries).all():
                 raise ValueError("non-finite input")
             raise ValueError("squared norm overflows")
-        self._row_norms, self._col_norms = rows, cols
-        self._trees = None
+        self._masses = masses.tolist()
+        # the count of nonzero squares is infinite where it is unknown
+        self._nonzero = [math.inf if mass else 0 for mass in self._masses]
+        self._slack = (masses * (self.m * _EPS)).tolist()
+        self._tree = None
         self._updates = 0
         self._col_sums = None
         # flag of block b of column j, at b n + j: written since the column
         # layer summed it (a bytearray item is the cheapest flag to set)
-        blocks = -(-self.m // ROW_BLOCK)
-        self._stale = bytearray(blocks * self.n)
+        self._stale = bytearray(self._blocks * self.n)
         self._stale_flags = np.frombuffer(self._stale, dtype=np.uint8
-                                          ).reshape(blocks, self.n)
+                                          ).reshape(self._blocks, self.n)
 
-    def _norm_trees(self) -> tuple[SampleTree, SampleTree]:
-        """The row-norm and column-norm trees, built after the last write;
-        reader threads that race here build equal trees, and any is kept.
-        Writes can leave a total that the build refuses, which raises
-        here."""
-        if self._trees is None:
+    def _square_chunks(self):
+        """Yield (start, rows, buf) for each chunk of whole ROW_BLOCK-row
+        blocks: buf[1:1 + rows] holds the squares of entry rows start to
+        start + rows, and zero rows follow up to the buffer's end; row 0 is
+        the caller's, to carry running totals. A chunk holds about
+        _CHUNK_BYTES of squares, still in cache when they are summed. The
+        buffer is at least two columns wide, since numpy sums a lone column
+        pairwise and along any other axis in order."""
+        chunk = ROW_BLOCK * min(self._blocks, max(1, _CHUNK_BYTES // (
+            8 * self.n * ROW_BLOCK)))
+        buf = np.empty((1 + chunk, max(self.n, 2)))
+        buf[0] = 0.0
+        for start in range(0, self.m, chunk):
+            rows = min(chunk, self.m - start)
+            part = self._entries[start:start + rows]
+            np.multiply(part, part, out=buf[1:1 + rows, :self.n])
+            buf[1 + rows:] = 0.0
+            yield start, rows, buf
+
+    def _mass_tree(self) -> np.ndarray:
+        """The tree over the column masses (see fill_sums), summed after
+        the last write; its root is the squared Frobenius norm. Reader
+        threads that race here build equal trees, and any is kept.
+
+        Raises ValueError for a total that overflows, or that is subnormal
+        or zero for a nonzero matrix: sampling by subnormal squares would
+        be inexact. The build refuses such a total, and so does the first
+        read after the writes that leave one."""
+        if self._tree is None:
+            cap = 1 << max(0, (self.n - 1).bit_length())
+            sums = np.zeros(2 * cap)
+            sums[cap:cap + self.n] = self._masses
             with np.errstate(over="ignore"):
-                trees = (SampleTree(self._row_norms),
-                         SampleTree(self._col_norms))
-            # as at build, the entries are scanned only for a zero total
-            _check_total(trees[0].sq_norm,
-                         trees[0].sq_norm > 0.0 or self._entries.any())
-            self._trees = trees
-        return self._trees
+                sum_levels(sums)
+            if sums[1] == math.inf:
+                raise ValueError("squared norm overflows")
+            # squares can all underflow to 0: only then are the entries
+            # scanned
+            if sums[1] < _TINY and (sums[1] > 0.0 or self._entries.any()):
+                raise ValueError("squared norm underflows")
+            self._tree = sums
+        return self._tree
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -308,7 +330,7 @@ class MatrixSampleStore:
 
     @property
     def sq_frobenius(self) -> float:
-        return self._norm_trees()[0].sq_norm
+        return float(self._mass_tree()[1])
 
     def to_array(self) -> np.ndarray:
         """Dense copy of the stored matrix."""
@@ -344,43 +366,51 @@ class MatrixSampleStore:
         if not 0 <= j < self.n:
             raise IndexError(f"column {j} out of range for {self.n} columns")
         self.queries += 1
-        v = float(self._col_norms[j])
-        return v * v
+        return self._masses[j]
 
     def update(self, i: int, j: int, value: float) -> None:
-        """Set A[i, j], maintaining both norm arrays. A value that makes
-        a norm's square overflow raises ValueError and leaves the store as
-        it was."""
+        """Set A[i, j] and update column j's mass by the write's change of
+        square. No row is summed: a total that overflows is refused at the
+        next read (see ``_mass_tree``), but a value that makes the column's
+        mass overflow raises ValueError here and leaves the store as it was.
+
+        Each write adds 2 eps (mass + old^2 + value^2) to the column's
+        slack, a bound on the rounding its mass has taken. A column whose
+        counted nonzero squares reach 0 gets mass exactly 0. A mass whose
+        slack exceeds 2^-20 of it has cancelled: its column is summed
+        afresh, bitwise as ``rebuild`` sums it, and its nonzero squares
+        are counted from then on.
+        """
         i, j = self._check_entry(i, j)
         value = float(value)
         if not math.isfinite(value):
             raise ValueError("non-finite input")
-        row = self._entries[i]
-        old = float(row[j])
-        row[j] = value
-        # summed from the dense row: bitwise the value a rebuild computes.
-        # The row's squares summed to rowv^2 before this write, so below
-        # half the largest double no step of the new sum can overflow; only
-        # past that is numpy's overflow warning silenced, since entering
-        # np.errstate costs about 2 us (numpy 2.4 on a 2-core host)
-        rowv = float(self._row_norms[i])
-        if rowv * rowv + value * value < 0.5 * _NEVER:
-            row_sq = np.add.reduce(row * row)
-        else:
-            with np.errstate(over="ignore"):
-                row_sq = np.add.reduce(row * row)
-        colv = float(self._col_norms[j])
-        col_sq = colv * colv - old * old + value * value
-        if not (math.isfinite(row_sq) and math.isfinite(col_sq)):
-            row[j] = old
+        old = float(self._entries[i, j])
+        mass, old_sq, new_sq = self._masses[j], old * old, value * value
+        new = mass - old_sq + new_sq
+        if not math.isfinite(new):
             raise ValueError("squared norm overflows")
-        self._row_norms[i] = math.sqrt(row_sq)
-        self._col_norms[j] = math.sqrt(max(col_sq, 0.0))
-        self._trees = None
+        self._entries[i, j] = value
+        count = self._nonzero[j] + (new_sq != 0.0) - (old_sq != 0.0)
+        slack = self._slack[j] + 2.0 * _EPS * (mass + old_sq + new_sq)
+        if count == 0:
+            new = slack = 0.0
+        elif slack > _RESUM * new:
+            new, count = self._sum_column(j)
+            slack = self.m * _EPS * new
+        self._masses[j], self._nonzero[j], self._slack[j] = new, count, slack
+        self._tree = None
         self._stale[(i >> ROW_BLOCK_BITS) * self.n + j] = 1
         self._updates += 1
         if self._updates >= REBUILD_EVERY:
             self.rebuild()
+
+    def _sum_column(self, j: int) -> tuple[float, int]:
+        """Column j's mass, summed in order as ``rebuild`` sums it, and its
+        count of nonzero squares."""
+        col = self._entries[:, j]
+        sq = col * col
+        return float(np.cumsum(sq)[-1]), int(np.count_nonzero(sq))
 
     def _block_entries(self, cols: np.ndarray,
                        blocks: np.ndarray) -> np.ndarray:
@@ -395,29 +425,21 @@ class MatrixSampleStore:
 
     def _build_column_layer(self) -> None:
         """Sum every block of every column and one tree per column (see
-        fill_sums) over those sums. The entries are squared a chunk of whole
-        blocks at a time, each chunk in cache when it is summed; a ragged
-        last block is padded with zeros, which add exactly 0. Like the
-        store's build, this preprocessing counts no reads."""
-        m, n = self.m, self.n
-        blocks = self._stale_flags.shape[0]
-        cap = 1 << max(0, (blocks - 1).bit_length())
-        col_sums = np.zeros((n, 2 * cap))
-        chunk = ROW_BLOCK * min(blocks, max(1, _CHUNK_BYTES // (
-            8 * n * ROW_BLOCK)))
-        sq = np.zeros((chunk, n))
-        for start in range(0, m, chunk):
-            rows = min(chunk, m - start)
-            padded = -(-rows // ROW_BLOCK) * ROW_BLOCK
-            part = self._entries[start:start + rows]
-            np.multiply(part, part, out=sq[:rows])
-            sq[rows:padded] = 0.0
+        fill_sums) over those sums, from the chunks of ``_square_chunks``:
+        a block's rows are the middle axis of the chunk's reshape, so they
+        are added in order, and a ragged last block is padded with zeros,
+        which add exactly 0. Like the store's build, this preprocessing
+        counts no reads."""
+        cap = 1 << max(0, (self._blocks - 1).bit_length())
+        col_sums = np.zeros((self.n, 2 * cap))
+        for start, rows, buf in self._square_chunks():
+            padded = -(-rows // ROW_BLOCK)
             first = cap + start // ROW_BLOCK
-            col_sums[:, first:first + padded // ROW_BLOCK] = block_sums(
-                sq[:padded]).T
+            sq = buf[1:1 + padded * ROW_BLOCK].reshape(padded, ROW_BLOCK, -1)
+            col_sums[:, first:first + padded] = sq.sum(axis=1)[:, :self.n].T
         sum_levels(col_sums)
         self._stale_flags[:] = 0
-        self._block_sq = col_sums[:, cap:cap + blocks]
+        self._block_sq = col_sums[:, cap:cap + self._blocks]
         self._col_sums = col_sums
 
     def _column_trees(self, cols: np.ndarray) -> np.ndarray:
@@ -432,7 +454,8 @@ class MatrixSampleStore:
             if at.size:
                 col = cols[at]
                 vals = self._block_entries(col, block)
-                self._block_sq[col, block] = block_sums((vals * vals).T)[0]
+                self._block_sq[col, block] = np.cumsum(vals * vals,
+                                                       axis=1)[:, -1]
                 col = np.unique(col)
                 sums = self._col_sums[col]
                 sum_levels(sums)
@@ -460,20 +483,22 @@ class MatrixSampleStore:
         distinct, tree = np.unique(cols, return_inverse=True)
         sums = self._column_trees(distinct)
         block, rest = descend(sums, tree, u * sums[tree, 1])
-        blocks = self._stale_flags.shape[0]
-        pair, at = np.unique(cols * blocks + block, return_inverse=True)
-        vals = self._block_entries(pair // blocks, pair % blocks)
+        pair, at = np.unique(cols * self._blocks + block,
+                             return_inverse=True)
+        vals = self._block_entries(pair // self._blocks, pair % self._blocks)
         self.queries += cols.size
         cum = np.cumsum(vals * vals, axis=1)[at]
         return block * ROW_BLOCK + pick_in_block(cum, rest)
 
     def sample_column_indices(self, rng: np.random.Generator,
                               size: int) -> np.ndarray:
-        """Indices j drawn with probability ||A_{:,j}||^2 / ||A||_F^2."""
-        if self.sq_frobenius <= 0.0:
+        """Indices j drawn with probability ||A_{:,j}||^2 / ||A||_F^2, by
+        one walk of the mass tree per draw (see ``sample_leaves``)."""
+        sums = self._mass_tree()
+        if sums[1] <= 0.0:
             raise ValueError("zero matrix")
         self.queries += int(size)
-        return self._norm_trees()[1].sample_indices(rng, size)
+        return sample_leaves(sums[None], np.array([int(size)]), rng)[1]
 
 
 def write_matrix_csv(path, matrix, metadata: dict | None = None) -> None:

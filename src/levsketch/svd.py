@@ -12,12 +12,13 @@ array step, in Brent and Luk's round-robin order. The final column norms
 are the singular values, T = U_T Sigma V_T^T, and A = (Q V_T) Sigma
 (P Q2 U_T)^T. Only the triplets with sigma > 0 are returned: the thin SVD
 U_A Sigma_A V_A^T of the paper, with U_A m-by-r and V_A n-by-r. The sweeps
-rotate V_T beside the columns of T only when U_A is asked for, and always
-for a wide input, whose V_A is the transposed problem's U. An input
-whose largest entry is below 2^-500 is factored after an exact power-of-two
-scaling, so that its squares do not underflow. The order is fixed, so the
-result is deterministic for a fixed input, and working on the matrix
-directly avoids the squared conditioning of a Gram-matrix eigensolve.
+rotate V_T beside the columns of T, and the QR builds Q, only when U_A is
+asked for, and always for a wide input, whose V_A is the transposed
+problem's U. An input whose largest entry is below 2^-500 is factored
+after an exact power-of-two scaling, so that its squares do not
+underflow. The order is fixed, so the result is deterministic for a fixed
+input, and working on the matrix directly avoids the squared
+conditioning of a Gram-matrix eigensolve.
 """
 from __future__ import annotations
 
@@ -59,10 +60,10 @@ def svd_dense(matrix, *, left: bool = True) -> SvdResult:
     Parameters
     ----------
     matrix : (m, n) array-like with finite entries, not all zero.
-    left : return U as well. With ``left=False`` the sweeps skip the V_T
-        accumulation that only U reads; sigma, V, ``sweeps`` and
-        ``residual`` are bitwise those of ``left=True``. A wide input
-        accumulates V_T either way, since its V is the transposed
+    left : return U as well. With ``left=False`` neither the pivoted QR's
+        Q nor the sweeps' V_T, which only U reads, is built; sigma, V,
+        ``sweeps`` and ``residual`` are bitwise those of ``left=True``. A
+        wide input builds both either way, since its V is the transposed
         problem's U.
 
     Returns
@@ -87,7 +88,8 @@ def svd_dense(matrix, *, left: bool = True) -> SvdResult:
         raise ValueError("zero matrix")
     # the power of two that brings the largest entry into [0.5, 1)
     shift = math.frexp(top)[1] if top < _TINY_ENTRY else 0
-    q, upper, perm = pivoted_qr(np.ldexp(a, -shift) if shift else a)
+    q, upper, perm = pivoted_qr(np.ldexp(a, -shift) if shift else a,
+                                basis=left)
     n, r = a.shape[1], upper.shape[0]
     # padded to n x n: a thin n x r QR rounds differently on rank-deficient
     # inputs
@@ -97,7 +99,7 @@ def svd_dense(matrix, *, left: bool = True) -> SvdResult:
     sigma, u_t, v_t, sweeps, residual = _jacobi(t[:r, :r], left)
     v = np.empty((n, sigma.size))
     v[perm] = q2[:, :r] @ u_t
-    return SvdResult(u=None if v_t is None else q[:, :r] @ v_t,
+    return SvdResult(u=None if q is None else q[:, :r] @ v_t,
                      sigma=np.ldexp(sigma, shift), v=v, sweeps=sweeps,
                      residual=residual)
 
@@ -173,13 +175,15 @@ def _jacobi(a: np.ndarray, left: bool):
             residual)
 
 
-def pivoted_qr(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pivoted_qr(matrix, *, basis: bool = True
+               ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Householder QR with column pivoting, stopped at the numerical rank.
 
     Returns (Q, R, perm) for an (m, n) input, m >= n: Q is (m, n) with
     orthonormal columns, R is (r, n) upper trapezoidal and A[:, perm] =
     Q[:, :r] R up to rounding, where r is the numerical rank; Q[:, r:]
-    completes Q[:, :r] to an orthonormal basis. Each step pivots the
+    completes Q[:, :r] to an orthonormal basis. With ``basis=False`` Q is
+    not built and is None; R and perm are the same. Each step pivots the
     remaining column of largest norm, recomputed exactly (ties: lowest
     original index), and the factorization stops when every remaining
     squared norm is at most (n eps)^2 times the largest initial one.
@@ -219,6 +223,8 @@ def pivoted_qr(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         a[j:, j + 1:] -= out
         reflectors.append((w, v))
     upper = np.triu(a[:len(reflectors)])
+    if not basis:
+        return None, upper, perm
     a = rest = x = None  # free the factored copy before Q is built
     q = np.zeros((m, n))
     q[:n, :n] = np.eye(n)

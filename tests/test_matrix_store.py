@@ -2,6 +2,7 @@
 import math
 import sys
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,14 +11,16 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from levsketch import (MatrixSampleStore, SampleTree, compute_params,
-                       draw_sketch, gen_example1, qisvd, read_matrix_csv,
-                       sample_columns, sample_rows, stream, trial_stream,
-                       write_matrix_csv)
+from levsketch import (MatrixSampleStore, compute_params, draw_sketch,
+                       gen_example1, qisvd, read_matrix_csv, sample_columns,
+                       sample_rows, stream, trial_stream, write_matrix_csv)
 from levsketch.cli import main
-from levsketch.sample_store import ROW_BLOCK, pick_in_block
+from levsketch.sample_store import (ROW_BLOCK, pick_in_block,
+                                    sample_leaves)
 
 from oracles import chisquare_pvalue
+
+_EPS = np.finfo(np.float64).eps
 
 
 @pytest.fixture
@@ -29,8 +32,8 @@ def test_norms_small(small_store):
     assert small_store.sq_frobenius == pytest.approx(30.0, rel=1e-14)
     assert small_store.col_sq_norm(0) == pytest.approx(10.0, rel=1e-14)
     assert small_store.col_sq_norm(1) == pytest.approx(20.0, rel=1e-14)
-    assert small_store._row_norms[0] ** 2 == pytest.approx(5.0, rel=1e-14)
-    assert small_store._row_norms[1] ** 2 == pytest.approx(25.0, rel=1e-14)
+    # the store keeps the masses themselves, not their square roots
+    assert small_store._masses == [10.0, 20.0]
     assert small_store.shape == (2, 2)
 
 
@@ -46,11 +49,52 @@ def test_norms_match_dense_oracle():
     store = MatrixSampleStore(a)
     sq = a * a
     assert store.sq_frobenius == pytest.approx(sq.sum(), rel=1e-12)
-    for i in range(50):
-        assert store._row_norms[i] ** 2 == pytest.approx(sq[i].sum(),
-                                                         rel=1e-12)
     for j in range(20):
         assert store.col_sq_norm(j) == pytest.approx(sq[:, j].sum(), rel=1e-12)
+    # the total is the root of the tree over the masses
+    assert store.sq_frobenius == store._mass_tree()[1]
+    assert store._mass_tree()[32:52].tolist() == store._masses
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (63, 1), (65, 2),
+                                  (300, 7), (4097, 3)])
+def test_masses_after_build_are_the_in_order_sums(monkeypatch, chunk_bytes,
+                                                  m, n):
+    # one chunked pass, 64 rows at a time or all at once: every mass is
+    # the in-order sum of its column's squares, which is numpy's column
+    # sum for two or more columns
+    monkeypatch.setattr("levsketch.sample_store._CHUNK_BYTES", chunk_bytes)
+    rng = stream(14 + m + n)
+    a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 8, (m, 1))
+    store = MatrixSampleStore(a)
+    sq = a * a
+    want = np.cumsum(sq, axis=0)[-1]
+    assert all(store.col_sq_norm(j) == want[j] for j in range(n))
+    if n > 1:
+        assert np.array_equal(want, sq.sum(axis=0))
+
+
+def test_build_allocates_no_full_size_temporary():
+    # the chunked pass holds about _CHUNK_BYTES of squares, never an
+    # m-by-n array; a whole build also copies the entries once
+    a = stream(15).standard_normal((20000, 50))
+    store = MatrixSampleStore(a)
+    tracemalloc.start()
+    try:
+        store.rebuild()
+        store._build_column_layer()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 2
+    tracemalloc.start()
+    try:
+        MatrixSampleStore(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes
 
 
 def test_entry_and_gather_access(small_store):
@@ -82,11 +126,16 @@ def test_column_sampling_one_third_two_thirds(small_store):
     assert chisquare_pvalue(counts, np.array([1 / 3, 2 / 3])) >= 0.01
 
 
-def test_row_sampling_distribution(small_store):
-    rng = stream(32)
-    rows = SampleTree(small_store._row_norms)
-    counts = np.bincount(rows.sample_indices(rng, 30_000), minlength=2)
-    assert chisquare_pvalue(counts, np.array([5 / 30, 25 / 30])) >= 0.01
+def test_mass_tree_sampling_distribution():
+    # the tree's leaves are the masses (1, 4, 25), padded with a zero leaf,
+    # and a walk of it draws column j with probability mass_j / total
+    store = MatrixSampleStore([[1.0, 2.0, 3.0], [0.0, 0.0, 4.0]])
+    tree = store._mass_tree()
+    assert tree.tolist() == [0.0, 30.0, 5.0, 25.0, 1.0, 4.0, 25.0, 0.0]
+    _, draws = sample_leaves(tree[None], np.array([30_000]), stream(32))
+    counts = np.bincount(draws, minlength=4)
+    assert counts[3] == 0
+    assert chisquare_pvalue(counts[:3], np.array([1, 4, 25]) / 30) >= 0.01
 
 
 def test_row_given_column(small_store):
@@ -176,12 +225,11 @@ def test_writes_that_leave_a_bad_total_fail_at_the_next_read(writes, reason):
 def test_update_refreshes_all_layers(small_store):
     small_store.update(0, 0, 5.0)
     assert small_store.query(0, 0) == 5.0
-    assert small_store._row_norms[0] ** 2 == pytest.approx(29.0, rel=1e-12)
     assert small_store.col_sq_norm(0) == pytest.approx(34.0, rel=1e-12)
     assert small_store.sq_frobenius == pytest.approx(54.0, rel=1e-12)
     fresh = MatrixSampleStore(small_store.to_array())
-    assert small_store._row_norms[0] ** 2 == fresh._row_norms[0] ** 2
-    assert small_store._row_norms[1] ** 2 == fresh._row_norms[1] ** 2
+    assert small_store._masses == fresh._masses
+    assert small_store._mass_tree().tolist() == fresh._mass_tree().tolist()
 
 
 def test_update_whose_square_overflows_changes_nothing():
@@ -189,8 +237,8 @@ def test_update_whose_square_overflows_changes_nothing():
     before = store.to_array()
     frob = store.sq_frobenius
     cols = [store.col_sq_norm(j) for j in range(2)]
-    # refused without a numpy overflow warning: first the row's sum of
-    # squares overflows, then only the column's
+    # refused without a numpy overflow warning: first the value's square
+    # overflows, then only the column's mass
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for i, j, value in [(0, 0, 1e200), (1, 0, 1.2e154)]:
@@ -199,12 +247,12 @@ def test_update_whose_square_overflows_changes_nothing():
             np.testing.assert_array_equal(store.to_array(), before)
             assert store.sq_frobenius == frob
             assert [store.col_sq_norm(j) for j in range(2)] == cols
-        # a row whose squares sum past half the largest double is kept,
+        # a column whose mass passes half the largest double is kept,
         # bitwise as a rebuild sums it
         store.update(0, 1, 1e153)
-    written = store._row_norms.copy()
+    written = list(store._masses)
     store.rebuild()
-    assert np.array_equal(written, store._row_norms)
+    assert written == store._masses
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
@@ -233,25 +281,124 @@ def test_update_drift_stays_tiny():
         store.update(i, j, v)
     fresh = MatrixSampleStore(a)
     assert store.sq_frobenius == pytest.approx(fresh.sq_frobenius, rel=1e-9)
-    # row norms are summed afresh on every update: no drift at all
-    assert all(store._row_norms[i] ** 2 == fresh._row_norms[i] ** 2
-               for i in range(64))
     for j in range(16):
         assert store.col_sq_norm(j) == pytest.approx(
             fresh.col_sq_norm(j), rel=1e-9, abs=1e-9)
+        # each mass drifts within its slack, which bounds both sums' rounding
+        assert abs(store._masses[j] - fresh._masses[j]) <= (
+            store._slack[j] + fresh._slack[j])
+
+
+def test_write_that_cancels_a_mass_sums_its_column_afresh():
+    # 1e20 swamps the other ones' squares, and writing 1 back cancels it:
+    # the incremental mass would be 1, and column 0 drawn at 1/12
+    store = MatrixSampleStore(np.ones((4, 3)))
+    store.update(0, 0, 1e10)
+    store.update(0, 0, 1.0)
+    assert store.col_sq_norm(0) == 4.0
+    assert store.sq_frobenius == 12.0
+    counts = np.bincount(store.sample_column_indices(stream(34), 30_000),
+                         minlength=3)
+    assert chisquare_pvalue(counts, np.full(3, 1 / 3)) >= 0.01
+
+
+def test_column_zeroed_by_writes_has_mass_zero():
+    # two writes and their undoing leave column 1 all zero; its incremental
+    # mass would be 0.677, so it would be drawn and then fail its row draw
+    a = np.zeros((4, 2))
+    a[:, 0] = 1.0
+    store = MatrixSampleStore(a)
+    for i, j, value in [(0, 1, 81448869.73076099), (1, 1, 2.0791468550554812),
+                        (0, 1, 0.0), (1, 1, 0.0)]:
+        store.update(i, j, value)
+    assert store.col_sq_norm(1) == 0.0
+    assert store.sq_frobenius == 4.0
+    cols, probs, col_sq = sample_columns(store, 8, stream(0))
+    assert cols.tolist() == [0] * 8 and probs.tolist() == [1.0] * 8
+    rows, _, _ = sample_rows(store, cols, col_sq, 8, stream(1))
+    assert set(rows.tolist()) <= {0, 1, 2, 3}
+
+
+def test_writes_undone_in_a_zero_column_sum_no_column(monkeypatch):
+    # a column that is zero at build has a known count of nonzero squares:
+    # writes and their undoing bring its mass back to exactly 0 without
+    # summing the column, however much the mass cancels
+    sums = []
+    real = MatrixSampleStore._sum_column
+    monkeypatch.setattr(MatrixSampleStore, "_sum_column",
+                        lambda st, j: sums.append(j) or real(st, j))
+    a = stream(35).standard_normal((300, 3))
+    a[:, 1] = 0.0
+    store = MatrixSampleStore(a)
+    rng = stream(36)
+    for _ in range(20):
+        rows = rng.choice(300, 3, replace=False)
+        for i in rows:
+            store.update(i, 1, float(rng.standard_normal()) * 1e3)
+        for i in rows:
+            store.update(i, 1, 0.0)
+        assert store.col_sq_norm(1) == 0.0
+    assert sums == []
+    assert 1 not in store.sample_column_indices(stream(37), 1000)
+
+
+def test_build_rounding_counts_toward_the_slack():
+    # the build's in-order sum drops every 1 added to 1e16, so once the
+    # large entry is overwritten the thousand ones are a sixteenth of a
+    # thousandth of the mass: more than one write's slack, less than the
+    # build's own rounding bound
+    col = np.ones(1001)
+    col[0] = 1e8
+    store = MatrixSampleStore(np.column_stack([col, col]))
+    assert store.col_sq_norm(0) == 1e16
+    store.update(0, 0, 4000.0)
+    assert store.col_sq_norm(0) == 16e6 + 1000.0
+
+
+MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
+                     st.floats(-1e100, -1e-100))
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_masses_stay_within_slack_of_the_exact_sums(m, n, data):
+    # whatever the writes, each mass is within its slack of its column's
+    # exact sum of squares (math.fsum, correctly rounded), and the slack
+    # within 2^-20 of the mass: no read sees a cancelled mass or total
+    a = np.array(data.draw(st.lists(MAGNITUDE, min_size=m * n,
+                                    max_size=m * n))).reshape(m, n)
+    store = MatrixSampleStore(a)
+    writes = data.draw(st.lists(st.tuples(
+        st.integers(0, m - 1), st.integers(0, n - 1), MAGNITUDE),
+        max_size=12))
+    for i, j, value in writes:
+        store.update(i, j, value)
+        a[i, j] = value
+        for col in range(n):
+            exact = math.fsum(a[:, col] ** 2)
+            mass, slack = store._masses[col], store._slack[col]
+            assert abs(mass - exact) <= slack + _EPS * exact
+            assert slack <= 2.0 ** -20 * mass or mass == slack == 0.0
+    if a.any():
+        assert store.sq_frobenius == pytest.approx(
+            math.fsum((a * a).ravel()), rel=2.0 ** -19)
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 300])
-def test_row_norms_after_writes_are_a_rebuilds(n):
+def test_masses_after_writes_stay_within_slack_of_a_rebuilds(n):
+    # values across twelve decades cancel masses: each written mass stays
+    # within its slack of a rebuild's and the slack within 2^-20 of it, so
+    # no mass has lost more than its last 20 bits
     rng = stream(44)
     store = MatrixSampleStore(rng.standard_normal((20, n)))
     for _ in range(500):
         store.update(int(rng.integers(0, 20)), int(rng.integers(0, n)),
                      float(rng.standard_normal()) * 10.0 ** int(
                          rng.integers(-6, 6)))
-    written = store._row_norms.copy()
+    written, slack = np.array(store._masses), np.array(store._slack)
+    assert (slack <= 2.0 ** -20 * written).all()
     store.rebuild()
-    assert np.array_equal(written, store._row_norms)
+    assert (np.abs(written - store._masses)
+            <= slack + np.array(store._slack)).all()
 
 
 def test_auto_rebuild_matches_fresh_store(monkeypatch):
@@ -282,43 +429,57 @@ def test_store_rebuild_is_the_only_rebuild(monkeypatch):
     for i, j, v in [(0, 0, 1.5), (4, 2, -2.0), (5, 4, 0.25)]:
         a[i, j] = v
         store.update(i, j, v)
-    # the third update rebuilds the store's norm arrays, once
+    # the third update rebuilds the store's masses, once
     assert len(calls) == 1
     fresh = MatrixSampleStore(a)
     assert store.sq_frobenius == fresh.sq_frobenius
-    assert all(store._row_norms[i] ** 2 == fresh._row_norms[i] ** 2
-               for i in range(6))
-    assert all(store.col_sq_norm(j) == fresh.col_sq_norm(j) for j in range(5))
+    assert store._masses == fresh._masses
+    assert store._nonzero == fresh._nonzero
+    assert store._slack == fresh._slack
 
 
 class TreeStore:
-    """Reference store that keeps its two norm trees current on every
-    write, the way the flat-array store's trees must read when rebuilt."""
+    """Reference store that keeps its mass tree current on every write,
+    node by node up the written leaf's path, the way the flat store's tree
+    must read when it is summed afresh. A write moves the mass by the
+    change of square, or zeroes it once its column has no nonzero square
+    (the writes below never cancel a mass past its slack)."""
 
     def __init__(self, a):
         self.a = np.array(a, dtype=np.float64)
         sq = self.a * self.a
-        self.rows = SampleTree(np.sqrt(sq.sum(axis=1)))
-        self.cols = SampleTree(np.sqrt(sq.sum(axis=0)))
+        self.nonzero = (sq != 0.0).sum(axis=0)
+        self.cap = 1 << max(0, (self.a.shape[1] - 1).bit_length())
+        self.sums = np.zeros(2 * self.cap)
+        for j, mass in enumerate(np.cumsum(sq, axis=0)[-1]):
+            self.set_mass(j, mass)
         self.queries = 0
 
+    def set_mass(self, j, mass):
+        node = self.cap + j
+        self.sums[node] = mass
+        while node > 1:
+            node //= 2
+            self.sums[node] = self.sums[2 * node] + self.sums[2 * node + 1]
+
     def update(self, i, j, value):
-        old = self.a[i, j]
+        old = float(self.a[i, j])
         self.a[i, j] = value
-        row = self.a[i]
-        self.rows.update(i, np.sqrt((row * row).sum()))
-        colv = self.cols.query(j)
-        col_sq = colv * colv - old * old + value * value
-        self.cols.update(j, np.sqrt(max(col_sq, 0.0)))
+        self.nonzero[j] += (value * value != 0.0) - (old * old != 0.0)
+        mass = self.sums[self.cap + j] - old * old + value * value
+        self.set_mass(j, mass if self.nonzero[j] else 0.0)
+
+    @property
+    def sq_frobenius(self):
+        return self.sums[1]
 
     def col_sq_norm(self, j):
         self.queries += 1
-        v = self.cols.query(j)
-        return v * v
+        return self.sums[self.cap + j]
 
     def sample_column_indices(self, rng, size):
         self.queries += size
-        return self.cols.sample_indices(rng, size)
+        return sample_leaves(self.sums[None], np.array([size]), rng)[1]
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 9), (9, 1), (40, 7), (257, 33)])
@@ -332,10 +493,10 @@ def test_store_matches_tree_reference_after_writes(m, n):
             v = 0.0 if rng.random() < 0.2 else float(rng.standard_normal())
             store.update(i, j, v)
             ref.update(i, j, v)
-        assert store.sq_frobenius == ref.rows.sq_norm
+        assert store.sq_frobenius == ref.sq_frobenius
         assert [store.col_sq_norm(j) for j in range(n)] == \
             [ref.col_sq_norm(j) for j in range(n)]
-        if ref.rows.sq_norm > 0.0:
+        if ref.sq_frobenius > 0.0:
             assert np.array_equal(
                 store.sample_column_indices(stream(burst), 64),
                 ref.sample_column_indices(stream(burst), 64))
@@ -384,16 +545,22 @@ def test_query_counter_accounting(small_store):
 
 
 def test_sample_touch_cost_logarithmic():
+    # a column draw counts one query per index and walks the mass tree,
+    # ceil(log2 n) levels deep, which is summed once and reused until the
+    # next write
     n = 1000
     store = MatrixSampleStore(stream(2).random((4, n)) + 0.5)
-    bound = 2 * math.ceil(math.log2(n)) + 1
     rng = stream(3)
-    for _ in range(20):
-        _, tree = store._norm_trees()
-        tree.touches = 0
-        store.sample_column_indices(rng, 1)
-        assert store._norm_trees()[1] is tree
-        assert tree.touches <= bound
+    tree = store._mass_tree()
+    assert tree.size == 2 ** (math.ceil(math.log2(n)) + 1)
+    for size in range(1, 21):
+        before = store.queries
+        store.sample_column_indices(rng, size)
+        assert store.queries - before == size
+        assert store._mass_tree() is tree
+    store.update(0, 0, 2.0)
+    store.sample_column_indices(rng, 1)
+    assert store._mass_tree() is not tree
 
 
 def test_dense_csv_round_trip(tmp_path):

@@ -279,6 +279,21 @@ def test_without_left_only_u_is_dropped(make):
     np.testing.assert_array_equal(cut.v, full.v[:, :3])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: stream(35).standard_normal((60, 20)),
+    lambda: stream(35).standard_normal((30, 30)),
+    example1_core,
+], ids=["tall", "square", "rank-deficient-core"])
+def test_pivoted_qr_without_basis_keeps_r_and_perm(make):
+    # svd_dense(left=False) asks for no Q, which only U reads
+    a = make()
+    q, upper, perm = svd_module.pivoted_qr(a)
+    none, same_upper, same_perm = svd_module.pivoted_qr(a, basis=False)
+    assert q.shape == a.shape and none is None
+    np.testing.assert_array_equal(same_upper, upper)
+    np.testing.assert_array_equal(same_perm, perm)
+
+
 @pytest.mark.parametrize("shape", [(30, 30), (60, 20), (20, 60)])
 def test_memory_layout_does_not_change_the_result(shape):
     a = stream(32).standard_normal(shape)

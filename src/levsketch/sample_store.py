@@ -42,6 +42,7 @@ exists only for them.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 
 import numpy as np
@@ -185,7 +186,10 @@ class SampleTree:
         return self._leaf[:self.size].copy()
 
     def _check_index(self, i: int) -> int:
-        i = int(i)
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise ValueError("index must be a whole number") from None
         if not 0 <= i < self.size:
             raise IndexError(f"index {i} out of range for size {self.size}")
         return i
@@ -229,7 +233,8 @@ class MatrixSampleStore:
     since the sketch draws rows only within columns. Each mass carries a
     slack that bounds its rounding, and a write whose slack exceeds 2^-20
     of its column's mass sums that column afresh, so no read returns a
-    cancelled mass or total.
+    cancelled mass or total. Indices are Python or numpy integers: any
+    other type, even the float 1.0, raises ValueError.
 
     ``queries`` counts entry reads, norm reads and index draws; the counter
     is public and may be reset between phases of an experiment.
@@ -337,7 +342,11 @@ class MatrixSampleStore:
         return self._entries.copy()
 
     def _check_entry(self, i: int, j: int) -> tuple[int, int]:
-        i, j = int(i), int(j)
+        # int() would truncate 1.9 to 1: only integer types are indices
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise ValueError("entry index must be a whole number") from None
         if not (0 <= i < self.m and 0 <= j < self.n):
             raise IndexError(f"entry ({i}, {j}) out of range for shape "
                              f"{self.shape}")
@@ -362,7 +371,10 @@ class MatrixSampleStore:
         return self._entries.take(idx, axis=1).take(rows, axis=0)
 
     def col_sq_norm(self, j: int) -> float:
-        j = int(j)
+        try:
+            j = operator.index(j)
+        except TypeError:
+            raise ValueError("column index must be a whole number") from None
         if not 0 <= j < self.n:
             raise IndexError(f"column {j} out of range for {self.n} columns")
         self.queries += 1

@@ -8,17 +8,19 @@ the largest initial column. The first r rows of R are factored again
 without pivoting, R_r^T = Q2 T. The r-by-r triangle T has nearly
 orthogonal columns, since T^T T = R_r R_r^T, so a few Jacobi sweeps
 orthogonalize them: each round rotates r/2 disjoint column pairs in one
-array step, in Brent and Luk's round-robin order. The final column norms
-are the singular values, T = U_T Sigma V_T^T, and A = (Q V_T) Sigma
-(P Q2 U_T)^T. Only the triplets with sigma > 0 are returned: the thin SVD
-U_A Sigma_A V_A^T of the paper, with U_A m-by-r and V_A n-by-r. The sweeps
-rotate V_T beside the columns of T, and the QR builds Q, only when U_A is
-asked for, and always for a wide input, whose V_A is the transposed
-problem's U. An input whose largest entry is below 2^-500 is factored
-after an exact power-of-two scaling, so that its squares do not
-underflow. The order is fixed, so the result is deterministic for a fixed
-input, and working on the matrix directly avoids the squared
-conditioning of a Gram-matrix eigensolve.
+array step, in Brent and Luk's round-robin order. The columns are kept as
+rows of one array in pair order, the second of each pair in the bottom
+half, so each round works on two forward-strided halves and moves them by
+one row. The final column norms are the singular values, T = U_T Sigma
+V_T^T, and A = (Q V_T) Sigma (P Q2 U_T)^T. Only the triplets with
+sigma > 0 are returned: the thin SVD U_A Sigma_A V_A^T of the paper, with
+U_A m-by-r and V_A n-by-r. The sweeps rotate V_T beside the columns of T,
+and the QR builds Q, only when U_A is asked for, and always for a wide
+input, whose V_A is the transposed problem's U. An input whose largest
+entry is below 2^-500 is factored after an exact power-of-two scaling, so
+that its squares do not underflow. The order is fixed, so the result is
+deterministic for a fixed input, and working on the matrix directly avoids
+the squared conditioning of a Gram-matrix eigensolve.
 """
 from __future__ import annotations
 
@@ -111,10 +113,13 @@ def _jacobi(a: np.ndarray, left: bool):
     only the columns with sigma > 0, sorted non-increasing, ties in column
     order; V is not accumulated, and is None, when ``left`` is false.
     """
-    # row i holds column i of the working matrix, then column i of V if it
-    # is accumulated (a zero row pads odd n). Position k pairs with position
-    # size-1-k; positions 1.. shift by one per round, so each sweep ends
-    # with every row back in place.
+    # each row holds a column of the working matrix, then that column of
+    # V if it is accumulated (a zero row pads odd n). Columns sit on a
+    # circle of size positions, position k paired with size-1-k: row k
+    # holds position k and row half+k position size-1-k, so pair k is rows
+    # k and half+k and both halves are forward views. Positions 1.. move
+    # one step per round, so each sweep ends with every column back in
+    # place.
     n = a.shape[1]
     size = n + n % 2
     half = size // 2
@@ -122,8 +127,12 @@ def _jacobi(a: np.ndarray, left: bool):
     work[:n, :n] = a.T
     if left:
         work[:n, n:] = np.eye(n)
+    work[half:] = work[half:][::-1]
     cols = work[:, :n]
-    top, bottom = work[:half], work[half:][::-1]
+    top, bottom = work[:half], work[half:]
+    top_cols, bottom_cols = top[:, :n], bottom[:, :n]
+    # the rotation's products, one buffer each
+    s_top, s_bottom = np.empty_like(top), np.empty_like(bottom)
     # a pair with a zero column divides 0 by 0: never rotated, not counted
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweeps in range(1, _MAX_SWEEPS + 1):
@@ -134,31 +143,36 @@ def _jacobi(a: np.ndarray, left: bool):
             rotated, residual = False, 0.0
             for _ in range(size - 1):
                 sq = np.einsum("ij,ij->i", cols, cols)
-                sq_top, sq_bottom = sq[:half], sq[half:][::-1]
-                gamma = np.einsum("ij,ij->i", top[:, :n], bottom[:, :n])
+                gamma = np.einsum("ij,ij->i", top_cols, bottom_cols)
                 norms = np.sqrt(sq)
-                ratio = np.abs(gamma) / (norms[:half] * norms[half:][::-1])
-                residual = max(residual, float(np.fmax.reduce(ratio)))
-                fail = ratio > _TOL
-                if fail.any():
+                ratio = np.abs(gamma) / (norms[:half] * norms[half:])
+                # fmax skips the NaN of a pair with a zero column
+                worst = float(np.fmax.reduce(ratio))
+                residual = max(residual, worst)
+                if worst > _TOL:
                     rotated = True
-                    zeta = (sq_bottom - sq_top) / (2.0 * gamma)
+                    zeta = (sq[half:] - sq[:half]) / (2.0 * gamma)
                     # sign(0) must be +1: equal-mass parallel columns need
                     # the full 45-degree rotation, not a no-op
                     t = np.copysign(1.0, zeta) / (np.abs(zeta)
                                                   + np.hypot(1.0, zeta))
-                    # t = 0 leaves a pair that passes bit-for-bit as it is
-                    t[~fail] = 0.0
+                    # t = 0 leaves a pair that passes, or whose ratio is
+                    # NaN, bit-for-bit as it is
+                    t[~(ratio > _TOL)] = 0.0
                     c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
                     s = c * t[:, None]
-                    s_top = s * top
+                    np.multiply(s, top, out=s_top)
                     top *= c
-                    top -= s * bottom
+                    top -= np.multiply(s, bottom, out=s_bottom)
                     bottom *= c
                     bottom += s_top
-                last = work[-1].copy()
-                work[2:] = work[1:-1]
-                work[1] = last
+                if half > 1:  # two columns never move
+                    # position size-1 moves to 1 and half-1 to half
+                    to_top = bottom[0].copy()
+                    bottom[:-1] = bottom[1:]
+                    bottom[-1] = top[-1]
+                    top[2:] = top[1:-1]
+                    top[1] = to_top
             if not rotated:
                 break
         else:
@@ -166,6 +180,8 @@ def _jacobi(a: np.ndarray, left: bool):
                              f"{_MAX_SWEEPS} sweeps (residual "
                              f"{residual:.3g})")
 
+    # back to column order, so that ties sort in it
+    work[half:] = work[half:][::-1]
     sigma = np.sqrt(np.einsum("ij,ij->i", work[:n, :n], work[:n, :n]))
     # zero columns sort last and are dropped
     order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]

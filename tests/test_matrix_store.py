@@ -269,6 +269,31 @@ def test_out_of_range_update_changes_nothing(small_store, i, j):
             small_store.col_sq_norm(j)
 
 
+@pytest.mark.parametrize("call", [
+    lambda store: store.query(1.9, 0.5),
+    lambda store: store.query(1, np.float64(0.0)),
+    lambda store: store.col_sq_norm(1.99),
+    lambda store: store.update(0.7, 1.2, 9.0),
+    lambda store: store.update(1, 1.0, 9.0),
+], ids=["query", "query-whole-float", "col_sq_norm", "update",
+        "update-whole-float"])
+def test_index_that_is_not_an_integer_is_refused(small_store, call):
+    # int() would truncate 1.9 to row 1 and 0.7 to row 0
+    with pytest.raises(ValueError, match="whole number") as info:
+        call(small_store)
+    assert "\n" not in str(info.value)
+    np.testing.assert_array_equal(small_store.to_array(),
+                                  [[1.0, 2.0], [3.0, 4.0]])
+    assert small_store.queries == 0
+
+
+def test_numpy_integer_indices_are_accepted(small_store):
+    assert small_store.query(np.int64(1), np.int32(0)) == 3.0
+    assert small_store.col_sq_norm(np.uint8(1)) == 20.0
+    small_store.update(np.int64(0), np.int16(1), 5.0)
+    assert small_store.query(0, 1) == 5.0
+
+
 def test_update_drift_stays_tiny():
     rng = stream(41)
     a = rng.standard_normal((64, 16))

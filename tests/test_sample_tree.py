@@ -205,6 +205,17 @@ def test_update_out_of_range():
         tree.query(-3)
 
 
+def test_fractional_index_is_refused():
+    tree = SampleTree([1.0, 2.0])
+    for call in (lambda: tree.query(1.5), lambda: tree.update(0.5, 7.0),
+                 lambda: tree.update(np.float64(1.0), 7.0)):
+        with pytest.raises(ValueError, match="whole number"):
+            call()
+    np.testing.assert_array_equal(tree.values, [1.0, 2.0])
+    assert tree.touches == 0
+    assert tree.query(np.int64(1)) == 2.0
+
+
 def test_many_updates_match_rebuilt_tree():
     rng = stream(9)
     vals = rng.random(1024) * 2.0 - 1.0

@@ -1,12 +1,16 @@
 """One-sided Jacobi SVD: exact small cases, orthonormality, oracle agreement."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import levsketch.sketch as sketch_module
 import levsketch.svd as svd_module
-from levsketch import (MatrixSampleStore, SvdResult, draw_sketch,
-                       gen_example1, standard_normal, stream, svd_dense,
-                       trial_stream, truncate_top_k)
+from levsketch import (MatrixSampleStore, SvdResult, compute_params,
+                       draw_sketch, gen_example1, gen_example2,
+                       standard_normal, stream, svd_dense, trial_stream,
+                       truncate_top_k)
 
 from oracles import power_iteration_sigma
 
@@ -374,3 +378,98 @@ def test_tiny_input_is_factored_after_an_exact_power_of_two(shape):
     np.testing.assert_array_equal(tiny.u, ref.u)
     np.testing.assert_array_equal(tiny.v, ref.v)
     np.testing.assert_array_equal(tiny.sigma, np.ldexp(ref.sigma, -700))
+
+
+def factor_core(trial):
+    """The merged core that ``qisvd`` factors on factor-core's matrix
+    (example2 2000x500, rank 100, p = 100): trial 1 leaves a 92-wide
+    Jacobi triangle, trial 2 a 95-wide one."""
+    store = MatrixSampleStore(gen_example2(2000, 500, 100, 1.0, 1, 1000, 7))
+    params = compute_params(0.5, 0.1, 88, 1.0, 1.0, 1.0, p_override=100)
+    cores = []
+
+    def record(core, **kwargs):
+        cores.append(core)
+        return svd_dense(core, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sketch_module, "svd_dense", record)
+        sketch_module.qisvd(store, params, trial_stream(7, trial))
+    return cores[0]
+
+
+def with_zero_columns():
+    a = stream(36).standard_normal((12, 8))
+    a[:, [2, 5]] = 0.0
+    return a
+
+
+PINNED_INPUTS = {
+    "n1": lambda: stream(36).standard_normal((1, 1)),
+    "n2": lambda: stream(36).standard_normal((2, 2)),
+    "n3": lambda: stream(36).standard_normal((3, 3)),
+    "n4": lambda: stream(36).standard_normal((4, 4)),
+    "factor-core-even": lambda: factor_core(1),
+    "factor-core-odd": lambda: factor_core(2),
+    "zero-columns": with_zero_columns,
+    "kahan": lambda: kahan(30, 0.3),
+    "wide": lambda: stream(36).standard_normal((8, 20)),
+}
+
+# sha256 of each result's sigma, V, U (when returned), sweeps and residual
+PINNED_DIGESTS = {
+    ('factor-core-even', True):
+        "4e4e17718a0490df3c6ef3eb7b9445e31127a9c9c9242626fc2a8429c9f392ad",
+    ('factor-core-even', False):
+        "7dce3ab36b22a00482fc4a6a9083c00061f19e839a4464c059e1d8bfb5af2ce8",
+    ('factor-core-odd', True):
+        "a159f01955802ac28d356742da899fae562c4daa512b72a955698fcd0ced3d6b",
+    ('factor-core-odd', False):
+        "faeba5cb9d484c2f63910f0d441265000fb5a25e21a4cf981fc70a9a303d0ec2",
+    ('kahan', True):
+        "a34cf29f3dded2e06728802fce1396990b094f7e41ed32d4a5ac1eddb2d54b0b",
+    ('kahan', False):
+        "0ec59408c9d0f47b647e3fbc06056a13fec5d31a183b05ee6b812ad23f34730f",
+    ('n1', True):
+        "8b1cbb34bf46854aeb053d76dc6a30f79cdcde80a31794fd33fbe0af09065940",
+    ('n1', False):
+        "d035d5759414d5a837c2cf3b5ebbbb7e04d22c53ae48c8f46f0afbe8c0b15a84",
+    ('n2', True):
+        "60b4f844ff5836977c3a7eaaa6b0de6afe498750ace58e47d7b001dad86bee74",
+    ('n2', False):
+        "5ba1c5fc91b3b785b91615143f91450b080bf40308a1dac7490e8a29d32531ac",
+    ('n3', True):
+        "830eef3015a117ce62fadad46f6000605186073d19349965ee5e5254ee2a6008",
+    ('n3', False):
+        "f99828592b0c79298699b1ed5c88a4975ef91c7f564e0863922de3050279d676",
+    ('n4', True):
+        "39adfef598a742e2e9b4928ff1aca31c12e78afb49e0b89135a846ae3eec0215",
+    ('n4', False):
+        "465d40fc82b4acfb832bc38b3a19b67724d7dba6332e9bad78dd68dc6c4d93c6",
+    ('wide', True):
+        "3fd0778ade685dee0b507dc25da199b4fb4de9fd43b364ca85aaf668e2ed760b",
+    ('wide', False):
+        "47514e2cb31ad0f31e0e8e3660b09a801c2e4ae3425abebaddb8ed10efe2b283",
+    ('zero-columns', True):
+        "f43d5ed21fd43044723c5f43572ff7470edff49e85303d5cbb283c934d41e168",
+    ('zero-columns', False):
+        "11ca7039b4c40ee7a17f4cb4ce00ae4a80ed55988f5bb756ab473c8fa1e27e19",
+}
+
+
+def result_digest(res):
+    h = hashlib.sha256()
+    for part in (res.sigma, res.v, res.u):
+        if part is not None:
+            h.update(repr(part.shape).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+    h.update(f"{res.sweeps} {res.residual.hex()}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+def test_results_are_bitwise_pinned(name, left):
+    # a refactor of the sweeps or the QRs must keep every bit
+    res = svd_dense(PINNED_INPUTS[name](), left=left)
+    assert result_digest(res) == PINNED_DIGESTS[name, left]

@@ -13,31 +13,26 @@ threshold is its left child's sum, or the largest double where the right
 subtree is empty, so a draw steps right exactly when its residual reaches
 the threshold and never into a zero-mass subtree.
 
-A :class:`MatrixSampleStore` keeps the dense entries and, per column, the
-squared norm ("mass"), a slack that bounds the rounding the mass has
-taken and, where it is known, the count of nonzero squares. The build
-sums the masses in one chunked pass. A write updates its column's mass by
-its change of square and reads no other entry, unless the slack shows
-that the mass has cancelled; a column whose count reaches 0 has mass
-exactly 0. The first read of ||A||_F or column draw after a write sums a
-tree over the masses afresh, in O(n), whose root is ||A||_F^2 and which
-raises if that overflows or is subnormal, as the store's build does;
-later reads reuse it. Entry reads, norm reads and index draws are
-counted on the store for cost instrumentation.
+A :class:`MatrixSampleStore` keeps the dense entries and one norm
+structure, its column layer: the sum of squares of every ROW_BLOCK-row
+block of every column, one tree per column over those block sums, whose
+root is the column's squared norm ("mass"), and one tree over the masses,
+whose root is ||A||_F^2. The build sums all of it in one chunked pass over
+the entries. A write stores its value, flags its block and reads nothing
+else. The first norm read or draw after writes sums every flagged block
+afresh in one gather, then the trees of the changed columns and the mass
+tree, with the adds of the build: every norm and tree the store reports is
+bitwise a fresh store's over the same entries, so no mass drifts and none
+needs a periodic rebuild.
 
-For draws within a column the store keeps a column layer: the sum of
-squares of every ROW_BLOCK-row block of every column, and one tree per
-column over those block sums. A draw walks its column's tree to a block
-and then reads that block's entries, so it costs O(log m) tree steps and
-ROW_BLOCK entry reads, not m. The layer is built at the first such draw
-after the store's build, from the same chunked pass. A write only flags
-its block; the next draw from that column first sums its flagged blocks
-afresh.
+A column draw walks the mass tree. A draw within a column walks its
+column's tree to a block and then reads that block's entries, so it costs
+O(log m) tree steps and ROW_BLOCK entry reads, not m.
 
-A tree update redoes the adds of a fresh build, so its sums never drift,
-and so does a refreshed block. The store's masses are updated
-incrementally and drift within their slack; the store's periodic rebuild
-exists only for them.
+Entry reads, norm reads and index draws are counted on the store for cost
+instrumentation. The build and the refresh after writes are the store's
+own upkeep and count no reads, so a sketch drawn after writes counts what
+it would on a fresh store of the same entries.
 """
 from __future__ import annotations
 
@@ -49,11 +44,6 @@ import numpy as np
 
 from . import textfile
 
-# store rebuild after this many updates, to bound column-mass drift
-REBUILD_EVERY = 1_000_000
-_EPS = np.finfo(np.float64).eps
-# a column whose mass is below its slack over _RESUM is summed afresh
-_RESUM = 2.0 ** -20
 # threshold of an empty right subtree: no residual reaches it, and
 # _NEVER * False is 0.0
 _NEVER = np.finfo(np.float64).max
@@ -61,11 +51,40 @@ _TINY = np.finfo(np.float64).tiny
 # rows per block of the store's column layer: 2^ROW_BLOCK_BITS
 ROW_BLOCK_BITS = 6
 ROW_BLOCK = 1 << ROW_BLOCK_BITS
-# the store's builds square about this many bytes of entries at a time, so
+# the store's build squares about this many bytes of entries at a time, so
 # that each chunk's squares are still in cache when they are summed: a
 # 1000x100 store built in a median 0.43 ms at 256 KiB and 0.67 ms at 1 MiB,
 # a 64000x100 one in 30 ms at either (2-core host, numpy 2.4)
 _CHUNK_BYTES = 1 << 18
+
+
+def check_index(i, size: int, what: str = "index") -> int:
+    """``i`` as an int in [0, size). Only Python and numpy integers are
+    indices: a bool, or any other type, even the float 1.0, raises
+    ValueError, and an index outside the range IndexError."""
+    try:
+        if isinstance(i, (bool, np.bool_)):
+            raise TypeError
+        i = operator.index(i)
+    except TypeError:
+        raise ValueError(f"{what} must be a whole number") from None
+    if not 0 <= i < size:
+        raise IndexError(f"{what} {i} out of range for size {size}")
+    return i
+
+
+def check_indices(idx, size: int) -> np.ndarray:
+    """``idx`` as an int64 array of indices in [0, size). An array of any
+    other than an integer type, bool included, raises ValueError, and an
+    index outside the range IndexError."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError("indices must be whole numbers")
+    idx = idx.astype(np.int64, copy=False)
+    # one pass: a negative index read as unsigned is above any size
+    if idx.size and idx.view(np.uint64).max() >= size:
+        raise IndexError(f"index out of range for size {size}")
+    return idx
 
 
 def fill_sums(sums: np.ndarray, leaves: np.ndarray) -> None:
@@ -185,25 +204,16 @@ class SampleTree:
         """Copy of the stored vector."""
         return self._leaf[:self.size].copy()
 
-    def _check_index(self, i: int) -> int:
-        try:
-            i = operator.index(i)
-        except TypeError:
-            raise ValueError("index must be a whole number") from None
-        if not 0 <= i < self.size:
-            raise IndexError(f"index {i} out of range for size {self.size}")
-        return i
-
     def query(self, i: int) -> float:
         """Signed entry at position ``i``."""
-        i = self._check_index(i)
+        i = check_index(i, self.size)
         self.touches += 1
         return float(self._leaf[i])
 
     def update(self, i: int, value: float) -> None:
         """Set entry ``i`` and restore the path to the root, with the same
         adds as ``fill_sums``: the sums stay bitwise a fresh build's."""
-        i = self._check_index(i)
+        i = check_index(i, self.size)
         value = float(value)
         if not np.isfinite(value):
             raise ValueError("non-finite input")
@@ -228,16 +238,19 @@ class SampleTree:
 class MatrixSampleStore:
     """Sample-model store for a dense m-by-n matrix.
 
-    Keeps the entries and, per column, the squared norm ("mass") that
-    ``col_sq_norm`` reads and column draws sample by; no row norm is kept,
-    since the sketch draws rows only within columns. Each mass carries a
-    slack that bounds its rounding, and a write whose slack exceeds 2^-20
-    of its column's mass sums that column afresh, so no read returns a
-    cancelled mass or total. Indices are Python or numpy integers: any
-    other type, even the float 1.0, raises ValueError.
+    Keeps the entries and the column layer (see the module docstring): per
+    column a tree over its ROW_BLOCK-row block sums, whose root is the
+    squared column norm ("mass") that ``col_sq_norm`` reads, and a tree
+    over the masses that column draws walk. No row norm is kept, since the
+    sketch draws rows only within columns. A write flags its block; the
+    next norm read or draw sums the flagged blocks and the trees above
+    them afresh, so every norm is bitwise a fresh build's. Indices are
+    Python or numpy integers: a bool or any other type, even the float
+    1.0, raises ValueError.
 
-    ``queries`` counts entry reads, norm reads and index draws; the counter
-    is public and may be reset between phases of an experiment.
+    ``queries`` counts entry reads, norm reads and index draws, and nothing
+    else: the build and the refresh after writes count no reads. The
+    counter is public and may be reset between phases of an experiment.
     """
 
     def __init__(self, matrix):
@@ -249,85 +262,85 @@ class MatrixSampleStore:
         # row blocks of the column layer, the last one possibly ragged
         self._blocks = -(-self.m // ROW_BLOCK)
         self.queries = 0
-        # serializes the column layer's build and refreshes between readers
+        # serializes the refresh after writes between readers
         self._lock = threading.Lock()
-        self.rebuild()
-        self._mass_tree()
-
-    def rebuild(self) -> None:
-        """Sum every column's squares afresh, in one chunked pass over the
-        entries: each mass is the in-order sum of its column's squares,
-        bitwise ``(a * a).sum(axis=0)`` for two or more columns, with no
-        m-by-n temporary. A column's slack starts at that sum's own
-        rounding bound, m eps times its mass, and its nonzero squares are
-        counted only where the count is free: 0 for a zero mass. The
-        column layer is built afresh at the next within-column draw. A
-        non-finite entry, or a mass that overflows, raises ValueError and
-        leaves the store as it was."""
+        # node v of column j's tree (see fill_sums) at [v, j]: leaf
+        # cap + b holds the sum of squares of block b, the root the mass
+        cap = 1 << max(0, (self._blocks - 1).bit_length())
+        self._col_sums = np.zeros((2 * cap, self.n))
+        # squares of whole blocks, about _CHUNK_BYTES at a time; the buffer
+        # is at least two columns wide, since numpy sums a lone column
+        # pairwise and along any other axis in order, and a ragged last
+        # block is padded with zeros, which add exactly 0
+        chunk = ROW_BLOCK * min(self._blocks, max(1, _CHUNK_BYTES // (
+            8 * self.n * ROW_BLOCK)))
+        buf = np.zeros((chunk, max(self.n, 2)))
         with np.errstate(over="ignore"):
-            for _, rows, buf in self._square_chunks():
-                buf[0] = buf[:1 + rows].sum(axis=0)
-        masses = buf[0, :self.n]
-        if not np.isfinite(masses).all():
-            # a nan or inf entry makes its column's mass non-finite too
-            if not np.isfinite(self._entries).all():
-                raise ValueError("non-finite input")
-            raise ValueError("squared norm overflows")
-        self._masses = masses.tolist()
-        # the count of nonzero squares is infinite where it is unknown
-        self._nonzero = [math.inf if mass else 0 for mass in self._masses]
-        self._slack = (masses * (self.m * _EPS)).tolist()
-        self._tree = None
-        self._updates = 0
-        self._col_sums = None
-        # flag of block b of column j, at b n + j: written since the column
-        # layer summed it (a bytearray item is the cheapest flag to set)
+            for start in range(0, self.m, chunk):
+                rows = min(chunk, self.m - start)
+                part = entries[start:start + rows]
+                np.multiply(part, part, out=buf[:rows, :self.n])
+                buf[rows:] = 0.0
+                padded = -(-rows // ROW_BLOCK)
+                first = cap + start // ROW_BLOCK
+                sq = buf[:padded * ROW_BLOCK].reshape(padded, ROW_BLOCK, -1)
+                self._col_sums[first:first + padded] = sq.sum(
+                    axis=1)[:, :self.n]
+            sum_levels(self._col_sums.T)
+        # flag of block b of column j, at b n + j: written since it was
+        # summed (a bytearray item is the cheapest flag to set)
         self._stale = bytearray(self._blocks * self.n)
         self._stale_flags = np.frombuffer(self._stale, dtype=np.uint8
                                           ).reshape(self._blocks, self.n)
-
-    def _square_chunks(self):
-        """Yield (start, rows, buf) for each chunk of whole ROW_BLOCK-row
-        blocks: buf[1:1 + rows] holds the squares of entry rows start to
-        start + rows, and zero rows follow up to the buffer's end; row 0 is
-        the caller's, to carry running totals. A chunk holds about
-        _CHUNK_BYTES of squares, still in cache when they are summed. The
-        buffer is at least two columns wide, since numpy sums a lone column
-        pairwise and along any other axis in order."""
-        chunk = ROW_BLOCK * min(self._blocks, max(1, _CHUNK_BYTES // (
-            8 * self.n * ROW_BLOCK)))
-        buf = np.empty((1 + chunk, max(self.n, 2)))
-        buf[0] = 0.0
-        for start in range(0, self.m, chunk):
-            rows = min(chunk, self.m - start)
-            part = self._entries[start:start + rows]
-            np.multiply(part, part, out=buf[1:1 + rows, :self.n])
-            buf[1 + rows:] = 0.0
-            yield start, rows, buf
+        self._mass = None
+        self._mass_tree()
 
     def _mass_tree(self) -> np.ndarray:
-        """The tree over the column masses (see fill_sums), summed after
-        the last write; its root is the squared Frobenius norm. Reader
-        threads that race here build equal trees, and any is kept.
+        """The tree over the column masses (see fill_sums), whose root is
+        the squared Frobenius norm, after the written blocks are summed
+        afresh: one gather of every flagged block, then the trees of their
+        columns and this tree, with the adds of the build. Later reads
+        reuse it until the next write. Reader threads take turns here, and
+        the first refreshes for all. Counts no reads.
 
-        Raises ValueError for a total that overflows, or that is subnormal
-        or zero for a nonzero matrix: sampling by subnormal squares would
-        be inexact. The build refuses such a total, and so does the first
-        read after the writes that leave one."""
-        if self._tree is None:
-            cap = 1 << max(0, (self.n - 1).bit_length())
-            sums = np.zeros(2 * cap)
-            sums[cap:cap + self.n] = self._masses
-            with np.errstate(over="ignore"):
-                sum_levels(sums)
-            if sums[1] == math.inf:
-                raise ValueError("squared norm overflows")
-            # squares can all underflow to 0: only then are the entries
-            # scanned
-            if sums[1] < _TINY and (sums[1] > 0.0 or self._entries.any()):
-                raise ValueError("squared norm underflows")
-            self._tree = sums
-        return self._tree
+        Raises ValueError for a non-finite entry, for a total that
+        overflows, or that is subnormal or zero for a nonzero matrix:
+        sampling by subnormal squares would be inexact. The build refuses
+        such a total, and so does every read after the writes that leave
+        one, until writes bring it back."""
+        with self._lock, np.errstate(over="ignore"):
+            if self._mass is None:
+                block, col = np.nonzero(self._stale_flags)
+                if col.size:
+                    sq = self._block_entries(col, block)
+                    sq *= sq
+                    # each block summed in order, as the build sums it
+                    total = sq[0]
+                    for row in sq[1:]:
+                        total += row
+                    self._col_sums[len(self._col_sums) // 2 + block,
+                                   col] = total
+                    col = np.unique(col)
+                    sums = self._col_sums[:, col]
+                    sum_levels(sums.T)
+                    self._col_sums[:, col] = sums
+                    self._stale_flags[:] = 0
+                cap = 1 << max(0, (self.n - 1).bit_length())
+                tree = np.zeros(2 * cap)
+                tree[cap:cap + self.n] = self._col_sums[1]
+                sum_levels(tree)
+                if not tree[1] < math.inf:
+                    # a nan or inf entry makes the total non-finite too
+                    if not np.isfinite(self._entries).all():
+                        raise ValueError("non-finite input")
+                    raise ValueError("squared norm overflows")
+                # squares can all underflow to 0: only then are the
+                # entries scanned
+                if tree[1] < _TINY and (tree[1] > 0.0 or
+                                        self._entries.any()):
+                    raise ValueError("squared norm underflows")
+                self._mass = tree
+            return self._mass
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -341,139 +354,59 @@ class MatrixSampleStore:
         """Dense copy of the stored matrix."""
         return self._entries.copy()
 
-    def _check_entry(self, i: int, j: int) -> tuple[int, int]:
-        # int() would truncate 1.9 to 1: only integer types are indices
-        try:
-            i, j = operator.index(i), operator.index(j)
-        except TypeError:
-            raise ValueError("entry index must be a whole number") from None
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) out of range for shape "
-                             f"{self.shape}")
-        return i, j
-
     def query(self, i: int, j: int) -> float:
         """Entry A[i, j]."""
-        i, j = self._check_entry(i, j)
+        i, j = check_index(i, self.m, "row"), check_index(j, self.n, "column")
         self.queries += 1
         return float(self._entries[i, j])
 
     def block_values(self, rows, cols) -> np.ndarray:
         """Entries A[rows][:, cols] as one counted gather."""
-        rows = np.asarray(rows, dtype=np.int64)
-        idx = np.asarray(cols, dtype=np.int64)
+        rows, idx = check_indices(rows, self.m), check_indices(cols, self.n)
         self.queries += rows.size * idx.size
         # two takes are C-contiguous, which the stacked exact-dot product
         # needs to round as each row's own product does; the axis whose
-        # take leaves the smaller intermediate goes first (same bits)
+        # take leaves the smaller intermediate goes first (same bits). The
+        # indices are checked, so the takes skip their own bounds check
         if rows.size * self.n <= self.m * idx.size:
-            return self._entries.take(rows, axis=0).take(idx, axis=1)
-        return self._entries.take(idx, axis=1).take(rows, axis=0)
+            return self._entries.take(rows, axis=0, mode="clip").take(
+                idx, axis=1, mode="clip")
+        return self._entries.take(idx, axis=1, mode="clip").take(
+            rows, axis=0, mode="clip")
 
     def col_sq_norm(self, j: int) -> float:
-        try:
-            j = operator.index(j)
-        except TypeError:
-            raise ValueError("column index must be a whole number") from None
-        if not 0 <= j < self.n:
-            raise IndexError(f"column {j} out of range for {self.n} columns")
+        j = check_index(j, self.n, "column")
+        self._mass_tree()
         self.queries += 1
-        return self._masses[j]
+        return float(self._col_sums[1, j])
 
     def update(self, i: int, j: int, value: float) -> None:
-        """Set A[i, j] and update column j's mass by the write's change of
-        square. No row is summed: a total that overflows is refused at the
-        next read (see ``_mass_tree``), but a value that makes the column's
-        mass overflow raises ValueError here and leaves the store as it was.
-
-        Each write adds 2 eps (mass + old^2 + value^2) to the column's
-        slack, a bound on the rounding its mass has taken. A column whose
-        counted nonzero squares reach 0 gets mass exactly 0. A mass whose
-        slack exceeds 2^-20 of it has cancelled: its column is summed
-        afresh, bitwise as ``rebuild`` sums it, and its nonzero squares
-        are counted from then on.
-        """
-        i, j = self._check_entry(i, j)
+        """Set A[i, j] and flag its block, reading nothing else. A non-finite
+        value, or one whose square overflows, raises ValueError and leaves
+        the store as it was; a total that overflows only with the other
+        entries is refused at the next read (see ``_mass_tree``)."""
+        i, j = check_index(i, self.m, "row"), check_index(j, self.n, "column")
         value = float(value)
         if not math.isfinite(value):
             raise ValueError("non-finite input")
-        old = float(self._entries[i, j])
-        mass, old_sq, new_sq = self._masses[j], old * old, value * value
-        new = mass - old_sq + new_sq
-        if not math.isfinite(new):
+        if value * value == math.inf:
             raise ValueError("squared norm overflows")
         self._entries[i, j] = value
-        count = self._nonzero[j] + (new_sq != 0.0) - (old_sq != 0.0)
-        slack = self._slack[j] + 2.0 * _EPS * (mass + old_sq + new_sq)
-        if count == 0:
-            new = slack = 0.0
-        elif slack > _RESUM * new:
-            new, count = self._sum_column(j)
-            slack = self.m * _EPS * new
-        self._masses[j], self._nonzero[j], self._slack[j] = new, count, slack
-        self._tree = None
         self._stale[(i >> ROW_BLOCK_BITS) * self.n + j] = 1
-        self._updates += 1
-        if self._updates >= REBUILD_EVERY:
-            self.rebuild()
-
-    def _sum_column(self, j: int) -> tuple[float, int]:
-        """Column j's mass, summed in order as ``rebuild`` sums it, and its
-        count of nonzero squares."""
-        col = self._entries[:, j]
-        sq = col * col
-        return float(np.cumsum(sq)[-1]), int(np.count_nonzero(sq))
+        self._mass = None
 
     def _block_entries(self, cols: np.ndarray,
                        blocks: np.ndarray) -> np.ndarray:
-        """Entries of block ``blocks[d]`` of column ``cols[d]``, one
-        ROW_BLOCK-wide row per pair, zero past the last matrix row; counts
-        the entries read."""
-        rows = blocks[:, None] * ROW_BLOCK + np.arange(ROW_BLOCK)
-        inside = rows < self.m
-        self.queries += int(inside.sum())
-        vals = self._entries[np.minimum(rows, self.m - 1), cols[:, None]]
-        return np.where(inside, vals, 0.0)
-
-    def _build_column_layer(self) -> None:
-        """Sum every block of every column and one tree per column (see
-        fill_sums) over those sums, from the chunks of ``_square_chunks``:
-        a block's rows are the middle axis of the chunk's reshape, so they
-        are added in order, and a ragged last block is padded with zeros,
-        which add exactly 0. Like the store's build, this preprocessing
-        counts no reads."""
-        cap = 1 << max(0, (self._blocks - 1).bit_length())
-        col_sums = np.zeros((self.n, 2 * cap))
-        for start, rows, buf in self._square_chunks():
-            padded = -(-rows // ROW_BLOCK)
-            first = cap + start // ROW_BLOCK
-            sq = buf[1:1 + padded * ROW_BLOCK].reshape(padded, ROW_BLOCK, -1)
-            col_sums[:, first:first + padded] = sq.sum(axis=1)[:, :self.n].T
-        sum_levels(col_sums)
-        self._stale_flags[:] = 0
-        self._block_sq = col_sums[:, cap:cap + self._blocks]
-        self._col_sums = col_sums
-
-    def _column_trees(self, cols: np.ndarray) -> np.ndarray:
-        """The trees of the distinct columns ``cols``, bitwise a fresh
-        build's: the layer is built if it is not, and the written blocks
-        of ``cols`` are summed afresh and their trees re-summed. Reader
-        threads take turns here."""
-        with self._lock:
-            if self._col_sums is None:
-                self._build_column_layer()
-            block, at = np.nonzero(self._stale_flags[:, cols])
-            if at.size:
-                col = cols[at]
-                vals = self._block_entries(col, block)
-                self._block_sq[col, block] = np.cumsum(vals * vals,
-                                                       axis=1)[:, -1]
-                col = np.unique(col)
-                sums = self._col_sums[col]
-                sum_levels(sums)
-                self._col_sums[col] = sums
-                self._stale_flags[:, col] = 0
-            return self._col_sums[cols]
+        """Entries of block ``blocks[d]`` of column ``cols[d]`` in column d,
+        one row per row of a block, zero past the last matrix row, as one
+        flat gather; counts nothing. A gather of rows past the last one is
+        clipped to the last entry and then zeroed."""
+        vals = self._entries.take(
+            np.arange(0, ROW_BLOCK * self.n, self.n)[:, None]
+            + (blocks * (ROW_BLOCK * self.n) + cols), mode="clip")
+        vals[self.m - ROW_BLOCK * (self._blocks - 1):,
+             blocks == self._blocks - 1] = 0.0
+        return vals
 
     def sample_in_columns(self, cols, u) -> np.ndarray:
         """Row i of column ``cols[d]`` for every draw d, with probability
@@ -482,24 +415,24 @@ class MatrixSampleStore:
         All draws walk their columns' trees together to a block (see
         ``descend``), then pick the row within the block from its prefix
         sums; each distinct (column, block) is read once. Costs one index
-        draw per draw and ROW_BLOCK entry reads per distinct block, after
-        the flagged blocks of ``cols`` are summed afresh (ROW_BLOCK reads
-        each).
+        draw per draw and one entry read per matrix row of each distinct
+        block.
         """
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = check_indices(cols, self.n)
         u = np.asarray(u, dtype=np.float64)
-        if cols.size and not 0 <= cols.min() <= cols.max() < self.n:
-            raise IndexError(f"column out of range for {self.n} columns")
         if not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError("uniforms must lie in [0, 1]")
+        self._mass_tree()
         distinct, tree = np.unique(cols, return_inverse=True)
-        sums = self._column_trees(distinct)
+        sums = self._col_sums[:, distinct].T
         block, rest = descend(sums, tree, u * sums[tree, 1])
         pair, at = np.unique(cols * self._blocks + block,
                              return_inverse=True)
-        vals = self._block_entries(pair // self._blocks, pair % self._blocks)
-        self.queries += cols.size
-        cum = np.cumsum(vals * vals, axis=1)[at]
+        col, blk = np.divmod(pair, self._blocks)
+        vals = self._block_entries(col, blk)
+        self.queries += cols.size + int(np.minimum(
+            ROW_BLOCK, self.m - blk * ROW_BLOCK).sum())
+        cum = np.cumsum(vals * vals, axis=0).T[at]
         return block * ROW_BLOCK + pick_in_block(cum, rest)
 
     def sample_column_indices(self, rng: np.random.Generator,

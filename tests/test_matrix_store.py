@@ -16,7 +16,7 @@ from levsketch import (MatrixSampleStore, compute_params, draw_sketch,
                        sample_rows, stream, trial_stream, write_matrix_csv)
 from levsketch.cli import main
 from levsketch.sample_store import (ROW_BLOCK, pick_in_block,
-                                    sample_leaves)
+                                    sample_leaves, sum_levels)
 
 from oracles import chisquare_pvalue
 
@@ -33,7 +33,7 @@ def test_norms_small(small_store):
     assert small_store.col_sq_norm(0) == pytest.approx(10.0, rel=1e-14)
     assert small_store.col_sq_norm(1) == pytest.approx(20.0, rel=1e-14)
     # the store keeps the masses themselves, not their square roots
-    assert small_store._masses == [10.0, 20.0]
+    assert col_norms(small_store, range(2)) == [10.0, 20.0]
     assert small_store.shape == (2, 2)
 
 
@@ -51,9 +51,11 @@ def test_norms_match_dense_oracle():
     assert store.sq_frobenius == pytest.approx(sq.sum(), rel=1e-12)
     for j in range(20):
         assert store.col_sq_norm(j) == pytest.approx(sq[:, j].sum(), rel=1e-12)
-    # the total is the root of the tree over the masses
+    # the total is the root of the tree over the masses, which are the
+    # roots of the column trees
     assert store.sq_frobenius == store._mass_tree()[1]
-    assert store._mass_tree()[32:52].tolist() == store._masses
+    assert store._mass_tree()[32:52].tolist() == col_norms(store, range(20))
+    assert store._col_sums[1].tolist() == col_norms(store, range(20))
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
@@ -62,39 +64,34 @@ def test_norms_match_dense_oracle():
 def test_masses_after_build_are_the_in_order_sums(monkeypatch, chunk_bytes,
                                                   m, n):
     # one chunked pass, 64 rows at a time or all at once: every mass is
-    # the in-order sum of its column's squares, which is numpy's column
-    # sum for two or more columns
+    # the root of a tree over the in-order sums of its column's
+    # ROW_BLOCK-row blocks; with one block, the in-order sum of its
+    # squares, which is numpy's column sum for two or more columns
     monkeypatch.setattr("levsketch.sample_store._CHUNK_BYTES", chunk_bytes)
     rng = stream(14 + m + n)
     a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 8, (m, 1))
     store = MatrixSampleStore(a)
-    sq = a * a
-    want = np.cumsum(sq, axis=0)[-1]
+    want = layer_oracle(a)[1][:, 1]
     assert all(store.col_sq_norm(j) == want[j] for j in range(n))
-    if n > 1:
-        assert np.array_equal(want, sq.sum(axis=0))
+    if m <= ROW_BLOCK:
+        sq = a * a
+        assert np.array_equal(want, np.cumsum(sq, axis=0)[-1])
+        if n > 1:
+            assert np.array_equal(want, sq.sum(axis=0))
 
 
 def test_build_allocates_no_full_size_temporary():
-    # the chunked pass holds about _CHUNK_BYTES of squares, never an
-    # m-by-n array; a whole build also copies the entries once
+    # a build copies the entries once; beside that copy, its chunked pass
+    # holds about _CHUNK_BYTES of squares and the trees, never an m-by-n
+    # array
     a = stream(15).standard_normal((20000, 50))
-    store = MatrixSampleStore(a)
-    tracemalloc.start()
-    try:
-        store.rebuild()
-        store._build_column_layer()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < a.nbytes / 2
     tracemalloc.start()
     try:
         MatrixSampleStore(a)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * a.nbytes
+    assert peak - a.nbytes < a.nbytes / 2
 
 
 def test_entry_and_gather_access(small_store):
@@ -228,7 +225,7 @@ def test_update_refreshes_all_layers(small_store):
     assert small_store.col_sq_norm(0) == pytest.approx(34.0, rel=1e-12)
     assert small_store.sq_frobenius == pytest.approx(54.0, rel=1e-12)
     fresh = MatrixSampleStore(small_store.to_array())
-    assert small_store._masses == fresh._masses
+    assert col_norms(small_store, range(2)) == col_norms(fresh, range(2))
     assert small_store._mass_tree().tolist() == fresh._mass_tree().tolist()
 
 
@@ -236,23 +233,39 @@ def test_update_whose_square_overflows_changes_nothing():
     store = MatrixSampleStore([[1.2e154, 0.0], [0.0, 1.0]])
     before = store.to_array()
     frob = store.sq_frobenius
-    cols = [store.col_sq_norm(j) for j in range(2)]
-    # refused without a numpy overflow warning: first the value's square
-    # overflows, then only the column's mass
+    cols = col_norms(store, range(2))
+
+    def unchanged():
+        np.testing.assert_array_equal(store.to_array(), before)
+        assert store.sq_frobenius == frob
+        assert col_norms(store, range(2)) == cols
+
+    # all refused without a numpy overflow warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for i, j, value in [(0, 0, 1e200), (1, 0, 1.2e154)]:
+        # a value whose own square overflows is refused at the write
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            store.update(0, 0, 1e200)
+        unchanged()
+        # every square is finite but column 0's mass is not: the write is
+        # kept, and every read refuses it, as an overflowing total is
+        store.update(1, 0, 1.2e154)
+        for read in (lambda: store.sq_frobenius,
+                     lambda: store.col_sq_norm(1),
+                     lambda: store.sample_column_indices(stream(0), 1),
+                     lambda: store.sample_in_columns([1], [0.5])):
             with pytest.raises(ValueError, match="squared norm overflows"):
-                store.update(i, j, value)
-            np.testing.assert_array_equal(store.to_array(), before)
-            assert store.sq_frobenius == frob
-            assert [store.col_sq_norm(j) for j in range(2)] == cols
+                read()
+        # writing the old value back makes the store readable again, with
+        # bitwise its old norms
+        store.update(1, 0, 0.0)
+        unchanged()
         # a column whose mass passes half the largest double is kept,
-        # bitwise as a rebuild sums it
+        # bitwise as a fresh build sums it
         store.update(0, 1, 1e153)
-    written = list(store._masses)
-    store.rebuild()
-    assert written == store._masses
+    fresh = MatrixSampleStore(store.to_array())
+    assert store.sq_frobenius == fresh.sq_frobenius
+    assert col_norms(store, range(2)) == col_norms(fresh, range(2))
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
@@ -287,6 +300,54 @@ def test_index_that_is_not_an_integer_is_refused(small_store, call):
     assert small_store.queries == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda store: store.query(True, False),
+    lambda store: store.query(np.True_, 0),
+    lambda store: store.col_sq_norm(True),
+    lambda store: store.update(False, 1, 9.0),
+], ids=["query", "query-numpy-bool", "col_sq_norm", "update"])
+def test_bool_index_is_refused(small_store, call):
+    # operator.index(True) is 1: a bool would read or write entry (1, 0)
+    with pytest.raises(ValueError, match="whole number"):
+        call(small_store)
+    np.testing.assert_array_equal(small_store.to_array(),
+                                  [[1.0, 2.0], [3.0, 4.0]])
+    assert small_store.queries == 0
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda store: store.block_values([-1], [0]), IndexError),
+    (lambda store: store.block_values([0], [2]), IndexError),
+    (lambda store: store.block_values([0.9], [1.7]), ValueError),
+    (lambda store: store.block_values(np.array([True]), [0]), ValueError),
+    (lambda store: store.sample_in_columns([1.7], [0.5]), ValueError),
+    (lambda store: store.sample_in_columns([True], [0.5]), ValueError),
+    (lambda store: MatrixSampleStore(np.ones((300, 2))).block_values(
+        np.array([-1], dtype=np.int8), [0]), IndexError),
+    (lambda store: store.block_values(
+        np.array([2 ** 63], dtype=np.uint64), [0]), IndexError),
+], ids=["block-negative-row", "block-column-above-n", "block-fractional",
+        "block-bool", "draw-fractional", "draw-bool", "block-narrow-negative",
+        "block-huge-unsigned"])
+def test_index_array_that_is_not_in_range_integers_is_refused(small_store,
+                                                             call, error):
+    # a negative row would wrap to the last one, and 0.9 and 1.7 would be
+    # truncated to entry (0, 1)
+    with pytest.raises(error, match="whole number|out of range") as info:
+        call(small_store)
+    assert "\n" not in str(info.value)
+    assert small_store.queries == 0
+
+
+def test_index_arrays_of_any_integer_type_are_accepted(small_store):
+    got = small_store.block_values(np.array([1], dtype=np.uint8),
+                                   np.array([1, 0], dtype=np.int16))
+    assert got.tolist() == [[4.0, 3.0]]
+    assert small_store.block_values([], [0]).shape == (0, 1)
+    assert small_store.sample_in_columns(np.array([1], dtype=np.uint8),
+                                         [0.0]).tolist() == [0]
+
+
 def test_numpy_integer_indices_are_accepted(small_store):
     assert small_store.query(np.int64(1), np.int32(0)) == 3.0
     assert small_store.col_sq_norm(np.uint8(1)) == 20.0
@@ -304,19 +365,15 @@ def test_update_drift_stays_tiny():
         v = float(rng.standard_normal())
         a[i, j] = v
         store.update(i, j, v)
+    # no drift at all: every norm is bitwise a fresh build's
     fresh = MatrixSampleStore(a)
-    assert store.sq_frobenius == pytest.approx(fresh.sq_frobenius, rel=1e-9)
-    for j in range(16):
-        assert store.col_sq_norm(j) == pytest.approx(
-            fresh.col_sq_norm(j), rel=1e-9, abs=1e-9)
-        # each mass drifts within its slack, which bounds both sums' rounding
-        assert abs(store._masses[j] - fresh._masses[j]) <= (
-            store._slack[j] + fresh._slack[j])
+    assert store.sq_frobenius == fresh.sq_frobenius
+    assert col_norms(store, range(16)) == col_norms(fresh, range(16))
 
 
 def test_write_that_cancels_a_mass_sums_its_column_afresh():
     # 1e20 swamps the other ones' squares, and writing 1 back cancels it:
-    # the incremental mass would be 1, and column 0 drawn at 1/12
+    # an incremental mass would be 1, and column 0 drawn at 1/12
     store = MatrixSampleStore(np.ones((4, 3)))
     store.update(0, 0, 1e10)
     store.update(0, 0, 1.0)
@@ -325,6 +382,15 @@ def test_write_that_cancels_a_mass_sums_its_column_afresh():
     counts = np.bincount(store.sample_column_indices(stream(34), 30_000),
                          minlength=3)
     assert chisquare_pvalue(counts, np.full(3, 1 / 3)) >= 0.01
+    # the build's in-order block sum drops every 1 added to 1e16; once the
+    # large entry is overwritten, its block is summed afresh and the
+    # thousand ones, a sixteenth of a thousandth of the mass, count again
+    col = np.ones(1001)
+    col[0] = 1e8
+    store = MatrixSampleStore(np.column_stack([col, col]))
+    assert store.col_sq_norm(0) == layer_oracle(store.to_array())[1][0, 1]
+    store.update(0, 0, 4000.0)
+    assert store.col_sq_norm(0) == 16e6 + 1000.0
 
 
 def test_column_zeroed_by_writes_has_mass_zero():
@@ -344,14 +410,25 @@ def test_column_zeroed_by_writes_has_mass_zero():
     assert set(rows.tolist()) <= {0, 1, 2, 3}
 
 
+def record_gathers(monkeypatch):
+    """The (column, block) pairs of every block gather the store makes,
+    one set per gather."""
+    gathers = []
+    real = MatrixSampleStore._block_entries
+
+    def record(store, cols, blocks):
+        gathers.append(set(zip(cols.tolist(), blocks.tolist())))
+        return real(store, cols, blocks)
+
+    monkeypatch.setattr(MatrixSampleStore, "_block_entries", record)
+    return gathers
+
+
 def test_writes_undone_in_a_zero_column_sum_no_column(monkeypatch):
-    # a column that is zero at build has a known count of nonzero squares:
-    # writes and their undoing bring its mass back to exactly 0 without
-    # summing the column, however much the mass cancels
-    sums = []
-    real = MatrixSampleStore._sum_column
-    monkeypatch.setattr(MatrixSampleStore, "_sum_column",
-                        lambda st, j: sums.append(j) or real(st, j))
+    # writes and their undoing bring a zero column's mass back to exactly
+    # 0, however much it cancels, and the refresh sums only the written
+    # blocks, never the whole column
+    gathers = record_gathers(monkeypatch)
     a = stream(35).standard_normal((300, 3))
     a[:, 1] = 0.0
     store = MatrixSampleStore(a)
@@ -363,71 +440,82 @@ def test_writes_undone_in_a_zero_column_sum_no_column(monkeypatch):
         for i in rows:
             store.update(i, 1, 0.0)
         assert store.col_sq_norm(1) == 0.0
-    assert sums == []
+        assert gathers.pop() == {(1, int(i) // ROW_BLOCK) for i in rows}
+    assert gathers == []
     assert 1 not in store.sample_column_indices(stream(37), 1000)
-
-
-def test_build_rounding_counts_toward_the_slack():
-    # the build's in-order sum drops every 1 added to 1e16, so once the
-    # large entry is overwritten the thousand ones are a sixteenth of a
-    # thousandth of the mass: more than one write's slack, less than the
-    # build's own rounding bound
-    col = np.ones(1001)
-    col[0] = 1e8
-    store = MatrixSampleStore(np.column_stack([col, col]))
-    assert store.col_sq_norm(0) == 1e16
-    store.update(0, 0, 4000.0)
-    assert store.col_sq_norm(0) == 16e6 + 1000.0
 
 
 MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
                      st.floats(-1e100, -1e-100))
 
 
-@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def assert_fresh(store):
+    """Every norm and tree ``store`` reports is bitwise a fresh build's
+    over its entries."""
+    fresh = MatrixSampleStore(store.to_array())
+    assert store.sq_frobenius == fresh.sq_frobenius
+    cols = range(store.n)
+    assert col_norms(store, cols) == col_norms(fresh, cols)
+    assert np.array_equal(store._mass_tree(), fresh._mass_tree())
+    assert all(np.array_equal(x, y) for x, y in zip(
+        column_layer(store), column_layer(fresh)))
+
+
+@given(st.sampled_from([1, 6, 64, 65, 200]), st.integers(1, 3), st.data())
 def test_masses_stay_within_slack_of_the_exact_sums(m, n, data):
-    # whatever the writes, each mass is within its slack of its column's
-    # exact sum of squares (math.fsum, correctly rounded), and the slack
-    # within 2^-20 of the mass: no read sees a cancelled mass or total
-    a = np.array(data.draw(st.lists(MAGNITUDE, min_size=m * n,
-                                    max_size=m * n))).reshape(m, n)
+    # whatever the writes, reads between them or not, writes that cancel a
+    # mass and writes that zero a column: every norm and tree is bitwise a
+    # fresh build's, and each mass lies within the rounding of its
+    # in-order block sums and its tree's adds of its column's exact sum of
+    # squares (math.fsum, correctly rounded)
+    a = np.zeros((m, n))
+    cells = data.draw(st.dictionaries(st.tuples(
+        st.integers(0, m - 1), st.integers(0, n - 1)), MAGNITUDE,
+        max_size=12))
+    for (i, j), value in cells.items():
+        a[i, j] = value
     store = MatrixSampleStore(a)
     writes = data.draw(st.lists(st.tuples(
-        st.integers(0, m - 1), st.integers(0, n - 1), MAGNITUDE),
-        max_size=12))
-    for i, j, value in writes:
+        st.integers(0, m - 1), st.integers(0, n - 1), MAGNITUDE,
+        st.booleans()), max_size=12))
+    for i, j, value, read in writes:
         store.update(i, j, value)
-        a[i, j] = value
-        for col in range(n):
-            exact = math.fsum(a[:, col] ** 2)
-            mass, slack = store._masses[col], store._slack[col]
-            assert abs(mass - exact) <= slack + _EPS * exact
-            assert slack <= 2.0 ** -20 * mass or mass == slack == 0.0
-    if a.any():
-        assert store.sq_frobenius == pytest.approx(
-            math.fsum((a * a).ravel()), rel=2.0 ** -19)
+        if read:
+            assert_fresh(store)
+    zeroed = data.draw(st.integers(-1, n - 1), label="zeroed column")
+    if zeroed >= 0:
+        for i in np.flatnonzero(store.to_array()[:, zeroed]):
+            store.update(i, zeroed, 0.0)
+    assert_fresh(store)
+    a = store.to_array()
+    blocks = -(-m // ROW_BLOCK)
+    bound = (ROW_BLOCK + math.ceil(math.log2(blocks))) * _EPS
+    for j in range(n):
+        exact = math.fsum(a[:, j] ** 2)
+        assert abs(store.col_sq_norm(j) - exact) <= bound * exact
+    # the mass tree adds ceil(log2 n) levels above the masses
+    exact = math.fsum((a * a).ravel())
+    bound += math.ceil(math.log2(n)) * _EPS
+    assert abs(store.sq_frobenius - exact) <= bound * exact
+    if zeroed >= 0:
+        assert store.col_sq_norm(zeroed) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 300])
 def test_masses_after_writes_stay_within_slack_of_a_rebuilds(n):
-    # values across twelve decades cancel masses: each written mass stays
-    # within its slack of a rebuild's and the slack within 2^-20 of it, so
-    # no mass has lost more than its last 20 bits
+    # values across twelve decades cancel masses, yet each written mass is
+    # bitwise a fresh build's: the refresh leaves no slack at all
     rng = stream(44)
     store = MatrixSampleStore(rng.standard_normal((20, n)))
     for _ in range(500):
         store.update(int(rng.integers(0, 20)), int(rng.integers(0, n)),
                      float(rng.standard_normal()) * 10.0 ** int(
                          rng.integers(-6, 6)))
-    written, slack = np.array(store._masses), np.array(store._slack)
-    assert (slack <= 2.0 ** -20 * written).all()
-    store.rebuild()
-    assert (np.abs(written - store._masses)
-            <= slack + np.array(store._slack)).all()
+    assert_fresh(store)
 
 
-def test_auto_rebuild_matches_fresh_store(monkeypatch):
-    monkeypatch.setattr("levsketch.sample_store.REBUILD_EVERY", 1)
+def test_auto_rebuild_matches_fresh_store():
+    # a read after each write refreshes the store each time
     rng = stream(42)
     a = rng.standard_normal((8, 8))
     store = MatrixSampleStore(a.copy())
@@ -437,62 +525,64 @@ def test_auto_rebuild_matches_fresh_store(monkeypatch):
         v = float(rng.standard_normal())
         a[i, j] = v
         store.update(i, j, v)
-    fresh = MatrixSampleStore(a)
-    assert store.sq_frobenius == fresh.sq_frobenius
-    assert all(store.col_sq_norm(j) == fresh.col_sq_norm(j) for j in range(8))
+        assert store.sq_frobenius == MatrixSampleStore(a).sq_frobenius
+    assert_fresh(store)
 
 
 def test_store_rebuild_is_the_only_rebuild(monkeypatch):
-    monkeypatch.setattr("levsketch.sample_store.REBUILD_EVERY", 3)
+    # writes only flag their blocks; the first read after them sums every
+    # flagged block in one gather, and later reads reuse its trees
     rng = stream(43)
-    a = rng.standard_normal((6, 5))
-    store = MatrixSampleStore(a.copy())
-    calls = []
-    real = MatrixSampleStore.rebuild
-    monkeypatch.setattr(MatrixSampleStore, "rebuild",
-                        lambda st: calls.append(st) or real(st))
-    for i, j, v in [(0, 0, 1.5), (4, 2, -2.0), (5, 4, 0.25)]:
-        a[i, j] = v
+    store = MatrixSampleStore(rng.standard_normal((300, 5)))
+    gathers = record_gathers(monkeypatch)
+    for i, j, v in [(0, 0, 1.5), (4, 2, -2.0), (130, 4, 0.25), (5, 0, 3.0)]:
         store.update(i, j, v)
-    # the third update rebuilds the store's masses, once
-    assert len(calls) == 1
-    fresh = MatrixSampleStore(a)
-    assert store.sq_frobenius == fresh.sq_frobenius
-    assert store._masses == fresh._masses
-    assert store._nonzero == fresh._nonzero
-    assert store._slack == fresh._slack
+    assert gathers == []
+    store.sq_frobenius
+    col_norms(store, range(5))
+    store.sample_column_indices(stream(1), 8)
+    assert gathers == [{(0, 0), (2, 0), (4, 2)}]
+    assert_fresh(store)
+
+
+def walk(sums, node, value):
+    """Set tree node ``node`` of ``sums`` and re-add its path to the root,
+    node by node."""
+    sums[node] = value
+    while node > 1:
+        node //= 2
+        sums[node] = sums[2 * node] + sums[2 * node + 1]
 
 
 class TreeStore:
-    """Reference store that keeps its mass tree current on every write,
-    node by node up the written leaf's path, the way the flat store's tree
-    must read when it is summed afresh. A write moves the mass by the
-    change of square, or zeroes it once its column has no nonzero square
-    (the writes below never cancel a mass past its slack)."""
+    """Eager reference store: every write sums its block afresh in order,
+    in Python, then walks its column's tree and the mass tree node by node
+    up from the changed leaves. The flat store sums its flagged blocks and
+    trees in bulk at the next read, and must read the same."""
 
     def __init__(self, a):
         self.a = np.array(a, dtype=np.float64)
-        sq = self.a * self.a
-        self.nonzero = (sq != 0.0).sum(axis=0)
-        self.cap = 1 << max(0, (self.a.shape[1] - 1).bit_length())
+        m, n = self.a.shape
+        blocks = -(-m // ROW_BLOCK)
+        self.block_cap = 1 << max(0, (blocks - 1).bit_length())
+        self.cap = 1 << max(0, (n - 1).bit_length())
+        self.trees = np.zeros((n, 2 * self.block_cap))
         self.sums = np.zeros(2 * self.cap)
-        for j, mass in enumerate(np.cumsum(sq, axis=0)[-1]):
-            self.set_mass(j, mass)
+        for b in range(blocks):
+            for j in range(n):
+                self.sum_block(b, j)
         self.queries = 0
 
-    def set_mass(self, j, mass):
-        node = self.cap + j
-        self.sums[node] = mass
-        while node > 1:
-            node //= 2
-            self.sums[node] = self.sums[2 * node] + self.sums[2 * node + 1]
+    def sum_block(self, b, j):
+        total = 0.0
+        for x in self.a[b * ROW_BLOCK:(b + 1) * ROW_BLOCK, j].tolist():
+            total += x * x
+        walk(self.trees[j], self.block_cap + b, total)
+        walk(self.sums, self.cap + j, self.trees[j, 1])
 
     def update(self, i, j, value):
-        old = float(self.a[i, j])
         self.a[i, j] = value
-        self.nonzero[j] += (value * value != 0.0) - (old * old != 0.0)
-        mass = self.sums[self.cap + j] - old * old + value * value
-        self.set_mass(j, mass if self.nonzero[j] else 0.0)
+        self.sum_block(i // ROW_BLOCK, j)
 
     @property
     def sq_frobenius(self):
@@ -521,6 +611,8 @@ def test_store_matches_tree_reference_after_writes(m, n):
         assert store.sq_frobenius == ref.sq_frobenius
         assert [store.col_sq_norm(j) for j in range(n)] == \
             [ref.col_sq_norm(j) for j in range(n)]
+        assert np.array_equal(column_layer(store)[1], ref.trees)
+        assert np.array_equal(store._mass_tree(), ref.sums)
         if ref.sq_frobenius > 0.0:
             assert np.array_equal(
                 store.sample_column_indices(stream(burst), 64),
@@ -766,10 +858,29 @@ def test_row_given_column_never_lands_on_zero_mass_tail():
 
 
 def column_layer(store):
-    """(block sums, column trees) of the store's column layer, as copies,
-    after every written block is summed afresh."""
-    store._column_trees(np.arange(store.n))
-    return store._block_sq.copy(), store._col_sums.copy()
+    """(block sums, column trees) of the store's column layer, one row per
+    column, as copies, after every written block is summed afresh."""
+    store._mass_tree()
+    trees = store._col_sums.T.copy()
+    cap = trees.shape[1] // 2
+    return trees[:, cap:cap + store._blocks], trees
+
+
+def layer_oracle(a):
+    """(block sums, column trees) of ``a``'s column layer, as
+    ``column_layer`` returns them, summed the slow way: each
+    ROW_BLOCK-row block in order, then each tree node from its children,
+    one node at a time."""
+    m, n = a.shape
+    blocks = -(-m // ROW_BLOCK)
+    cap = 1 << max(0, (blocks - 1).bit_length())
+    sq = np.zeros((cap * ROW_BLOCK, n))
+    sq[:m] = a * a
+    trees = np.zeros((n, 2 * cap))
+    trees[:, cap:] = np.cumsum(sq.reshape(cap, ROW_BLOCK, n), axis=1)[:, -1].T
+    for node in range(cap - 1, 0, -1):
+        trees[:, node] = trees[:, 2 * node] + trees[:, 2 * node + 1]
+    return trees[:, cap:cap + blocks], trees
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (63, 2), (64, 1), (65, 4),
@@ -785,6 +896,8 @@ def test_column_layer_sums_every_block_in_order(monkeypatch, m, n):
     pad = np.zeros((-m % ROW_BLOCK, n))
     cum = np.cumsum(np.vstack([sq, pad]).reshape(-1, ROW_BLOCK, n), axis=1)
     assert np.array_equal(chunked[0], cum[:, -1].T)
+    assert all(np.array_equal(x, y)
+               for x, y in zip(chunked, layer_oracle(a)))
     monkeypatch.undo()
     assert all(np.array_equal(x, y) for x, y in zip(
         chunked, column_layer(MatrixSampleStore(a))))
@@ -907,7 +1020,7 @@ def test_column_layer_after_writes_is_a_fresh_build(m, n):
         want, _, _ = sample_rows(fresh, cols, col_norms(fresh, cols), 40,
                                  stream(burst))
         assert np.array_equal(got, want)
-        # the refresh reads each written block of a drawn column once
+        # a read sums every written block afresh
         store.sample_in_columns(np.arange(n), np.zeros(n))
         assert not store._stale_flags.any()
         assert all(np.array_equal(x, y) for x, y in zip(
@@ -948,19 +1061,43 @@ def test_threads_sketching_after_writes_match_serial():
 
 
 def test_readers_racing_to_the_column_layer_build_it_once(monkeypatch):
+    # readers that race to the refresh after writes take turns: the first
+    # sums the flagged blocks, their columns' trees and the mass tree, and
+    # the others reuse them
     store = MatrixSampleStore(stream(93).standard_normal((300, 5)) + 2.0)
-    builds = []
-    real = MatrixSampleStore._build_column_layer
+    for i in range(0, 300, 7):
+        store.update(i, i % 5, 1.5)
+    levels = []
 
-    def slow(self):
-        builds.append(self)
+    def slow(sums):
+        levels.append(sums.shape)
         time.sleep(0.05)
-        real(self)
+        sum_levels(sums)
 
-    monkeypatch.setattr(MatrixSampleStore, "_build_column_layer", slow)
+    monkeypatch.setattr("levsketch.sample_store.sum_levels", slow)
     with ThreadPoolExecutor(max_workers=4) as pool:
         got = list(pool.map(
             lambda _: store.sample_in_columns([0, 1, 2], [0.3, 0.6, 0.9]),
             range(8), timeout=60))
-    assert len(builds) == 1
+    # the five changed columns' trees, then the mass tree
+    assert levels == [(5, 16), (16,)]
     assert all(np.array_equal(g, got[0]) for g in got)
+    monkeypatch.undo()
+    assert_fresh(store)
+
+
+def test_sketch_after_writes_counts_a_fresh_stores_reads():
+    # the refresh after writes is the store's upkeep and counts no reads:
+    # a sketch drawn after writes counts exactly the queries of the same
+    # sketch on a fresh store of the same entries
+    a = gen_example1(4000, 40, 10, seed=94)
+    store = MatrixSampleStore(a)
+    rng = stream(95)
+    for _ in range(2000):
+        store.update(int(rng.integers(0, 4000)), int(rng.integers(0, 40)),
+                     float(rng.standard_normal()))
+    fresh = MatrixSampleStore(store.to_array())
+    sketches = [draw_sketch(s, 40, trial_stream(96, 0))[0]
+                for s in (store, fresh)]
+    assert store.queries == fresh.queries > 0
+    assert np.array_equal(sketches[0].row_indices, sketches[1].row_indices)

@@ -216,6 +216,16 @@ def test_fractional_index_is_refused():
     assert tree.query(np.int64(1)) == 2.0
 
 
+def test_bool_index_is_refused():
+    tree = SampleTree([1.0, 2.0])
+    for call in (lambda: tree.query(True), lambda: tree.query(np.True_),
+                 lambda: tree.update(False, 7.0)):
+        with pytest.raises(ValueError, match="whole number"):
+            call()
+    np.testing.assert_array_equal(tree.values, [1.0, 2.0])
+    assert tree.touches == 0
+
+
 def test_many_updates_match_rebuilt_tree():
     rng = stream(9)
     vals = rng.random(1024) * 2.0 - 1.0

@@ -419,13 +419,13 @@ PINNED_INPUTS = {
 # sha256 of each result's sigma, V, U (when returned), sweeps and residual
 PINNED_DIGESTS = {
     ('factor-core-even', True):
-        "4e4e17718a0490df3c6ef3eb7b9445e31127a9c9c9242626fc2a8429c9f392ad",
+        "046309ea5201374623e5629809797a47c0321711ccacf070103104b53ffcbf28",
     ('factor-core-even', False):
-        "7dce3ab36b22a00482fc4a6a9083c00061f19e839a4464c059e1d8bfb5af2ce8",
+        "c71b7527a2285bde496428fa08a9182115c382276fae0f41cdf18a8510e9592a",
     ('factor-core-odd', True):
-        "a159f01955802ac28d356742da899fae562c4daa512b72a955698fcd0ced3d6b",
+        "60d5badf38ae75be52f6a28933e19afd9e61f519c7d3b57ae555840de57653de",
     ('factor-core-odd', False):
-        "faeba5cb9d484c2f63910f0d441265000fb5a25e21a4cf981fc70a9a303d0ec2",
+        "dcf67cc6eb769265b5eafa8bda3652aaed63edd03c861f74a70ba7c34374c789",
     ('kahan', True):
         "a34cf29f3dded2e06728802fce1396990b094f7e41ed32d4a5ac1eddb2d54b0b",
     ('kahan', False):

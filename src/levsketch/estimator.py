@@ -16,8 +16,7 @@ import numpy as np
 
 from . import textfile
 from .rng import stream
-from .sample_store import (MatrixSampleStore, SampleTree, fill_sums,
-                           sample_leaves)
+from .sample_store import MatrixSampleStore, build_trees, sample_leaves
 from .sketch import Params, SketchDescription, s_matrix, s_rows
 
 MODES = ("exact-dot", "sampled-dot")
@@ -47,7 +46,7 @@ def mom_group_shape(xi, eta: float) -> tuple[int, float | np.ndarray]:
     return max(math.ceil(9.0 * math.log(1.0 / eta)), 1), sizes
 
 
-def estimate_inner(x_tree: SampleTree, y, xi: float, eta: float,
+def estimate_inner(x, y, xi: float, eta: float,
                    rng: np.random.Generator) -> float:
     """Estimate <x, y> from samples of i ~ x_i^2 / ||x||^2.
 
@@ -55,25 +54,29 @@ def estimate_inner(x_tree: SampleTree, y, xi: float, eta: float,
     moment ||x||^2 ||y||^2; group means tame the variance and the median
     across groups boosts the success probability, so the result lands
     within xi ||x|| ||y|| of the truth with probability at least 1 - eta.
-    Draws land on nonzero coordinates by construction; a draw that does
-    not raises ValueError, and so does a ``y`` whose length is not x's.
+    An empty or non-finite ``x``, or a ``y`` whose length is not x's,
+    raises ValueError. Draws land on nonzero coordinates by construction;
+    a draw that does not raises ValueError too.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("empty vector")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite input")
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (x_tree.size,):
-        raise ValueError(f"y has shape {y.shape}, x has {x_tree.size} "
-                         "entries")
+    if y.shape != x.shape:
+        raise ValueError(f"y has shape {y.shape}, x has {x.size} entries")
     groups, size = mom_group_shape(xi, eta)
-    est = mom_estimates(x_tree._sums[None], x_tree._leaf[None], y[:, None],
-                        groups, np.array([size]), rng)
-    x_tree.touches += groups * int(size) * (2 * x_tree._levels + 1)
-    return float(est[0, 0])
+    leaves, sums = build_trees(x[None])
+    return float(mom_estimates(sums, leaves, y[:, None], groups,
+                               np.array([size]), rng)[0, 0])
 
 
 def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
                   groups: int, sizes: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Median-of-means estimates of <x_r, y_c> for every row x_r of
-    ``leaves`` (trees in the rows of ``sums``, see ``fill_sums``) and every
+    ``leaves`` (trees in the rows of ``sums``, see ``build_trees``) and every
     column y_c of ``ys``, as a (rows, columns) array.
 
     Row r takes one draw set of ``groups`` groups of ``sizes[r]`` draws,
@@ -188,13 +191,9 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
     """
     eta = params.delta / params.k
     scale = params.xi_effective * sketch.frob_norm
-    p = sketch.p
-    cap = 1 << max(0, (p - 1).bit_length())
     # stacks of 1-by-p by p-by-1 products, bitwise each row's srow @ srow
     sq = (s[:, None, :] @ s[:, :, None])[:, 0, 0]
     live = np.flatnonzero(sq)
-    if live.size == 0:
-        return
     # each row's own xi; a size that overflows is inf, which mom_estimates
     # refuses
     groups, sizes = mom_group_shape(scale / np.sqrt(sq[live]), eta)
@@ -205,10 +204,7 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
         stop = max(start + 1, int(np.searchsorted(
             ends, drawn + BLOCK_DRAWS, side="right")))
         block = live[start:stop]
-        leaves = np.zeros((block.size, cap))
-        leaves[:, :p] = s[block]
-        sums = np.zeros((block.size, 2 * cap))
-        fill_sums(sums, leaves)
+        leaves, sums = build_trees(s[block])
         t = mom_estimates(sums, leaves, sketch.v, groups, sizes[start:stop],
                           rng)
         u = t / sketch.sigma

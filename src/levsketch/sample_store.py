@@ -1,17 +1,17 @@
 """Sample-model data structures for vectors and matrices.
 
-A :class:`SampleTree` stores a real vector in a complete binary tree whose
-leaves hold the signed entries and whose internal nodes hold partial sums of
-squares. Querying or updating an entry costs O(log n), and one tree descent
-draws an index i with probability v_i^2 / ||v||^2.
-
-``fill_sums`` and ``sample_leaves`` build and walk such trees along the
-last axis of an array, so the same code serves one SampleTree and the
-sampled-dot scorer's stack of trees, one per row of S in a block. The walk
-reads a threshold table built from the sums: each internal node's
-threshold is its left child's sum, or the largest double where the right
-subtree is empty, so a draw steps right exactly when its residual reaches
-the threshold and never into a zero-mass subtree.
+In the sample model a real vector lives in a complete binary tree whose
+leaves hold the signed entries and whose internal nodes hold partial sums
+of squares, and one walk down the tree draws an index i with probability
+v_i^2 / ||v||^2. ``build_trees`` builds one such tree per row of a 2-D
+array, and ``sample_leaves`` and ``descend`` walk a stack of trees
+together, so the same code serves one vector (``estimate_inner``), the
+sampled-dot scorer's stack of trees, one per row of S in a block, and the
+store's trees below. The walk reads a threshold table built from the sums:
+each internal node's threshold is its left child's sum, or the largest
+double where the right subtree is empty, so a draw steps right exactly
+when its residual reaches the threshold and never into a zero-mass
+subtree.
 
 A :class:`MatrixSampleStore` keeps the dense entries and one norm
 structure, its column layer: the sum of squares of every ROW_BLOCK-row
@@ -87,20 +87,28 @@ def check_indices(idx, size: int) -> np.ndarray:
     return idx
 
 
-def fill_sums(sums: np.ndarray, leaves: np.ndarray) -> None:
-    """Fill the trees along the last axis of ``sums`` from ``leaves``.
+def build_trees(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One tree per row of the 2-D ``vectors``, as (leaves, sums).
 
-    A tree over cap = 2^L leaves takes 2 cap slots: node v has children 2v
-    and 2v + 1, leaf i sits at cap + i and holds the squared entry, and each
-    internal node the sum of its children's; slot 0 is unused.
+    Each row is padded with zeros to cap = 2^L leaves. Its tree takes 2 cap
+    slots of ``sums``: node v has children 2v and 2v + 1, leaf i sits at
+    cap + i and holds the squared entry, and each internal node the sum of
+    its children's; slot 0 is unused.
     """
-    sums[..., leaves.shape[-1]:] = leaves * leaves
+    rows, size = vectors.shape
+    cap = 1 << max(0, (size - 1).bit_length())
+    leaves = np.zeros((rows, cap))
+    leaves[:, :size] = vectors
+    sums = np.zeros((rows, 2 * cap))
+    sums[:, cap:] = leaves * leaves
     sum_levels(sums)
+    return leaves, sums
 
 
 def sum_levels(sums: np.ndarray) -> None:
     """Fill the internal nodes of the trees along the last axis of ``sums``
-    from their leaves' masses, level by level (the adds of ``fill_sums``)."""
+    from their leaves' masses, level by level, each node the sum of its two
+    children (see ``build_trees``)."""
     half = sums.shape[-1] // 4
     while half >= 1:
         child = sums[..., 2 * half:4 * half]
@@ -171,70 +179,6 @@ def descend(sums: np.ndarray, tree: np.ndarray,
     return flat & (half - 1), u
 
 
-class SampleTree:
-    """Squared-magnitude sampling tree over a fixed-length signed vector."""
-
-    __slots__ = ("size", "touches", "_cap", "_levels", "_leaf", "_sums")
-
-    def __init__(self, values):
-        arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("empty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite input")
-        self.size = arr.size
-        self._cap = 1 << max(0, (arr.size - 1).bit_length())
-        self._levels = self._cap.bit_length() - 1
-        self._leaf = np.zeros(self._cap)
-        self._leaf[:arr.size] = arr
-        self._sums = np.zeros(2 * self._cap)
-        fill_sums(self._sums, self._leaf)
-        self.touches = 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    @property
-    def sq_norm(self) -> float:
-        """Sum of squared entries (root node)."""
-        return float(self._sums[1])
-
-    @property
-    def values(self) -> np.ndarray:
-        """Copy of the stored vector."""
-        return self._leaf[:self.size].copy()
-
-    def query(self, i: int) -> float:
-        """Signed entry at position ``i``."""
-        i = check_index(i, self.size)
-        self.touches += 1
-        return float(self._leaf[i])
-
-    def update(self, i: int, value: float) -> None:
-        """Set entry ``i`` and restore the path to the root, with the same
-        adds as ``fill_sums``: the sums stay bitwise a fresh build's."""
-        i = check_index(i, self.size)
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValueError("non-finite input")
-        self._leaf[i] = value
-        node = self._cap + i
-        self._sums[node] = value * value
-        self.touches += 1
-        while node > 1:
-            node //= 2
-            self._sums[node] = self._sums[2 * node] + self._sums[2 * node + 1]
-            self.touches += 1
-
-    def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` indices, each i with probability v_i^2 / ||v||^2; one
-        descent per draw, all draws in one vectorized walk."""
-        size = int(size)
-        _, idx = sample_leaves(self._sums[None], np.array([size]), rng)
-        self.touches += size * (2 * self._levels + 1)
-        return idx
-
-
 class MatrixSampleStore:
     """Sample-model store for a dense m-by-n matrix.
 
@@ -264,7 +208,7 @@ class MatrixSampleStore:
         self.queries = 0
         # serializes the refresh after writes between readers
         self._lock = threading.Lock()
-        # node v of column j's tree (see fill_sums) at [v, j]: leaf
+        # node v of column j's tree (see build_trees) at [v, j]: leaf
         # cap + b holds the sum of squares of block b, the root the mass
         cap = 1 << max(0, (self._blocks - 1).bit_length())
         self._col_sums = np.zeros((2 * cap, self.n))
@@ -296,7 +240,7 @@ class MatrixSampleStore:
         self._mass_tree()
 
     def _mass_tree(self) -> np.ndarray:
-        """The tree over the column masses (see fill_sums), whose root is
+        """The tree over the column masses (see build_trees), whose root is
         the squared Frobenius norm, after the written blocks are summed
         afresh: one gather of every flagged block, then the trees of their
         columns and this tree, with the adds of the build. Later reads
@@ -416,12 +360,13 @@ class MatrixSampleStore:
         ``descend``), then pick the row within the block from its prefix
         sums; each distinct (column, block) is read once. Costs one index
         draw per draw and one entry read per matrix row of each distinct
-        block.
+        block. A ``u`` outside [0, 1], or whose shape is not ``cols``',
+        raises ValueError.
         """
         cols = check_indices(cols, self.n)
         u = np.asarray(u, dtype=np.float64)
-        if not ((u >= 0.0) & (u <= 1.0)).all():
-            raise ValueError("uniforms must lie in [0, 1]")
+        if u.shape != cols.shape or not ((u >= 0.0) & (u <= 1.0)).all():
+            raise ValueError("uniforms must lie in [0, 1], one per draw")
         self._mass_tree()
         distinct, tree = np.unique(cols, return_inverse=True)
         sums = self._col_sums[:, distinct].T
@@ -438,12 +383,19 @@ class MatrixSampleStore:
     def sample_column_indices(self, rng: np.random.Generator,
                               size: int) -> np.ndarray:
         """Indices j drawn with probability ||A_{:,j}||^2 / ||A||_F^2, by
-        one walk of the mass tree per draw (see ``sample_leaves``)."""
+        one walk of the mass tree per draw (see ``sample_leaves``). A
+        ``size`` that is not a whole number, as ``check_index`` has it, or
+        is negative, raises ValueError."""
+        try:
+            # no count is too large for this range; a negative one is out
+            size = check_index(size, math.inf, "draw count")
+        except IndexError:
+            raise ValueError(f"draw count {size} is negative") from None
         sums = self._mass_tree()
         if sums[1] <= 0.0:
             raise ValueError("zero matrix")
-        self.queries += int(size)
-        return sample_leaves(sums[None], np.array([int(size)]), rng)[1]
+        self.queries += size
+        return sample_leaves(sums[None], np.array([size]), rng)[1]
 
 
 def write_matrix_csv(path, matrix, metadata: dict | None = None) -> None:

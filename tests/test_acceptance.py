@@ -3,14 +3,15 @@ tolerance and runtime budget. Thresholds marked "frozen" were calibrated
 against the Monte Carlo oracle before the implementation and are not to be
 loosened here.
 """
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
-from levsketch import (MatrixSampleStore, SampleTree, SketchDescription,
-                       build_w, compute_params, concentration_ratios,
+from levsketch import (MatrixSampleStore, SketchDescription, build_w,
+                       compute_params, concentration_ratios,
                        counted_sketch_spectrum, estimate_inner,
                        gen_example1, gen_example2, householder_qr,
                        oracle_facts, qisls_all, qisvd, sample_columns,
@@ -179,15 +180,19 @@ def test_criterion_8_inner_product_estimates_hit_additive_target():
     start = time.perf_counter()
     hits = 0
     runs = 400
+    estimates = []
     for seed in range(runs):
         rng = stream(seed)
         x = standard_normal(rng, 100)
         y = standard_normal(rng, 100)
-        tree = SampleTree(x)
-        est = estimate_inner(tree, y, 0.1, 0.05, stream(seed + 80_000))
-        bound = 0.1 * math.sqrt(tree.sq_norm) * math.sqrt(float(y @ y))
+        est = estimate_inner(x, y, 0.1, 0.05, stream(seed + 80_000))
+        estimates.append(est)
+        bound = 0.1 * math.sqrt(float(x @ x)) * math.sqrt(float(y @ y))
         hits += abs(est - float(x @ y)) <= bound
     assert hits / runs >= 0.95
+    # every estimate is pinned, bit for bit
+    assert hashlib.sha256(np.array(estimates).tobytes()).hexdigest() == (
+        "d5e083488fa983567437eb8143ee2e9becb4c956b8a6e3b80a0315c6f44e4023")
     elapsed_under(start, 30.0)
 
 

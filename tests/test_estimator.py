@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from levsketch import (LeverageReport, MatrixSampleStore, Params, SampleTree,
+from levsketch import (LeverageReport, MatrixSampleStore, Params,
                        compute_params, estimate_inner, gen_example1,
                        mom_group_shape, oracle_facts, orthogonality_defect,
                        qisls_all, qisls_score, qisvd, read_report_csv,
@@ -13,7 +13,7 @@ from levsketch import (LeverageReport, MatrixSampleStore, Params, SampleTree,
                        write_report_csv)
 from levsketch.estimator import (BLOCK_DRAWS, MODES, group_means,
                                  mom_estimates, row_scores, sampled_block)
-from levsketch.sample_store import fill_sums, sample_leaves
+from levsketch.sample_store import build_trees, sample_leaves
 from levsketch.sketch import s_rows
 
 
@@ -31,14 +31,14 @@ def test_mom_group_shape():
 
 def test_estimate_inner_single_support_is_exact():
     # x has one nonzero coordinate: every draw hits it and z = x_0 y_0
-    x = SampleTree([2.0, 0.0, 0.0])
+    x = np.array([2.0, 0.0, 0.0])
     y = np.array([7.0, 1.0, 1.0])
     assert estimate_inner(x, y, 0.5, 0.1, stream(0)) == pytest.approx(
         14.0, rel=1e-12)
 
 
 def test_estimate_inner_disjoint_support_is_zero():
-    x = SampleTree([1.0, 0.0])
+    x = np.array([1.0, 0.0])
     y = np.array([0.0, 5.0])
     assert estimate_inner(x, y, 0.5, 0.1, stream(1)) == 0.0
 
@@ -51,26 +51,25 @@ def test_estimate_inner_rejects_a_zero_coordinate_draw(monkeypatch):
         return np.zeros(total, dtype=np.int64), np.ones(total, dtype=np.int64)
 
     monkeypatch.setattr("levsketch.estimator.sample_leaves", zero_draws)
-    tree = SampleTree([2.0, 0.0])
     with pytest.raises(ValueError, match="sampled a zero coordinate"):
-        estimate_inner(tree, np.array([1.0, 1.0]), 0.5, 0.1, stream(0))
+        estimate_inner([2.0, 0.0], np.array([1.0, 1.0]), 0.5, 0.1, stream(0))
 
 
 @pytest.mark.parametrize("length", [2, 4])
 def test_estimate_inner_rejects_y_of_another_length(length):
     match = r"y has shape \(%d,\), x has 3 entries" % length
     with pytest.raises(ValueError, match=match):
-        estimate_inner(SampleTree([1.0, 2.0, 3.0]), np.ones(length), 0.5,
-                       0.1, stream(0))
+        estimate_inner([1.0, 2.0, 3.0], np.ones(length), 0.5, 0.1,
+                       stream(0))
 
 
 def test_single_draw_estimate_is_unbiased():
     rng = stream(17)
     x = standard_normal(rng, 100)
     y = standard_normal(rng, 100)
-    tree = SampleTree(x)
-    idx = tree.sample_indices(stream(1234), 1_000_000)
-    z = y[idx] * (tree.sq_norm / x[idx])
+    _, sums = build_trees(x[None])
+    _, idx = sample_leaves(sums, np.array([1_000_000]), stream(1234))
+    z = y[idx] * (sums[0, 1] / x[idx])
     se = z.std() / math.sqrt(z.size)
     assert abs(z.mean() - float(x @ y)) <= 3.0 * se
 
@@ -79,10 +78,9 @@ def test_estimate_inner_hits_additive_target_mostly():
     rng = stream(2)
     x = standard_normal(rng, 60)
     y = standard_normal(rng, 60)
-    tree = SampleTree(x)
-    bound = 0.2 * math.sqrt(tree.sq_norm) * math.sqrt(float(y @ y))
+    bound = 0.2 * math.sqrt(float(x @ x)) * math.sqrt(float(y @ y))
     truth = float(x @ y)
-    hits = sum(abs(estimate_inner(tree, y, 0.2, 0.1, stream(1000 + t)) - truth)
+    hits = sum(abs(estimate_inner(x, y, 0.2, 0.1, stream(1000 + t)) - truth)
                <= bound for t in range(60))
     assert hits >= 48
 
@@ -96,10 +94,7 @@ def test_shared_draws_cover_each_coordinate_and_all_together():
     ys = standard_normal(rng, (40, 6))
     xi, delta, k = 0.3, 0.1, ys.shape[1]
     eta = delta / k
-    leaves = np.zeros((1, 64))
-    leaves[0, :40] = x
-    sums = np.zeros((1, 128))
-    fill_sums(sums, leaves)
+    leaves, sums = build_trees(x[None])
     groups, size = mom_group_shape(xi, eta)
     bound = xi * math.sqrt(x @ x) * np.sqrt((ys * ys).sum(axis=0))
     hits = np.array([
@@ -146,12 +141,12 @@ def loop_row_score(srow, sketch, params, rng):
     sq = float(srow @ srow)
     if sq == 0.0:
         return 0.0
-    tree = SampleTree(srow)
+    _, sums = build_trees(srow[None])
     groups, size = mom_group_shape(
         params.xi_effective * sketch.frob_norm / math.sqrt(sq),
         params.delta / params.k)
-    idx = tree.sample_indices(rng, groups * int(size))
-    z = sketch.v[idx] * (tree.sq_norm / srow[idx])[:, None]
+    _, idx = sample_leaves(sums, np.array([groups * int(size)]), rng)
+    z = sketch.v[idx] * (sums[0, 1] / srow[idx])[:, None]
     t = np.median(z.reshape(groups, int(size), sketch.k).mean(axis=1),
                   axis=0)
     u_row = t / sketch.sigma
@@ -212,8 +207,7 @@ def test_vanishing_xi_is_a_value_error():
     with pytest.raises(ValueError, match="inf draws"):
         sampled_block(s, sketch, params, stream(0), np.zeros(2))
     with pytest.raises(ValueError, match="inf draws"):
-        estimate_inner(SampleTree([1.0, 2.0]), [1.0, 1.0], 1e-170, 0.1,
-                       stream(0))
+        estimate_inner([1.0, 2.0], [1.0, 1.0], 1e-170, 0.1, stream(0))
 
 
 @pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 800])
@@ -344,8 +338,7 @@ def test_unaffordable_draw_count_raises_before_drawing():
         qisls_score(store, sketch, heaviest, mode="sampled-dot", params=prm,
                     rng=score_rng)
     with pytest.raises(ValueError, match="draws for one coordinate"):
-        estimate_inner(SampleTree([1.0, 2.0]), [1.0, 1.0], 1e-4, 0.1,
-                       inner_rng)
+        estimate_inner([1.0, 2.0], [1.0, 1.0], 1e-4, 0.1, inner_rng)
     assert np.array_equal(score_rng.random(4), stream(38).random(4))
     assert np.array_equal(inner_rng.random(4), stream(39).random(4))
 

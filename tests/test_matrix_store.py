@@ -288,10 +288,15 @@ def test_out_of_range_update_changes_nothing(small_store, i, j):
     lambda store: store.col_sq_norm(1.99),
     lambda store: store.update(0.7, 1.2, 9.0),
     lambda store: store.update(1, 1.0, 9.0),
+    lambda store: store.sample_column_indices(stream(0), 2.7),
+    lambda store: store.sample_column_indices(stream(0), 2.0),
+    lambda store: sample_columns(store, 2.7, stream(0)),
 ], ids=["query", "query-whole-float", "col_sq_norm", "update",
-        "update-whole-float"])
+        "update-whole-float", "draw-count", "draw-count-whole-float",
+        "sample_columns"])
 def test_index_that_is_not_an_integer_is_refused(small_store, call):
-    # int() would truncate 1.9 to row 1 and 0.7 to row 0
+    # int() would truncate 1.9 to row 1, 0.7 to row 0 and a count of 2.7
+    # draws to 2
     with pytest.raises(ValueError, match="whole number") as info:
         call(small_store)
     assert "\n" not in str(info.value)
@@ -305,9 +310,13 @@ def test_index_that_is_not_an_integer_is_refused(small_store, call):
     lambda store: store.query(np.True_, 0),
     lambda store: store.col_sq_norm(True),
     lambda store: store.update(False, 1, 9.0),
-], ids=["query", "query-numpy-bool", "col_sq_norm", "update"])
+    lambda store: store.sample_column_indices(stream(0), True),
+    lambda store: store.sample_column_indices(stream(0), np.True_),
+], ids=["query", "query-numpy-bool", "col_sq_norm", "update", "draw-count",
+        "draw-count-numpy-bool"])
 def test_bool_index_is_refused(small_store, call):
-    # operator.index(True) is 1: a bool would read or write entry (1, 0)
+    # operator.index(True) is 1: a bool would read or write entry (1, 0),
+    # or draw one column
     with pytest.raises(ValueError, match="whole number"):
         call(small_store)
     np.testing.assert_array_equal(small_store.to_array(),
@@ -987,13 +996,32 @@ def test_within_column_draw_rejects_bad_input(small_store):
     for u in (-0.25, 1.5, np.nan):
         with pytest.raises(ValueError, match="uniforms"):
             small_store.sample_in_columns([0], [u])
+    # numpy would broadcast one uniform to two draws, or draw twice from
+    # one column
+    for cols, u in (([0, 1], [0.5]), ([0], [0.5, 0.2]), ([0, 1], 0.5)):
+        with pytest.raises(ValueError, match="one per draw"):
+            small_store.sample_in_columns(cols, u)
+    assert small_store.queries == 0
+
+
+def test_negative_draw_count_is_refused(small_store):
+    # numpy would refuse it with its own message
+    for size in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match="draw count") as info:
+            small_store.sample_column_indices(stream(0), size)
+        assert "\n" not in str(info.value)
+    assert small_store.queries == 0
+    assert small_store.sample_column_indices(stream(0), np.uint8(3)).size == 3
+    assert small_store.sample_column_indices(stream(0), 0).size == 0
+    assert small_store.queries == 3
 
 
 def col_norms(store, cols):
     return [store.col_sq_norm(j) for j in cols]
 
 
-@pytest.mark.parametrize("m, n", [(1, 3), (64, 5), (65, 4), (700, 9)])
+@pytest.mark.parametrize("m, n", [(1, 3), (33, 1), (64, 1), (64, 5),
+                                  (65, 4), (700, 9), (1024, 1)])
 def test_column_layer_after_writes_is_a_fresh_build(m, n):
     rng = stream(80 + m)
     a = rng.standard_normal((m, n)) + 3.0

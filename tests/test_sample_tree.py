@@ -1,82 +1,86 @@
-"""SampleTree: construction, updates, weighted sampling, cost accounting."""
+"""Stacked sample trees: the builder, weighted sampling by descent, and the
+index, write and cost rules of the trees kept in the store."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from levsketch import MatrixSampleStore, SampleTree, stream
-from levsketch.sample_store import descend, fill_sums, sample_leaves
+from levsketch import MatrixSampleStore, estimate_inner, stream
+from levsketch.sample_store import (ROW_BLOCK, build_trees, check_index,
+                                    descend, sample_leaves)
 
 from oracles import chisquare_pvalue, sample_leaves_reference
 
 
+def draws(values, count, rng):
+    """``count`` leaves drawn from the tree over ``values``, a one-row
+    stack."""
+    _, sums = build_trees(np.array([values], dtype=np.float64))
+    return sample_leaves(sums, np.array([count]), rng)[1]
+
+
 def test_build_single_nonzero():
-    tree = SampleTree([0.0, 0.0, 5.0])
-    assert tree.sq_norm == 25.0
-    assert tree.query(2) == 5.0
-    assert tree.query(0) == 0.0
+    leaves, sums = build_trees(np.array([[0.0, 0.0, 5.0]]))
+    assert sums[0, 1] == 25.0
+    assert leaves[0, 2] == 5.0
+    assert leaves[0, 0] == 0.0
 
 
 def test_build_all_ones():
-    tree = SampleTree([1.0, 1.0, 1.0, 1.0])
-    assert tree.sq_norm == 4.0
-    assert np.array_equal(tree.values, np.ones(4))
+    leaves, sums = build_trees(np.ones((1, 4)))
+    assert sums[0, 1] == 4.0
+    assert np.array_equal(leaves[0], np.ones(4))
 
 
 def test_signed_leaves_round_trip():
-    tree = SampleTree([3.0, -4.0])
-    assert tree.sq_norm == 25.0
-    assert tree.query(1) == -4.0
+    leaves, sums = build_trees(np.array([[3.0, -4.0]]))
+    assert sums[0].tolist() == [0.0, 25.0, 9.0, 16.0]
+    assert leaves[0, 1] == -4.0
 
 
 def test_padding_is_exact_zero():
-    tree = SampleTree([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert len(tree._leaf) == 8
-    assert np.array_equal(tree._leaf[5:], np.zeros(3))
-    assert len(tree) == 5
+    leaves, sums = build_trees(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]))
+    assert leaves.shape == (1, 8)
+    assert sums.shape == (1, 16)
+    assert np.array_equal(leaves[0, 5:], np.zeros(3))
+    assert np.array_equal(sums[0, 13:], np.zeros(3))
 
 
 def test_build_errors():
-    with pytest.raises(ValueError, match="empty vector"):
-        SampleTree([])
-    with pytest.raises(ValueError, match="non-finite input"):
-        SampleTree([1.0, np.nan])
-    with pytest.raises(ValueError, match="non-finite input"):
-        SampleTree([np.inf])
+    # a one-vector estimate refuses what it cannot build a tree of
+    for x, reason in (([], "empty vector"), ([1.0, np.nan], "non-finite"),
+                      ([np.inf], "non-finite input")):
+        with pytest.raises(ValueError, match=reason):
+            estimate_inner(x, np.ones(len(x)), 0.5, 0.1, stream(0))
 
 
 def test_sample_collapsed_support():
-    tree = SampleTree([0.0, 0.0, 5.0])
-    rng = stream(0)
-    assert set(tree.sample_indices(rng, 50).tolist()) == {2}
+    assert set(draws([0.0, 0.0, 5.0], 50, stream(0)).tolist()) == {2}
 
 
 def test_sample_frequencies_three_four():
     # D_v = (9/25, 16/25) exactly
-    tree = SampleTree([3.0, -4.0])
-    counts = np.bincount(tree.sample_indices(stream(101), 100_000), minlength=2)
+    counts = np.bincount(draws([3.0, -4.0], 100_000, stream(101)),
+                         minlength=2)
     assert chisquare_pvalue(counts, np.array([0.36, 0.64])) >= 0.01
 
 
 def test_sample_uniform_chi_square():
-    tree = SampleTree([1.0, 1.0, 1.0, 1.0])
-    counts = np.bincount(tree.sample_indices(stream(7), 100_000), minlength=4)
+    counts = np.bincount(draws([1.0] * 4, 100_000, stream(7)), minlength=4)
     assert chisquare_pvalue(counts, np.full(4, 0.25)) >= 0.01
 
 
 def test_sample_zero_vector_raises():
-    tree = SampleTree([0.0, 0.0])
     with pytest.raises(ValueError, match="cannot sample zero vector"):
-        tree.sample_indices(stream(0), 1)
+        draws([0.0, 0.0], 1, stream(0))
 
 
 def test_sample_overflowing_norm_raises():
     # ||v||^2 = inf: no uniform scales to a residual inside the tree
-    with np.errstate(over="ignore"):
-        tree = SampleTree([1e200, 0.0])
-    with pytest.raises(ValueError, match="squared norm overflows"):
-        tree.sample_indices(stream(0), 1)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="squared norm overflows"):
+        draws([1e200, 0.0], 1, stream(0))
 
 
 class Uniforms:
@@ -119,8 +123,7 @@ def forests(draw):
     unequal draw counts, and uniforms on and next to the boundaries."""
     size = draw(st.integers(1, 70), label="size")
     trees = draw(st.integers(1, 4), label="trees")
-    cap = 1 << max(0, (size - 1).bit_length())
-    leaves = np.zeros((trees, cap))
+    leaves = np.zeros((trees, size))
     entry = st.one_of(st.just(0.0), st.builds(
         lambda sign, m, e: sign * m * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
         st.floats(1.0, 9.9), st.integers(-8, 8)))
@@ -130,8 +133,7 @@ def forests(draw):
                                          max_size=live), label="entries")
         if not leaves[t].any():
             leaves[t, live - 1] = 1.0
-    sums = np.zeros((trees, 2 * cap))
-    fill_sums(sums, leaves)
+    _, sums = build_trees(leaves)
     counts = draw(st.lists(st.integers(0, 12), min_size=trees,
                            max_size=trees), label="counts")
     uniforms = []
@@ -144,9 +146,7 @@ def forests(draw):
 
 
 def _forest(leaves, counts, uniforms):
-    leaves = np.array(leaves, dtype=np.float64)
-    sums = np.zeros((leaves.shape[0], 2 * leaves.shape[1]))
-    fill_sums(sums, leaves)
+    _, sums = build_trees(np.array(leaves, dtype=np.float64))
     return sums, np.array(counts), uniforms
 
 
@@ -174,125 +174,95 @@ def test_sample_leaves_matches_scalar_reference(forest):
 
 
 def test_sample_scalar_matches_batch_distribution():
-    tree = SampleTree([1.0, -2.0, 3.0])
     one_by_one = np.bincount(
-        [tree.sample_indices(stream(40 + i), 1)[0] for i in range(4000)],
+        [draws([1.0, -2.0, 3.0], 1, stream(40 + i))[0] for i in range(4000)],
         minlength=3)
     probs = np.array([1.0, 4.0, 9.0]) / 14.0
     assert chisquare_pvalue(one_by_one, probs) >= 0.01
 
 
 def test_update_arithmetic():
-    tree = SampleTree([0.0, 0.0, 5.0])
-    tree.update(0, 2.0)
-    assert tree.sq_norm == 29.0
-    assert tree.query(0) == 2.0
+    store = MatrixSampleStore([[0.0], [0.0], [5.0]])
+    store.update(0, 0, 2.0)
+    assert store.col_sq_norm(0) == store.sq_frobenius == 29.0
+    assert store.query(0, 0) == 2.0
 
 
 def test_update_support_collapse():
-    tree = SampleTree([3.0, -4.0])
-    tree.update(1, 0.0)
-    assert tree.sq_norm == 9.0
-    rng = stream(3)
-    assert set(tree.sample_indices(rng, 20).tolist()) == {0}
+    store = MatrixSampleStore([[3.0], [-4.0]])
+    store.update(1, 0, 0.0)
+    assert store.sq_frobenius == 9.0
+    got = store.sample_in_columns(np.zeros(20, dtype=np.int64),
+                                  stream(3).random(20))
+    assert set(got.tolist()) == {0}
 
 
 def test_update_out_of_range():
-    tree = SampleTree([1.0, 2.0])
-    with pytest.raises(IndexError):
-        tree.update(2, 0.0)
-    with pytest.raises(IndexError):
-        tree.query(-3)
+    for i in (2, -3):
+        with pytest.raises(IndexError, match="out of range"):
+            check_index(i, 2)
 
 
 def test_fractional_index_is_refused():
-    tree = SampleTree([1.0, 2.0])
-    for call in (lambda: tree.query(1.5), lambda: tree.update(0.5, 7.0),
-                 lambda: tree.update(np.float64(1.0), 7.0)):
+    for i in (1.5, 0.5, np.float64(1.0)):
         with pytest.raises(ValueError, match="whole number"):
-            call()
-    np.testing.assert_array_equal(tree.values, [1.0, 2.0])
-    assert tree.touches == 0
-    assert tree.query(np.int64(1)) == 2.0
+            check_index(i, 2)
+    assert check_index(np.int64(1), 2) == 1
 
 
 def test_bool_index_is_refused():
-    tree = SampleTree([1.0, 2.0])
-    for call in (lambda: tree.query(True), lambda: tree.query(np.True_),
-                 lambda: tree.update(False, 7.0)):
+    # operator.index(True) is 1
+    for i in (True, np.True_, False):
         with pytest.raises(ValueError, match="whole number"):
-            call()
-    np.testing.assert_array_equal(tree.values, [1.0, 2.0])
-    assert tree.touches == 0
-
-
-def test_many_updates_match_rebuilt_tree():
-    rng = stream(9)
-    vals = rng.random(1024) * 2.0 - 1.0
-    tree = SampleTree(vals)
-    for _ in range(10_000):
-        i = int(rng.integers(0, 1024))
-        v = rng.random() * 4.0 - 2.0
-        vals[i] = v
-        tree.update(i, v)
-    # an update redoes the adds of a build: no drift at all
-    assert np.array_equal(tree._sums, SampleTree(vals)._sums)
-
-
-def test_auto_rebuild_restores_exact_sums():
-    vals = (stream(2).random(33) - 0.5) * 6.0
-    tree = SampleTree(vals.copy())
-    rng = stream(5)
-    current = vals.copy()
-    for _ in range(25):
-        i = int(rng.integers(0, 33))
-        v = rng.random()
-        current[i] = v
-        tree.update(i, v)
-    # every update leaves the sums bitwise identical to a fresh build
-    assert np.array_equal(tree._sums, SampleTree(current)._sums)
+            check_index(i, 2)
 
 
 def test_touch_costs_within_bound():
+    # the store's counted costs: an entry read is one query and a write
+    # none; a column draw is one query and walks ceil(log2 n) levels of
+    # the mass tree; a draw within a column of any height is one query and
+    # reads the entries of one block
     for n in (1, 2, 5, 100, 1000):
-        bound = 2 * math.ceil(math.log2(n)) + 1 if n > 1 else 1
-        tree = SampleTree(np.arange(1.0, n + 1.0))
-        tree.touches = 0
-        tree.query(n - 1)
-        assert tree.touches <= bound
-        tree.touches = 0
-        tree.update(0, 2.5)
-        assert tree.touches <= bound
-        tree.touches = 0
-        tree.sample_indices(stream(1), 1)
-        assert tree.touches <= bound
+        values = np.arange(1.0, n + 1.0)
+        wide, tall = MatrixSampleStore(values[None]), MatrixSampleStore(
+            values[:, None])
+        wide.query(0, n - 1)
+        wide.update(0, 0, 2.5)
+        tall.update(n - 1, 0, 2.5)
+        assert wide.queries == 1 and tall.queries == 0
+        wide.sample_column_indices(stream(1), 1)
+        assert wide.queries == 2
+        assert wide._mass_tree().size == 2 << math.ceil(math.log2(n))
+        tall.sample_in_columns([0], [0.5])
+        assert 2 <= tall.queries <= 1 + min(n, ROW_BLOCK)
 
 
 @given(st.data())
 def test_node_consistency_after_update_sequence(data):
-    n = data.draw(st.integers(1, 64), label="n")
-    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    # an m-by-1 store after writes: every column-tree node is the sum of
+    # its children, and every sum is bitwise a fresh store's; no value is
+    # so small that a nonzero total would be subnormal
+    m = data.draw(st.integers(1, 64), label="m")
+    finite = st.one_of(st.just(0.0), st.floats(1e-100, 1e6),
+                       st.floats(-1e6, -1e-100))
     vals = np.array(data.draw(
-        st.lists(finite, min_size=n, max_size=n), label="values"))
-    tree = SampleTree(vals.copy())
+        st.lists(finite, min_size=m, max_size=m), label="values"))
+    store = MatrixSampleStore(vals[:, None].copy())
     for i, v in data.draw(
-            st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=30),
+            st.lists(st.tuples(st.integers(0, m - 1), finite), max_size=30),
             label="updates"):
         vals[i] = v
-        tree.update(i, v)
-    sums = tree._sums
-    cap = tree._cap
-    # every internal node equals the sum of its children
-    for node in range(1, cap):
-        assert sums[node] == pytest.approx(
-            sums[2 * node] + sums[2 * node + 1],
-            rel=8 * np.finfo(float).eps * n, abs=1e-30)
-    assert tree.sq_norm == pytest.approx(
-        float((vals * vals).sum()), rel=8 * np.finfo(float).eps * n, abs=1e-30)
-    fresh = SampleTree(vals) if (vals != 0).any() else None
-    if fresh is not None:
-        np.testing.assert_allclose(sums, fresh._sums, rtol=1e-9,
-                                   atol=1e-9 * max(fresh.sq_norm, 1e-300))
+        store.update(i, 0, v)
+    mass = store._mass_tree()
+    sums = store._col_sums[:, 0]
+    for node in range(1, sums.size // 2):
+        assert sums[node] == sums[2 * node] + sums[2 * node + 1]
+    assert store.sq_frobenius == pytest.approx(
+        float((vals * vals).sum()), rel=8 * np.finfo(float).eps * m,
+        abs=1e-300)
+    fresh = MatrixSampleStore(vals[:, None])
+    assert np.array_equal(store._col_sums, fresh._col_sums)
+    assert np.array_equal(mass, fresh._mass_tree())
 
 
 def test_query_many_matches_scalar_queries():

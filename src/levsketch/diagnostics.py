@@ -80,12 +80,18 @@ def concentration_ratios(store: MatrixSampleStore, p: int,
     ||A A^T - S S^T||_F / ||A||_F^2 and ||S^T S - W^T W||_F / ||S||_F^2.
 
     Uses the real sampling path and dense products; intended for small
-    matrices and desk-scale p.
+    matrices and desk-scale p. The products hold fourth powers of the
+    entries, so A, S and W are first divided by the power of two nearest
+    max |A|, and ||A||_F^2 by its square: exact, and the ratios are the
+    same bits at any power-of-two scale of A.
     """
     sketch, w = draw_sketch(store, p, rng)
     a = store.to_array()
-    s = s_matrix(store, sketch)
-    fro2 = store.sq_frobenius
+    shift = -math.frexp(float(np.abs(a).max()))[1]
+    a = np.ldexp(a, shift)
+    s = np.ldexp(s_matrix(store, sketch), shift)
+    w = np.ldexp(w, shift)
+    fro2 = math.ldexp(store.sq_frobenius, 2 * shift)
     d1 = a @ a.T - s @ s.T
     d2 = s.T @ s - w.T @ w
     return (math.sqrt(float((d1 * d1).sum())) / fro2,

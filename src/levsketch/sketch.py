@@ -78,6 +78,14 @@ def theta_upper(epsilon: float, k: int, kappa: float, spectral_norm: float,
     return omega, upper
 
 
+def _largest_product(k: int, kappa: float, spectral_norm: float,
+                     frob_norm: float) -> float:
+    """A bound on every product in the formulas of omega, theta and xi:
+    while it is finite, none of their squares overflows."""
+    w = max(frob_norm * kappa + spectral_norm, kappa)
+    return 196.0 * (4 * k + 5) * w * w
+
+
 def _positive_int(value, name: str) -> int:
     """``value`` as an int: a whole number >= 1 of any real type."""
     if not (isinstance(value, numbers.Real) and value >= 1
@@ -96,7 +104,12 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
     ``theta`` defaults to the upper end of its admissible interval (any
     smaller value only inflates p). ``p_override`` replaces p alone.
     ``k`` and ``p_override`` are whole numbers of any real type, stored
-    as int.
+    as int. omega, theta and xi depend on the norms only through their
+    ratio; where a square in their formulas would overflow, they are
+    computed from both norms divided by the same power of two, which is
+    exact. Only there: elsewhere ``**`` rounds through libm ``pow``, and
+    scaled norms could move the last bit. A ratio kappa * frob_norm /
+    spectral_norm that overflows at any scale raises ValueError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -107,7 +120,18 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
         raise ValueError("kappa must be finite and >= 1")
     if not (0.0 < spectral_norm < math.inf and 0.0 < frob_norm < math.inf):
         raise ValueError("norms must be positive and finite")
-    omega, upper = theta_upper(epsilon, k, kappa, spectral_norm, frob_norm)
+    spectral, frob = spectral_norm, frob_norm
+    if not _largest_product(k, kappa, spectral, frob) < math.inf:
+        shift = -math.frexp(spectral)[1]
+        spectral = math.ldexp(spectral, shift)
+        try:
+            frob = math.ldexp(frob, shift)
+        except OverflowError:
+            frob = math.inf
+        if not _largest_product(k, kappa, spectral, frob) < math.inf:
+            raise ValueError("kappa * frob_norm / spectral_norm overflows "
+                             "the parameter formulas")
+    omega, upper = theta_upper(epsilon, k, kappa, spectral, frob)
     if theta is None:
         theta = upper
     elif not 0.0 < theta <= upper:
@@ -115,8 +139,8 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
     p = math.ceil(1.0 / (theta * theta * delta))
     if p_override is not None:
         p = p_override = _positive_int(p_override, "p_override")
-    xi = (math.sqrt(2.0 * epsilon * spectral_norm ** 2
-                    / (kappa ** 2 * (4 * k + 5) * frob_norm ** 2) + 1.0)
+    xi = (math.sqrt(2.0 * epsilon * spectral ** 2
+                    / (kappa ** 2 * (4 * k + 5) * frob ** 2) + 1.0)
           - 1.0) / math.sqrt(k)
     if xi_override is not None and xi_override <= 0.0:
         raise ValueError("xi_override must be positive")

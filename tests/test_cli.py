@@ -421,3 +421,39 @@ def test_compare_overflowing_matrix_exits_two(tmp_path, capsys):
         assert run(["compare", mat, "--p", 10, "--k", 2,
                     "-o", tmp_path / "rep.csv"]) == 2
     assert capsys.readouterr().err == "error: squared norm overflows\n"
+
+
+@pytest.mark.parametrize("mode", ["exact-dot", "sampled-dot"])
+def test_compare_at_a_huge_power_of_two_scale_gives_the_unscaled_scores(
+        tmp_path, mode):
+    # times 2^505 the entries are near 1e152, which the store accepts, but
+    # the squares of the norms overflow in the parameter formulas: compare
+    # ended in a ZeroDivisionError
+    a = gen_example2(200, 40, 10, 5.0, 1, 10, 3)
+    reports = []
+    for scale in (0, 505):
+        mat, rep = tmp_path / f"m{scale}.csv", tmp_path / f"r{scale}.csv"
+        write_matrix_csv(mat, np.ldexp(a, scale))
+        assert run(["compare", mat, "--mode", mode, "--p", 20, "--k", 5,
+                    "--trials", 2, "--seed", 3, "-o", rep]) == 0
+        reports.append(read_report_csv(rep))
+    for name in ("rows", "approx", "exact"):
+        assert np.array_equal(getattr(reports[0], name),
+                              getattr(reports[1], name))
+
+
+@pytest.mark.parametrize("scale", [-300, 300])
+def test_concentration_at_a_power_of_two_scale_writes_the_unscaled_file(
+        tmp_path, scale):
+    # at 2^300 the squared differences overflowed, every ratio was inf and
+    # the command wrote exceed_aat=1.0; at 2^-300 they underflowed and it
+    # wrote 0.0. The ratios are scale-free, and so is the whole file
+    a = gen_example2(200, 40, 10, 5.0, 1, 10, 3)
+    outs = []
+    for s in (0, scale):
+        mat, out = tmp_path / f"m{s}.csv", tmp_path / f"c{s}.csv"
+        write_matrix_csv(mat, np.ldexp(a, s))
+        assert run(["concentration", mat, "--theta", 0.2, "--p", 20,
+                    "--trials", 5, "--seed", 3, "-o", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

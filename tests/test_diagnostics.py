@@ -6,8 +6,9 @@ import pytest
 
 from levsketch import (MatrixSampleStore, compute_params,
                        concentration_ratios, counted_sketch_spectrum,
-                       deviation_bound, qisvd, sigma_min_bound,
-                       standard_normal, stream, trial_stream)
+                       deviation_bound, gen_example1, gen_example2, qisvd,
+                       sigma_min_bound, standard_normal, stream,
+                       trial_stream)
 
 
 def test_deviation_bound_values():
@@ -86,3 +87,17 @@ def test_concentration_ratio_shrinks_with_p():
     large = np.mean([concentration_ratios(store, 320, trial_stream(71, t))[0]
                      for t in range(25)])
     assert large < small
+
+
+@pytest.mark.parametrize("scale", [-300, -100, 100, 300])
+@pytest.mark.parametrize("a", [gen_example2(200, 40, 10, 5.0, 1, 10, 3),
+                               gen_example1(400, 30, 5, 2)],
+                         ids=["example2", "example1"])
+def test_concentration_ratios_are_bitwise_the_same_at_any_scale(a, scale):
+    # both ratios are scale-free: times 2^300 the squares overflowed to
+    # (inf, inf), and times 2^-300 they underflowed to (0.0, 0.0)
+    plain = MatrixSampleStore(a)
+    scaled = MatrixSampleStore(np.ldexp(a, scale))
+    for t in range(5):
+        assert (concentration_ratios(scaled, 20, trial_stream(60, t))
+                == concentration_ratios(plain, 20, trial_stream(60, t)))

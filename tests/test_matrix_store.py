@@ -1,5 +1,7 @@
 """MatrixSampleStore: norms, counted access, conditional sampling, CSV I/O."""
+import enum
 import math
+import operator
 import sys
 import time
 import tracemalloc
@@ -362,6 +364,109 @@ def test_numpy_integer_indices_are_accepted(small_store):
     assert small_store.col_sq_norm(np.uint8(1)) == 20.0
     small_store.update(np.int64(0), np.int16(1), 5.0)
     assert small_store.query(0, 1) == 5.0
+
+
+class _Colour(enum.IntEnum):
+    GREEN = 1
+
+
+class _Indexable:
+    def __index__(self):
+        return 2
+
+    def __repr__(self):
+        return "_Indexable()"
+
+
+_INTEGER_TYPES = sorted({np.dtype(code).type
+                         for code in np.typecodes["AllInteger"]},
+                        key=lambda t: t.__name__)
+# the store below is 65x3: row 64 is the one row of its second block, and
+# out of range as a column
+_WRITE_INDICES = [0, 2, 64, 65, -1, 2 ** 70, True, np.True_,
+                  *(t(1) for t in _INTEGER_TYPES), np.int8(-1),
+                  np.uint64(2 ** 64 - 1), _Colour.GREEN, _Indexable(), 1.0,
+                  np.float64(1)]
+_WRITE_VALUES = [math.nan, math.inf, -math.inf, 1e200, 5e-324, -0.0,
+                 np.float32(1.5), 2.5]
+
+
+def typed_path_error(i, j, value, shape):
+    """(type, message) of the error that the store's type-checked index
+    path and its two value checks give a write ``update(i, j, value)``, in
+    the order the store makes them, or None for a write it keeps."""
+    for k, size, what in ((i, shape[0], "row"), (j, shape[1], "column")):
+        try:
+            if isinstance(k, (bool, np.bool_)):
+                raise TypeError
+            k = operator.index(k)
+        except TypeError:
+            return ValueError, f"{what} must be a whole number"
+        if not 0 <= k < size:
+            return IndexError, f"{what} {k} out of range for size {size}"
+    value = float(value)
+    if not math.isfinite(value):
+        return ValueError, "non-finite input"
+    if value * value == math.inf:
+        return ValueError, "squared norm overflows"
+    return None
+
+
+def raises_as(want, call, *args):
+    """``call(*args)`` raises exactly ``want``'s (type, message)."""
+    with pytest.raises(want[0]) as info:
+        call(*args)
+    assert (type(info.value), str(info.value)) == want
+
+
+def store_bits(store):
+    """Every bit of a store's state: its flags, then its entries, column
+    layer and mass tree after the flagged blocks are summed."""
+    flags = bytes(store._stale)
+    layer = column_layer(store)
+    return (flags, store.to_array().tobytes(), layer[1].tobytes(),
+            store._mass_tree().tobytes(), store.queries)
+
+
+@pytest.mark.parametrize("index", _WRITE_INDICES,
+                         ids=lambda k: f"{type(k).__name__}({k!r})")
+def test_write_refuses_what_the_typed_index_path_refuses(index):
+    # an exact int in range skips the type checks; any other index must
+    # get the type-checked path's error, or write as its int would
+    a = stream(5).standard_normal((65, 3))
+    for i, j in ((index, 1), (64, index)):
+        for value in _WRITE_VALUES:
+            store = MatrixSampleStore(a)
+            before = store_bits(store)
+            want = typed_path_error(i, j, value, store.shape)
+            if want is None:
+                store.update(i, j, value)
+                row, col = operator.index(i), operator.index(j)
+                b = a.copy()
+                b[row, col] = float(value)
+                flags = np.zeros((2, 3), dtype=np.uint8)
+                flags[row // ROW_BLOCK, col] = 1
+                got = store_bits(store)
+                assert got[0] == flags.tobytes()
+                assert got[1:] == store_bits(MatrixSampleStore(b))[1:]
+                continue
+            raises_as(want, store.update, i, j, value)
+            assert store_bits(store) == before
+        # reads check their indices the same way, and count nothing when
+        # they refuse
+        want = typed_path_error(i, j, 0.0, (65, 3))
+        if want is not None:
+            store = MatrixSampleStore(a)
+            raises_as(want, store.query, i, j)
+            assert store.queries == 0
+    want = typed_path_error(0, index, 0.0, (65, 3))
+    store = MatrixSampleStore(a)
+    if want is None:
+        assert store.col_sq_norm(index) == store.col_sq_norm(
+            operator.index(index))
+    else:
+        raises_as(want, store.col_sq_norm, index)
+        assert store.queries == 0
 
 
 def test_update_drift_stays_tiny():

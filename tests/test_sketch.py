@@ -11,9 +11,10 @@ from hypothesis import given, strategies as st
 import levsketch.sketch
 from levsketch import (MatrixSampleStore, SketchDescription, build_w,
                        compute_params, draw_sketch, gen_example1,
-                       gen_example2, qisls_all, qisvd, read_sketch_csv,
-                       sample_columns, sample_rows, standard_normal, stream,
-                       theta_upper, write_sketch_csv)
+                       gen_example2, oracle_facts, qisls_all, qisvd,
+                       read_sketch_csv, sample_columns, sample_rows,
+                       standard_normal, stream, theta_upper,
+                       write_sketch_csv)
 from levsketch.sketch import s_matrix, s_rows
 
 from oracles import dense_s, dense_w
@@ -87,6 +88,38 @@ def test_parameter_validation():
         compute_params(**REF, p_override=0)
     with pytest.raises(ValueError, match="xi_override"):
         compute_params(**REF, xi_override=-0.1)
+
+
+@pytest.mark.parametrize("scale", [-300, 100, 300, 505])
+@pytest.mark.parametrize("p_override", [None, 20])
+def test_params_at_a_power_of_two_scale_are_the_unscaled_ones(scale,
+                                                              p_override):
+    # omega, theta, p and xi depend on the norms only through their ratio.
+    # At scale 505 the squares of gen_example2(200, 40, 10, 5, 1, 10, 3)'s
+    # norms overflow: theta came out 0 and p = ceil(1 / (theta^2 delta))
+    # divided by zero
+    a = gen_example2(200, 40, 10, 5.0, 1, 10, 3)
+    _, _, spectral, kappa = oracle_facts(a)
+    frob = float(np.sqrt((a * a).sum()))
+    want = compute_params(0.5, 0.1, 5, kappa, spectral, frob,
+                          p_override=p_override)
+    got = compute_params(0.5, 0.1, 5, kappa, math.ldexp(spectral, scale),
+                         math.ldexp(frob, scale), p_override=p_override)
+    assert (got.omega, got.theta, got.p, got.xi) == (
+        want.omega, want.theta, want.p, want.xi)
+    assert (got.spectral_norm, got.frob_norm) == (
+        math.ldexp(spectral, scale), math.ldexp(frob, scale))
+
+
+@pytest.mark.parametrize("kappa, spectral, frob", [
+    (1e200, 1.0, 1e200), (1.0, 1e-300, 1e300), (1e160, 1.0, 1.0)])
+def test_params_whose_ratio_overflows_are_refused(kappa, spectral, frob):
+    # kappa * frob / spectral so large that no scale of the norms keeps
+    # the squares finite: one line, not a ZeroDivisionError or
+    # OverflowError from the formulas
+    with pytest.raises(ValueError, match="overflow") as info:
+        compute_params(0.5, 0.1, 3, kappa, spectral, frob)
+    assert "\n" not in str(info.value)
 
 
 def test_overrides_and_derived_properties():

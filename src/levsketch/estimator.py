@@ -17,7 +17,7 @@ import numpy as np
 from . import textfile
 from .rng import stream
 from .sample_store import MatrixSampleStore, build_trees, sample_leaves
-from .sketch import Params, SketchDescription, s_matrix, s_rows
+from .sketch import Params, SketchDescription, s_matrix
 
 MODES = ("exact-dot", "sampled-dot")
 # gathered values (draws times k) per block of sampled-dot rows: enough to
@@ -138,12 +138,16 @@ def group_means(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
 def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
                rows: np.ndarray, mode: str, params: Params | None = None,
                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Scores of ``rows``, in order, from S gathered BLOCK_DRAWS // p rows
-    at a time (at least one). Exact-dot takes each row's own product
-    S_i V as one stacked matmul of 1-by-p rows, which is bitwise the
-    per-row product where a block product S V is not; sampled-dot
-    estimates it with ``sampled_block``. A sketch whose columns the store
-    does not have, or whose V is not p by k, raises ValueError."""
+    """Scores of ``rows``, in order. S is read in blocks of rows from
+    ``MatrixSampleStore.row_blocks``, which checks ``rows`` once per call
+    and counts p reads per row: BLOCK_DRAWS // k rows a block in exact-dot
+    mode and BLOCK_DRAWS // p in sampled-dot mode (at least one). Each
+    block is scaled and scored in buffers allocated once per call.
+    Exact-dot takes each row's own product S_i V as one stacked matmul of
+    1-by-p rows, which is bitwise the per-row product where a block
+    product S V is not; sampled-dot estimates it with ``sampled_block``. A
+    sketch whose columns the store does not have, or whose V is not p by
+    k, raises ValueError."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "sampled-dot" and (params is None or rng is None):
@@ -158,16 +162,19 @@ def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
         raise ValueError(f"sketch v has shape {sketch.v.shape}, not (p, k) "
                          f"= ({sketch.p}, {sketch.k})")
     scores = np.zeros(rows.size)
-    step = max(1, BLOCK_DRAWS // sketch.p)
-    for first in range(0, rows.size, step):
-        s = s_rows(store, sketch, rows[first:first + step])
-        out = scores[first:first + step]
-        if mode == "sampled-dot":
+    exact = mode == "exact-dot"
+    step = max(1, BLOCK_DRAWS // (sketch.k if exact else sketch.p))
+    u = np.empty((min(step, scores.size), 1, sketch.k)) if exact else None
+    for first, s in store.row_blocks(rows, cols, step):
+        s *= sketch.col_scale
+        out = scores[first:first + len(s)]
+        if not exact:
             sampled_block(s, sketch, params, rng, out)
             continue
         # a stack of 1-by-p products, bitwise each row's own srow @ V
-        u = (s[:, None, :] @ sketch.v) / sketch.sigma
-        out[:] = (u @ u.transpose(0, 2, 1))[:, 0, 0]
+        ub = np.matmul(s[:, None, :], sketch.v, out=u[:len(s)])
+        ub /= sketch.sigma
+        np.matmul(ub, ub.transpose(0, 2, 1), out=out[:, None, None])
     return scores
 
 

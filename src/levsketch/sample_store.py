@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -313,24 +314,67 @@ class MatrixSampleStore:
         return float(self._entries[i, j])
 
     def block_values(self, rows, cols) -> np.ndarray:
-        """Entries A[rows][:, cols] as one counted gather."""
-        rows, idx = check_indices(rows, self.m), check_indices(cols, self.n)
-        self.queries += rows.size * idx.size
-        # two takes are C-contiguous, which the stacked exact-dot product
-        # needs to round as each row's own product does; the axis whose
-        # take leaves the smaller intermediate goes first (same bits). The
-        # indices are checked, so the takes skip their own bounds check
-        if rows.size * self.n <= self.m * idx.size:
-            return self._entries.take(rows, axis=0, mode="clip").take(
-                idx, axis=1, mode="clip")
-        return self._entries.take(idx, axis=1, mode="clip").take(
-            rows, axis=0, mode="clip")
+        """Entries A[rows][:, cols] as one counted gather into a new
+        C-contiguous array."""
+        rows, cols = check_indices(rows, self.m), check_indices(cols, self.n)
+        return self._gather(rows, cols, np.empty((rows.size, cols.size)))
+
+    def row_blocks(self, rows, cols,
+                   step: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (first, A[rows[first:first + step]][:, cols]) for first =
+        0, step, 2 step, ...: the entries of ``rows`` at ``cols`` in blocks
+        of up to ``step`` rows, in order.
+
+        Both index arrays are checked once, before the first block, so a
+        bad index raises before anything is read or counted; each block
+        counts its entries as it is read. Every block is written to one
+        buffer, which the next block overwrites. A block whose rows are one
+        increasing run is read from a view of those rows, so only the
+        column take copies; any other block takes its rows too. Every block
+        holds the bits that ``block_values`` gives for its rows.
+        """
+        rows, cols = check_indices(rows, self.m), check_indices(cols, self.n)
+        buf = np.empty((min(step, rows.size), cols.size))
+        # follows[i]: rows[i + 1] is rows[i] + 1
+        follows = np.diff(rows) == 1
+        for first in range(0, rows.size, step):
+            stop = min(first + step, rows.size)
+            block = rows[first:stop]
+            if follows[first:stop - 1].all():
+                block = slice(int(block[0]), int(block[-1]) + 1)
+            yield first, self._gather(block, cols, buf[:stop - first])
+
+    def _gather(self, rows, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write A[rows][:, cols] to ``out``, count its entries and return
+        it. ``rows`` is a slice or a checked index array and ``cols`` a
+        checked index array, so the takes skip their own bounds check.
+        ``out`` is C-contiguous, which the stacked exact-dot product needs
+        to round as each row's own product does. The axis whose take leaves
+        the smaller intermediate goes first, which changes no bit."""
+        if isinstance(rows, slice):
+            self._entries[rows].take(cols, axis=1, mode="clip", out=out)
+        elif rows.size * self.n <= self.m * cols.size:
+            self._entries.take(rows, axis=0, mode="clip").take(
+                cols, axis=1, mode="clip", out=out)
+        else:
+            self._entries.take(cols, axis=1, mode="clip").take(
+                rows, axis=0, mode="clip", out=out)
+        self.queries += out.size
+        return out
 
     def col_sq_norm(self, j: int) -> float:
         j = check_index(j, self.n, "column")
         self._mass_tree()
         self.queries += 1
         return float(self._col_sums[1, j])
+
+    def col_sq_norms(self, cols) -> np.ndarray:
+        """The squared norms of columns ``cols`` in one read, bitwise what
+        ``col_sq_norm`` gives for each, counting one norm read per index."""
+        cols = check_indices(cols, self.n)
+        self._mass_tree()
+        self.queries += cols.size
+        return self._col_sums[1, cols]
 
     def update(self, i: int, j: int, value: float) -> None:
         """Set A[i, j] and flag its block, reading nothing else. A non-finite

@@ -109,7 +109,9 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
     computed from both norms divided by the same power of two, which is
     exact. Only there: elsewhere ``**`` rounds through libm ``pow``, and
     scaled norms could move the last bit. A ratio kappa * frob_norm /
-    spectral_norm that overflows at any scale raises ValueError.
+    spectral_norm that overflows at any scale, a frob_norm whose square
+    underflows, or a theta for which p = 1 / (theta^2 delta) is not finite
+    (theta underflows to 0 for a large enough kappa) raises ValueError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -131,12 +133,22 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
         if not _largest_product(k, kappa, spectral, frob) < math.inf:
             raise ValueError("kappa * frob_norm / spectral_norm overflows "
                              "the parameter formulas")
+    # frob^2 bounds every divisor in the formulas from below
+    if not frob ** 2 > 0.0:
+        raise ValueError("frob_norm squared underflows the parameter "
+                         "formulas")
     omega, upper = theta_upper(epsilon, k, kappa, spectral, frob)
     if theta is None:
         theta = upper
     elif not 0.0 < theta <= upper:
         raise ValueError(f"theta must lie in (0, {upper!r}]")
-    p = math.ceil(1.0 / (theta * theta * delta))
+    # theta is 0 where omega or its bound underflows, and theta^2 delta
+    # can underflow where theta does not
+    denom = theta * theta * delta
+    if not (denom > 0.0 and 1.0 / denom < math.inf):
+        raise ValueError(f"theta={theta!r} underflows the parameter "
+                         "formulas: p = 1 / (theta^2 delta) is not finite")
+    p = math.ceil(1.0 / denom)
     if p_override is not None:
         p = p_override = _positive_int(p_override, "p_override")
     xi = (math.sqrt(2.0 * epsilon * spectral ** 2
@@ -187,7 +199,7 @@ def sample_columns(store: MatrixSampleStore, p: int, rng: np.random.Generator
     if p < 1:
         raise ValueError("p must be a positive integer")
     idx = store.sample_column_indices(rng, p)
-    col_sq = np.array([store.col_sq_norm(j) for j in idx])
+    col_sq = store.col_sq_norms(idx)
     return idx, col_sq / store.sq_frobenius, col_sq
 
 

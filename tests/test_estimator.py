@@ -263,10 +263,11 @@ def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
     assert np.array_equal(after[0], after[2])
 
 
-@pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 800])
+@pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 120])
 def test_exact_dot_scores_match_dense_per_row_reference(monkeypatch,
                                                         block_draws):
-    # p = 33 is odd; at 800 draws a block S is gathered 24 rows at a time
+    # p = 33 is odd; at 120 draws a block S is gathered 120 // k = 24 rows
+    # at a time
     monkeypatch.setattr("levsketch.estimator.BLOCK_DRAWS", block_draws)
     rng = stream(34)
     a = standard_normal(rng, (130, 7)) @ standard_normal(rng, (7, 12))
@@ -276,6 +277,7 @@ def test_exact_dot_scores_match_dense_per_row_reference(monkeypatch,
     prm = compute_params(0.5, 0.1, 5, kappa, norm,
                          math.sqrt(store.sq_frobenius), p_override=33)
     sketch = qisvd(store, prm, stream(35))
+    assert sketch.k == 5
     store.queries = 0
     scores = qisls_all(store, sketch, prm).approx
     assert store.queries == 33 * 130
@@ -318,6 +320,102 @@ def test_exact_dot_stacked_product_is_bitwise_per_row(p, k, m, block, layout,
         u_row = (srow @ v) / sigma
         plain[i] = u_row @ u_row
     assert np.array_equal(scores, plain)
+
+
+# row sets of a 71-row store: runs and gaps mixed, with the run 30..52
+# crossing block boundaries; repeated rows; descending rows; one row; all
+# rows, 71 being no multiple of any block size below but 1, so the last
+# block of 10 rows holds one
+GATHER_ROW_SETS = {
+    "mixed": np.r_[0:14, 20, 22, 24, 30:53, 60, 61, 69],
+    "repeated": np.array([5, 5, 6, 6, 7, 3, 3, 40, 41, 41]),
+    "descending": np.arange(70, -1, -1),
+    "one-row": np.array([42]),
+    "all": np.arange(71),
+}
+
+
+def gather_fixture():
+    rng = stream(40)
+    a = standard_normal(rng, (71, 5)) @ standard_normal(rng, (5, 16))
+    a[21] = 0.0
+    store = MatrixSampleStore(a)
+    _, _, norm, kappa = oracle_facts(a)
+    prm = compute_params(0.5, 0.1, 4, kappa, norm,
+                         math.sqrt(store.sq_frobenius), p_override=10,
+                         xi_override=0.4)
+    sketch = qisvd(store, prm, stream(41))
+    assert (sketch.p, sketch.k) == (10, 4)
+    return store, prm, sketch
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 40, 5])
+@pytest.mark.parametrize("name", list(GATHER_ROW_SETS))
+def test_row_blocks_score_any_row_set_bitwise_per_row(monkeypatch, mode,
+                                                      block_draws, name):
+    # exact-dot blocks are 40 // k = 10 or 1 rows at the small budgets,
+    # sampled-dot blocks 40 // p = 4 or 1; a block of one increasing run
+    # of rows is read from a view, any other with a row take
+    monkeypatch.setattr("levsketch.estimator.BLOCK_DRAWS", block_draws)
+    store, prm, sketch = gather_fixture()
+    rows = GATHER_ROW_SETS[name]
+    blocks = []
+    gather = MatrixSampleStore._gather
+
+    def spy(self, block, cols, out):
+        blocks.append(block)
+        return gather(self, block, cols, out)
+
+    monkeypatch.setattr(MatrixSampleStore, "_gather", spy)
+    store.queries = 0
+    together = stream(42)
+    got = row_scores(store, sketch, rows, mode, prm, together)
+    assert store.queries == rows.size * sketch.p
+    step = max(1, block_draws // (sketch.k if mode == "exact-dot"
+                                  else sketch.p))
+    assert len(blocks) == -(-rows.size // step)
+    for first, block in zip(range(0, rows.size, step), blocks):
+        part = rows[first:first + step]
+        run = np.array_equal(part, np.arange(part[0], part[0] + part.size))
+        assert isinstance(block, slice) == run
+    if name == "all" and step < rows.size:
+        assert all(isinstance(block, slice) for block in blocks)
+    one_by_one, loop = stream(42), stream(42)
+    single = np.array([qisls_score(store, sketch, int(i), mode, prm,
+                                   one_by_one) for i in rows])
+    dense = store.to_array()
+    plain = np.empty(rows.size)
+    for r, i in enumerate(rows):
+        srow = dense[i, sketch.col_indices] * sketch.col_scale
+        if mode == "sampled-dot":
+            plain[r] = loop_row_score(srow, sketch, prm, loop)
+        else:
+            u_row = (srow @ sketch.v) / sketch.sigma
+            plain[r] = u_row @ u_row
+    assert np.array_equal(got, single)
+    assert np.array_equal(got, plain)
+    if mode == "sampled-dot":
+        after = [g.random(4) for g in (together, one_by_one, loop)]
+        assert np.array_equal(after[0], after[1])
+        assert np.array_equal(after[0], after[2])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("rows, error", [
+    (np.array([3, 4, 71]), IndexError), (np.array([0, -1]), IndexError),
+    (np.array([0.0, 1.0]), ValueError), (np.array([True, False]), ValueError),
+], ids=["above-m", "negative", "float", "bool"])
+def test_row_scores_refuses_bad_rows_before_reading_or_drawing(mode, rows,
+                                                               error):
+    store, prm, sketch = gather_fixture()
+    store.queries = 0
+    rng = stream(43)
+    with pytest.raises(error, match="whole number|out of range") as info:
+        row_scores(store, sketch, rows, mode, prm, rng)
+    assert "\n" not in str(info.value)
+    assert store.queries == 0
+    assert np.array_equal(rng.random(4), stream(43).random(4))
 
 
 def test_unaffordable_draw_count_raises_before_drawing():

@@ -108,14 +108,48 @@ def test_entry_and_gather_access(small_store):
 
 
 @pytest.mark.parametrize("rows, cols", [
-    (np.arange(40), [3, 0, 3]), ([5, 2, 5], np.arange(7)), ([1], [6])])
+    (np.arange(40), [3, 0, 3]), ([5, 2, 5], np.arange(7)), ([1], [6]),
+    (np.r_[0:9, 12, 11, 20:40], [4])])
 def test_block_values_is_a_contiguous_gather(rows, cols):
-    # either axis may be taken first; the result is bitwise A[rows][:, cols]
-    # and C-contiguous, which the stacked exact-dot product needs
+    # either axis may be taken first, and row_blocks reads a block of one
+    # run of rows from a view; each result is bitwise A[rows][:, cols] and
+    # C-contiguous, which the stacked exact-dot product needs
     a = stream(9).standard_normal((40, 7))
-    got = MatrixSampleStore(a).block_values(rows, cols)
-    assert np.array_equal(got, a[np.asarray(rows)][:, np.asarray(cols)])
+    store = MatrixSampleStore(a)
+    want = a[np.asarray(rows)][:, np.asarray(cols)]
+    got = store.block_values(rows, cols)
+    assert np.array_equal(got, want)
     assert got.flags.c_contiguous
+    store.queries = 0
+    firsts = []
+    for first, block in store.row_blocks(rows, cols, 6):
+        firsts.append(first)
+        assert np.array_equal(block, want[first:first + 6])
+        assert block.flags.c_contiguous
+    assert firsts == list(range(0, len(want), 6))
+    assert store.queries == want.size
+
+
+def test_col_sq_norms_is_bitwise_the_per_index_reads():
+    # one read of the masses of many columns, as sample_columns makes it:
+    # the floats col_sq_norm gives, one norm read per index, and the
+    # masses of written blocks summed afresh first
+    store = MatrixSampleStore(stream(12).standard_normal((300, 9)))
+    store.update(130, 4, 7.5)
+    store.update(299, 8, -2.0)
+    cols = np.array([4, 8, 0, 4, 8])
+    store.queries = 0
+    got = store.col_sq_norms(cols)
+    assert store.queries == cols.size
+    assert np.array_equal(got, MatrixSampleStore(
+        store.to_array()).col_sq_norms(cols))
+    assert np.array_equal(got, [store.col_sq_norm(j) for j in cols])
+    store.queries = 0
+    for bad, error in (([9], IndexError), ([-1], IndexError),
+                       ([1.0], ValueError)):
+        with pytest.raises(error):
+            store.col_sq_norms(bad)
+    assert store.queries == 0
 
 
 def test_column_sampling_one_third_two_thirds(small_store):

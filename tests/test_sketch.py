@@ -122,6 +122,21 @@ def test_params_whose_ratio_overflows_are_refused(kappa, spectral, frob):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("kappa, spectral, frob, p_override, theta", [
+    (1e100, 1.0, 1.0, None, None), (1e100, 1.0, 1.0, 20, None),
+    (1.0, 1e-170, 1e-170, None, None), (1.0, 1.0, 1.0, None, 1e-160)])
+def test_params_whose_theta_underflows_are_refused(kappa, spectral, frob,
+                                                   p_override, theta):
+    # a huge kappa made theta 0, and p = ceil(1 / (theta^2 delta))
+    # divided by zero; squares of tiny norms made omega divide by zero; a
+    # theta of 1e-160 made p infinite: one line, not a ZeroDivisionError
+    # or OverflowError
+    with pytest.raises(ValueError, match="underflows the parameter") as info:
+        compute_params(0.5, 0.1, 1, kappa, spectral, frob,
+                       p_override=p_override, theta=theta)
+    assert "\n" not in str(info.value)
+
+
 def test_overrides_and_derived_properties():
     prm = compute_params(**REF, p_override=64, xi_override=0.25)
     assert prm.p == 64

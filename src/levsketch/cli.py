@@ -143,7 +143,7 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
         params = replace(params, xi_override=XI_FLOOR)
     rows = None
     if cfg.rows is not None:
-        rows = np.asarray(cfg.rows, dtype=np.int64) - 1
+        rows = np.asarray(cfg.rows) - 1
     print(f"oracle-assisted: kappa={kappa!r} spectral_norm={spectral!r}")
 
     reports = []

@@ -25,6 +25,7 @@ import numpy as np
 
 from .sample_store import MatrixSampleStore
 from .sketch import Params, draw_sketch, s_matrix
+from .svd import positive_int
 
 # singular values at or below this fraction of the largest are dropped
 REL_THRESHOLD = 1e-12
@@ -35,12 +36,17 @@ def counted_sketch_spectrum(matrix, p: int, k: int, rng: np.random.Generator
     """Top-k singular values of W and the defect ||U^T U - I||_F, for a
     sketch of `p` column and row draws evaluated through count statistics.
 
-    Returns (sigma, defect) with sigma descending. Raises on a zero
-    matrix or a numerically rank-zero reduced core.
+    Returns (sigma, defect) with sigma descending. ``p`` and ``k`` are
+    whole numbers >= 1 (see ``positive_int``). A is first divided by the
+    power of two nearest max |A|, and sigma multiplied back by it: exact,
+    so sigma scales by exactly 2^s and the defect is the same bits at any
+    power-of-two scale 2^s of A. Raises on a zero matrix or a numerically
+    rank-zero reduced core.
     """
+    p, k = positive_int(p, "p"), positive_int(k, "k")
     a = np.asarray(matrix, dtype=np.float64)
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    shift = -math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    a = np.ldexp(a, shift)
     col_sq = (a * a).sum(axis=0)
     fro2 = float(col_sq.sum())
     if fro2 <= 0.0:
@@ -64,14 +70,14 @@ def counted_sketch_spectrum(matrix, p: int, k: int, rng: np.random.Generator
     significant = int((sigma > REL_THRESHOLD * sigma[0]).sum())
     if significant == 0:
         raise ValueError("numerically rank zero")
-    keep = min(int(k), significant)
+    keep = min(k, significant)
     x = vec[:, order[:keep]]
     sigma = sigma[:keep]
     # S v_j = A_sup G^(1/2) x_j, so U^T U = F^T F / (sigma sigma^T)
     f = b_cols @ x
     gram = (f.T @ f) / np.outer(sigma, sigma)
     gram -= np.eye(keep)
-    return sigma, math.sqrt(float((gram * gram).sum()))
+    return np.ldexp(sigma, -shift), math.sqrt(float((gram * gram).sum()))
 
 
 def concentration_ratios(store: MatrixSampleStore, p: int,

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import textfile
 from .rng import stream
-from .sample_store import MatrixSampleStore, build_trees, sample_leaves
+from .sample_store import (MatrixSampleStore, build_trees, check_indices,
+                           sample_leaves)
 from .sketch import Params, SketchDescription, s_matrix
 
 MODES = ("exact-dot", "sampled-dot")
@@ -139,33 +140,31 @@ def row_scores(store: MatrixSampleStore, sketch: SketchDescription,
                rows: np.ndarray, mode: str, params: Params | None = None,
                rng: np.random.Generator | None = None) -> np.ndarray:
     """Scores of ``rows``, in order. S is read in blocks of rows from
-    ``MatrixSampleStore.row_blocks``, which checks ``rows`` once per call
-    and counts p reads per row: BLOCK_DRAWS // k rows a block in exact-dot
+    ``MatrixSampleStore.row_blocks``, which checks ``rows`` and the
+    sketch's columns once per call, before anything is read or drawn, and
+    counts p reads per row: BLOCK_DRAWS // k rows a block in exact-dot
     mode and BLOCK_DRAWS // p in sampled-dot mode (at least one). Each
     block is scaled and scored in buffers allocated once per call.
     Exact-dot takes each row's own product S_i V as one stacked matmul of
     1-by-p rows, which is bitwise the per-row product where a block
     product S V is not; sampled-dot estimates it with ``sampled_block``. A
-    sketch whose columns the store does not have, or whose V is not p by
-    k, raises ValueError."""
+    row the store does not have, or a sketch column (a sketch of another
+    store), raises the store's IndexRangeError, which is a ValueError; a
+    V that is not p by k raises ValueError."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "sampled-dot" and (params is None or rng is None):
         raise ValueError("sampled-dot mode needs params and rng")
     if sketch.v is None or sketch.sigma is None:
         raise ValueError("sketch carries no singular triplets")
-    cols = sketch.col_indices
-    if cols.min() < 0 or cols.max() >= store.n:
-        raise ValueError(f"sketch columns out of range for the store's "
-                         f"{store.n} columns")
     if sketch.v.shape != (sketch.p, sketch.k):
         raise ValueError(f"sketch v has shape {sketch.v.shape}, not (p, k) "
                          f"= ({sketch.p}, {sketch.k})")
-    scores = np.zeros(rows.size)
+    scores = np.zeros(np.size(rows))
     exact = mode == "exact-dot"
     step = max(1, BLOCK_DRAWS // (sketch.k if exact else sketch.p))
     u = np.empty((min(step, scores.size), 1, sketch.k)) if exact else None
-    for first, s in store.row_blocks(rows, cols, step):
+    for first, s in store.row_blocks(rows, sketch.col_indices, step):
         s *= sketch.col_scale
         out = scores[first:first + len(s)]
         if not exact:
@@ -219,27 +218,13 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
         start = stop
 
 
-def _row_indices(rows, m: int) -> np.ndarray:
-    """``rows`` as int64 indices of an m-row store. An empty set, an index
-    that is not a whole number or one outside [0, m) raises ValueError."""
-    rows = np.asarray(rows)
-    if rows.size == 0:
-        raise ValueError("empty row set")
-    if rows.dtype.kind not in "iu":
-        raise ValueError("row index must be a whole number")
-    if rows.min() < 0 or rows.max() >= m:
-        raise ValueError("row index out of range")
-    return rows.astype(np.int64)
-
-
 def qisls_score(store: MatrixSampleStore, sketch: SketchDescription, i: int,
                 mode: str = "exact-dot", params: Params | None = None,
                 rng: np.random.Generator | None = None) -> float:
     """Approximate leverage score of row i, as a one-row ``row_scores``
-    call. Exact-dot needs only the sketch; sampled-dot additionally needs
-    params (for xi and delta) and an rng."""
-    return float(row_scores(store, sketch, _row_indices([i], store.m), mode,
-                            params, rng)[0])
+    call, which checks i. Exact-dot needs only the sketch; sampled-dot
+    additionally needs params (for xi and delta) and an rng."""
+    return float(row_scores(store, sketch, [i], mode, params, rng)[0])
 
 
 @dataclass
@@ -276,12 +261,13 @@ def qisls_all(store: MatrixSampleStore, sketch: SketchDescription,
               params: Params, rows=None, mode: str = "exact-dot",
               rng: np.random.Generator | None = None, seed: int = 0,
               exact=None) -> LeverageReport:
-    """Score every requested row (all of them by default); ``exact``, when
-    given, must cover all m rows."""
-    if rows is None:
-        rows = np.arange(store.m, dtype=np.int64)
-    else:
-        rows = _row_indices(rows, store.m)
+    """Score every requested row (all of them by default), checked by the
+    store's ``check_indices``; an empty set raises ValueError. ``exact``,
+    when given, must cover all m rows."""
+    rows = np.arange(store.m) if rows is None else check_indices(
+        rows, store.m, "row index")
+    if rows.size == 0:
+        raise ValueError("empty row set")
     if exact is not None:
         exact = np.asarray(exact, dtype=np.float64)
         if exact.shape != (store.m,):

@@ -61,10 +61,17 @@ ROW_BLOCK = 1 << ROW_BLOCK_BITS
 _CHUNK_BYTES = 1 << 18
 
 
+class IndexRangeError(IndexError, ValueError):
+    """An index outside its range. It is both an IndexError and a
+    ValueError, as numpy's AxisError is, so that a caller that catches
+    either of them catches it."""
+
+
 def check_index(i, size: int, what: str = "index") -> int:
     """``i`` as an int in [0, size). Only Python and numpy integers are
     indices: a bool, or any other type, even the float 1.0, raises
-    ValueError, and an index outside the range IndexError."""
+    ValueError, and an index outside the range IndexRangeError. This and
+    ``check_indices`` are the library's only index checks."""
     # a point write spends half its time here: an exact int in range skips
     # the type checks, and every other index takes them
     if type(i) is int and 0 <= i < size:
@@ -76,21 +83,21 @@ def check_index(i, size: int, what: str = "index") -> int:
     except TypeError:
         raise ValueError(f"{what} must be a whole number") from None
     if not 0 <= i < size:
-        raise IndexError(f"{what} {i} out of range for size {size}")
+        raise IndexRangeError(f"{what} {i} out of range for size {size}")
     return i
 
 
-def check_indices(idx, size: int) -> np.ndarray:
-    """``idx`` as an int64 array of indices in [0, size). An array of any
-    other than an integer type, bool included, raises ValueError, and an
-    index outside the range IndexError."""
+def check_indices(idx, size: int, what: str = "index") -> np.ndarray:
+    """``idx`` as an int64 array of indices in [0, size), checked before
+    any cast. An array of any other than an integer type, bool included,
+    raises ValueError, and an index outside the range IndexRangeError."""
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError("indices must be whole numbers")
+        raise ValueError(f"{what} must be a whole number")
     idx = idx.astype(np.int64, copy=False)
     # one pass: a negative index read as unsigned is above any size
     if idx.size and idx.view(np.uint64).max() >= size:
-        raise IndexError(f"index out of range for size {size}")
+        raise IndexRangeError(f"{what} out of range for size {size}")
     return idx
 
 
@@ -197,7 +204,8 @@ class MatrixSampleStore:
     next norm read or draw sums the flagged blocks and the trees above
     them afresh, so every norm is bitwise a fresh build's. Indices are
     Python or numpy integers: a bool or any other type, even the float
-    1.0, raises ValueError.
+    1.0, raises ValueError, and an index out of range IndexRangeError
+    (see ``check_index`` and ``check_indices``).
 
     ``queries`` counts entry reads, norm reads and index draws, and nothing
     else: the build and the refresh after writes count no reads. The
@@ -316,7 +324,8 @@ class MatrixSampleStore:
     def block_values(self, rows, cols) -> np.ndarray:
         """Entries A[rows][:, cols] as one counted gather into a new
         C-contiguous array."""
-        rows, cols = check_indices(rows, self.m), check_indices(cols, self.n)
+        rows = check_indices(rows, self.m, "row index")
+        cols = check_indices(cols, self.n, "column index")
         return self._gather(rows, cols, np.empty((rows.size, cols.size)))
 
     def row_blocks(self, rows, cols,
@@ -333,7 +342,8 @@ class MatrixSampleStore:
         column take copies; any other block takes its rows too. Every block
         holds the bits that ``block_values`` gives for its rows.
         """
-        rows, cols = check_indices(rows, self.m), check_indices(cols, self.n)
+        rows = check_indices(rows, self.m, "row index")
+        cols = check_indices(cols, self.n, "column index")
         buf = np.empty((min(step, rows.size), cols.size))
         # follows[i]: rows[i + 1] is rows[i] + 1
         follows = np.diff(rows) == 1
@@ -371,7 +381,7 @@ class MatrixSampleStore:
     def col_sq_norms(self, cols) -> np.ndarray:
         """The squared norms of columns ``cols`` in one read, bitwise what
         ``col_sq_norm`` gives for each, counting one norm read per index."""
-        cols = check_indices(cols, self.n)
+        cols = check_indices(cols, self.n, "column index")
         self._mass_tree()
         self.queries += cols.size
         return self._col_sums[1, cols]
@@ -416,7 +426,7 @@ class MatrixSampleStore:
         block. A ``u`` outside [0, 1], or whose shape is not ``cols``',
         raises ValueError.
         """
-        cols = check_indices(cols, self.n)
+        cols = check_indices(cols, self.n, "column index")
         u = np.asarray(u, dtype=np.float64)
         if u.shape != cols.shape or not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError("uniforms must lie in [0, 1], one per draw")

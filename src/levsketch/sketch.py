@@ -17,15 +17,14 @@ probabilities and the entries of W.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import textfile
-from .sample_store import MatrixSampleStore
-from .svd import svd_dense, truncate_top_k
+from .sample_store import MatrixSampleStore, check_indices
+from .svd import positive_int, svd_dense, truncate_top_k
 
 # largest p for which qisvd builds the dense p-by-p core
 W_CAP = 2000
@@ -86,14 +85,6 @@ def _largest_product(k: int, kappa: float, spectral_norm: float,
     return 196.0 * (4 * k + 5) * w * w
 
 
-def _positive_int(value, name: str) -> int:
-    """``value`` as an int: a whole number >= 1 of any real type."""
-    if not (isinstance(value, numbers.Real) and value >= 1
-            and float(value).is_integer()):
-        raise ValueError(f"{name} must be a positive integer")
-    return int(value)
-
-
 def compute_params(epsilon: float, delta: float, k: int, kappa: float,
                    spectral_norm: float, frob_norm: float,
                    p_override: int | None = None,
@@ -117,7 +108,7 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    k = _positive_int(k, "k")
+    k = positive_int(k, "k")
     if not 1.0 <= kappa < math.inf:
         raise ValueError("kappa must be finite and >= 1")
     if not (0.0 < spectral_norm < math.inf and 0.0 < frob_norm < math.inf):
@@ -150,7 +141,7 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
                          "formulas: p = 1 / (theta^2 delta) is not finite")
     p = math.ceil(1.0 / denom)
     if p_override is not None:
-        p = p_override = _positive_int(p_override, "p_override")
+        p = p_override = positive_int(p_override, "p_override")
     xi = (math.sqrt(2.0 * epsilon * spectral ** 2
                     / (kappa ** 2 * (4 * k + 5) * frob ** 2) + 1.0)
           - 1.0) / math.sqrt(k)
@@ -222,7 +213,7 @@ def sample_rows(store: MatrixSampleStore, col_indices, col_sq, p: int,
     p-by-p block A[i_s, j_t] of the drawn rows, which ``build_w`` scales
     into W. Returns the row indices, their probabilities and that block.
     """
-    cols = np.asarray(col_indices, dtype=np.int64)
+    cols = check_indices(col_indices, store.n, "column index")
     if np.shape(col_sq) != cols.shape:
         raise ValueError("col_sq must hold one squared norm per column")
     if np.any(np.asarray(col_sq) <= 0.0):

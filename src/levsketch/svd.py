@@ -25,6 +25,7 @@ the squared conditioning of a Gram-matrix eigensolve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -252,15 +253,25 @@ def pivoted_qr(matrix, *, basis: bool = True
     return q, upper, perm
 
 
+def positive_int(value, name: str) -> int:
+    """``value`` as an int: a whole number >= 1 of any real type but bool,
+    which is refused as the store refuses a bool index."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value >= 1 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
+
+
 def truncate_top_k(res: SvdResult, k: int) -> SvdResult:
     """Keep the leading triplets: min(k, count of sigma_i > REL_THRESHOLD * sigma_1).
 
-    Raises if ``k`` is out of range or nothing survives the threshold
-    ("numerically rank zero").
+    Raises if ``k`` is out of range or not a whole number (see
+    ``positive_int``), or nothing survives the threshold ("numerically
+    rank zero").
     """
-    k = int(k)
     if not 1 <= k <= res.sigma.size:
         raise ValueError(f"k={k} out of range 1..{res.sigma.size}")
+    k = positive_int(k, "k")
     significant = int((res.sigma > REL_THRESHOLD * res.sigma[0]).sum())
     if significant == 0:
         raise ValueError("numerically rank zero")

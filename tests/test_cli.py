@@ -404,6 +404,21 @@ def test_compare_underflowing_matrix_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: squared norm underflows\n"
 
 
+@pytest.mark.parametrize("mode", ["exact-dot", "sampled-dot"])
+@pytest.mark.parametrize("row", [0, 41])
+def test_compare_rows_out_of_range_exits_two(tmp_path, capsys, mode, row):
+    # rows are 1-based: 0 and 41 are outside a 40-row matrix, and the
+    # store's check refuses them before a report is written
+    mat = tmp_path / "m.csv"
+    write_matrix_csv(mat, gen_example2(40, 8, 3, 2.0, 1, 10, 4))
+    rep = tmp_path / "rep.csv"
+    assert run(["compare", mat, "--mode", mode, "--p", 8, "--k", 3,
+                "--rows", row, "-o", rep]) == 2
+    assert (capsys.readouterr().err
+            == "error: row index out of range for size 40\n")
+    assert not rep.exists()
+
+
 def test_bench_epsilon_is_a_usage_error(tmp_path):
     # bench fixes p, so epsilon and delta changed none of its output
     with pytest.raises(SystemExit) as exc:

@@ -46,6 +46,31 @@ def test_counted_validation():
         counted_sketch_spectrum(np.zeros((2, 2)), 10, 1, stream(0))
     with pytest.raises(ValueError, match="positive"):
         counted_sketch_spectrum(np.eye(2), 0, 1, stream(0))
+    # p = 2.5 took 2 draws weighted by p P_j, True ran as p = 1, k = 0
+    # returned no singular value and k = -1 ended in a numpy error
+    for p, k, name in ((2.5, 1, "p"), (True, 1, "p"), (-1, 1, "p"),
+                       (4, 2.5, "k"), (4, True, "k"), (4, 0, "k"),
+                       (4, -1, "k")):
+        rng = stream(2)
+        with pytest.raises(ValueError, match=f"^{name} must be a positive "
+                           "integer$"):
+            counted_sketch_spectrum(np.eye(3), p, k, rng)
+        assert np.array_equal(rng.random(4), stream(2).random(4))
+
+
+@pytest.mark.parametrize("scale", [-300, 300, 500, 600])
+@pytest.mark.parametrize("p", [20, 100_000, 4_814_732_709])
+@pytest.mark.parametrize("a", [gen_example2(200, 40, 10, 5.0, 1, 10, 3),
+                               gen_example2(300, 50, 20, 100.0, 1, 1000, 5)],
+                         ids=["example2-small", "example2-wide"])
+def test_counted_spectrum_is_bitwise_the_same_at_any_scale(a, p, scale):
+    # sigma scales by exactly 2^s and the defect is scale-free: sigma's
+    # last bit moved at s = -300, 300 and 500, and at s = 600 the column
+    # masses overflowed into NaN probabilities
+    sigma, defect = counted_sketch_spectrum(a, p, 5, stream(12))
+    got = counted_sketch_spectrum(np.ldexp(a, scale), p, 5, stream(12))
+    assert np.array_equal(got[0], np.ldexp(sigma, scale))
+    assert got[1] == defect
 
 
 def test_counted_handles_astronomical_p():

@@ -408,14 +408,28 @@ def test_row_blocks_score_any_row_set_bitwise_per_row(monkeypatch, mode,
 ], ids=["above-m", "negative", "float", "bool"])
 def test_row_scores_refuses_bad_rows_before_reading_or_drawing(mode, rows,
                                                                error):
+    # qisls_all and qisls_score hand their rows to the store's one check,
+    # so a bad set fails the same way from every entry point; qisls_score
+    # gets the set's last entry, which is bad in each set
     store, prm, sketch = gather_fixture()
-    store.queries = 0
-    rng = stream(43)
-    with pytest.raises(error, match="whole number|out of range") as info:
-        row_scores(store, sketch, rows, mode, prm, rng)
-    assert "\n" not in str(info.value)
-    assert store.queries == 0
-    assert np.array_equal(rng.random(4), stream(43).random(4))
+    calls = [
+        lambda rng: row_scores(store, sketch, rows, mode, prm, rng),
+        lambda rng: qisls_all(store, sketch, prm, rows=rows, mode=mode,
+                              rng=rng),
+        lambda rng: qisls_score(store, sketch, rows[-1], mode, prm, rng),
+    ]
+    seen = set()
+    for call in calls:
+        store.queries = 0
+        rng = stream(43)
+        with pytest.raises(error, match="whole number|out of range") as info:
+            call(rng)
+        assert isinstance(info.value, ValueError)
+        assert "\n" not in str(info.value)
+        assert store.queries == 0
+        assert np.array_equal(rng.random(4), stream(43).random(4))
+        seen.add((type(info.value), str(info.value)))
+    assert len(seen) == 1
 
 
 def test_unaffordable_draw_count_raises_before_drawing():
@@ -563,6 +577,9 @@ def test_qisls_all_validation():
         qisls_all(store, sketch, prm, rows=[5])
     with pytest.raises(ValueError, match="cover every row"):
         qisls_all(store, sketch, prm, exact=np.ones(2))
+    # the report keeps the checked rows, as int64 whatever their type
+    rep = qisls_all(store, sketch, prm, rows=np.array([2, 0], dtype=np.uint8))
+    assert rep.rows.dtype == np.int64 and rep.rows.tolist() == [2, 0]
 
 
 def test_scoring_rejects_a_sketch_of_another_store():
@@ -571,7 +588,8 @@ def test_scoring_rejects_a_sketch_of_another_store():
     sketch = qisvd(big, prm, stream(3))
     small = MatrixSampleStore(big.to_array()[:5, :4])
     assert sketch.col_indices.max() >= small.n
-    with pytest.raises(ValueError, match="sketch columns out of range"):
+    with pytest.raises(ValueError,
+                       match="column index out of range for size 4"):
         qisls_all(small, sketch, prm)
     sketch.v = sketch.v[:, :1]
     with pytest.raises(ValueError, match=r"\(8, 1\), not \(p, k\) = \(8, 2\)"):

@@ -17,8 +17,8 @@ from levsketch import (MatrixSampleStore, compute_params, draw_sketch,
                        gen_example1, qisvd, read_matrix_csv, sample_columns,
                        sample_rows, stream, trial_stream, write_matrix_csv)
 from levsketch.cli import main
-from levsketch.sample_store import (ROW_BLOCK, pick_in_block,
-                                    sample_leaves, sum_levels)
+from levsketch.sample_store import (ROW_BLOCK, IndexRangeError,
+                                    pick_in_block, sample_leaves, sum_levels)
 
 from oracles import chisquare_pvalue
 
@@ -437,7 +437,8 @@ def typed_path_error(i, j, value, shape):
         except TypeError:
             return ValueError, f"{what} must be a whole number"
         if not 0 <= k < size:
-            return IndexError, f"{what} {k} out of range for size {size}"
+            return (IndexRangeError,
+                    f"{what} {k} out of range for size {size}")
     value = float(value)
     if not math.isfinite(value):
         return ValueError, "non-finite input"

@@ -64,6 +64,12 @@ def test_fractional_k_and_p_override_are_rejected():
         compute_params(**REF, p_override=12.7)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         compute_params(0.5, 0.1, 2.5, 1.0, 1.0, 1.0)
+    # a bool is refused as the store refuses a bool index; True ran as 1
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        compute_params(0.5, 0.1, True, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="p_override must be a positive "
+                       "integer"):
+        compute_params(**REF, p_override=True)
 
 
 def test_parameter_validation():
@@ -212,6 +218,18 @@ def test_sample_rows_needs_one_norm_per_column(small_store):
     for col_sq in ([10.0], [10.0, 20.0, 20.0]):
         with pytest.raises(ValueError, match="one squared norm per column"):
             sample_rows(small_store, [0, 1], col_sq, 3, stream(0))
+
+
+def test_sample_rows_refuses_column_indices_that_are_not_whole():
+    # a cast to int64 truncated cols + 0.7 to cols, and drew from them
+    store = MatrixSampleStore(gen_example2(60, 12, 4, 2.0, 1, 10, 7))
+    cols, _, col_sq = sample_columns(store, 9, stream(2))
+    store.queries = 0
+    rng = stream(3)
+    with pytest.raises(ValueError, match="whole number"):
+        sample_rows(store, cols + 0.7, col_sq, 9, rng)
+    assert store.queries == 0
+    assert np.array_equal(rng.random(4), stream(3).random(4))
 
 
 def test_sketch_preserves_frobenius_norm():

@@ -141,6 +141,11 @@ def test_truncate_errors():
         truncate_top_k(res, 0)
     with pytest.raises(ValueError, match="out of range"):
         truncate_top_k(res, 3)
+    # int() kept 2 triplets for 2.5 and 1 for True
+    wide = svd_dense(np.diag([4.0, 3.0, 2.0, 1.0]))
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            truncate_top_k(wide, k)
     # svd_dense never returns a zero sigma, but truncate_top_k still checks
     zero = SvdResult(u=np.eye(2), sigma=np.zeros(2), v=np.eye(2))
     with pytest.raises(ValueError, match="numerically rank zero"):

@@ -21,11 +21,17 @@ from .sample_store import (MatrixSampleStore, build_trees, check_indices,
 from .sketch import Params, SketchDescription, s_matrix
 
 MODES = ("exact-dot", "sampled-dot")
-# gathered values (draws times k) per block of sampled-dot rows: enough to
-# spread numpy's fixed cost per call over many draws, few enough that a
-# block's arrays stay small (8 to 16 rows at k=20; the fastest of the sizes
-# tried on a 2-core host)
+# gathered values per block of rows of S: exact-dot scores BLOCK_DRAWS // k
+# rows at a time and sampled-dot gathers BLOCK_DRAWS // p (a banded-tall
+# exact-dot call over 64000 rows took 12.4 ms at 2^14 and 13.2 ms at 2^16
+# on a 2-core host)
 BLOCK_DRAWS = 1 << 14
+# gathered values (draws times k) per descent of sampled-dot rows: enough
+# to spread numpy's fixed cost per call over many draws, few enough that a
+# block's arrays stay near a megabyte. In paired compare-cli runs on a
+# 2-core host 2^17 scored 14% more rows per second than 2^16, and 2^18 5%
+# more again but with 0.1 to 1 MB more at peak in each pair
+SAMPLED_BLOCK_DRAWS = 1 << 17
 # most draws one row may take, each shared by its k coordinates: above
 # this a descent's arrays run to gigabytes (a floored CLI run peaks near
 # 3.7e6)
@@ -86,11 +92,11 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
     means and median across groups are the estimates. The draws read the
     stream in the order row, group, sample, so a one-column call reads it
     as ``estimate_inner`` does. A single row whose draws times columns
-    exceed BLOCK_DRAWS descends BLOCK_DRAWS // (columns * size) groups at
-    a time (at least one), which reads the stream as one descent would;
-    the caller keeps a block of several rows within BLOCK_DRAWS. More than
-    MAX_COORD_DRAWS draws for one row (inf included) raises ValueError
-    before any draw.
+    exceed SAMPLED_BLOCK_DRAWS descends SAMPLED_BLOCK_DRAWS // (columns *
+    size) groups at a time (at least one), which reads the stream as one
+    descent would; the caller keeps a block of several rows within
+    SAMPLED_BLOCK_DRAWS. More than MAX_COORD_DRAWS draws for one row (inf
+    included) raises ValueError before any draw.
     """
     per_row = groups * sizes
     if per_row.max() > MAX_COORD_DRAWS:
@@ -99,20 +105,22 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
                          "pass a larger xi_override")
     sizes = sizes.astype(np.int64)
     step = groups if sizes.size > 1 else max(1, min(
-        groups, BLOCK_DRAWS // (ys.shape[1] * int(sizes[0]))))
-    means = np.concatenate([
-        group_means(sums, leaves, ys, min(step, groups - first), sizes, rng)
-        for first in range(0, groups, step)], axis=1)
+        groups, SAMPLED_BLOCK_DRAWS // (ys.shape[1] * int(sizes[0]))))
+    parts = [group_means(sums, leaves, ys, min(step, groups - first), sizes,
+                         rng) for first in range(0, groups, step)]
+    means = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
     # np.median's arithmetic, the mean of the middle one or two group
-    # means, taken from a sort, which is faster here than its partition
+    # means, taken from a sort of each coordinate's contiguous group means,
+    # which is faster here than a partition
+    means.sort()
     mid = slice((groups - 1) // 2, groups // 2 + 1)
-    return np.sort(means, axis=1)[:, mid].mean(axis=1)
+    return means[..., mid].mean(axis=2).T.copy()
 
 
 def group_means(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
                 groups: int, sizes: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
-    """The (rows, groups, columns) group means of ``mom_estimates`` from
+    """The (columns, rows, groups) group means of ``mom_estimates`` from
     one descent of ``groups`` groups of ``sizes[r]`` draws per row."""
     rows, cap = leaves.shape
     counts = groups * sizes
@@ -120,19 +128,26 @@ def group_means(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
     picked = leaves.ravel()[tree * cap + idx]
     if not picked.all():
         raise ValueError("sampled a zero coordinate")
-    z = ys[idx]
-    z *= (sums[tree, 1] / picked)[:, None]
-    # rows of one group size share a reshape; a mean of one draw is the
-    # reduction's 0.0 + z, which is z except that -0.0 turns to 0.0
+    factor = sums[tree, 1] / picked
+    # every row's first draw of each group, gathered once from the columns
+    # of ys: the mean of a group of one draw is the reduction's 0.0 + z,
+    # which is z except that -0.0 turns to 0.0
     starts = np.cumsum(counts) - counts
-    means = np.empty((rows, groups, ys.shape[1]))
-    for size in np.unique(sizes):
+    first = (starts[:, None] + sizes[:, None] * np.arange(groups)).ravel()
+    means = np.ascontiguousarray(ys.T).take(idx[first], axis=1)
+    means *= factor[first]
+    means += 0.0
+    means = means.reshape(-1, rows, groups)
+    # rows of a larger group size gather all their draws and share one mean
+    # over a (rows, groups, size, k) reshape, which sums in the order that
+    # one row's own (groups, size, k) mean does
+    for size in np.unique(sizes[sizes > 1]):
         same = np.flatnonzero(sizes == size)
-        draws = z if same.size == rows else z[
-            starts[same, None] + np.arange(counts[same[0]])]
-        draws = draws.reshape(same.size, groups, size, -1)
-        means[same] = draws[:, :, 0] + 0.0 if size == 1 else draws.mean(
-            axis=2)
+        pos = (starts[same, None] + np.arange(counts[same[0]])).ravel()
+        z = ys[idx[pos]]
+        z *= factor[pos, None]
+        means[:, same] = z.reshape(same.size, groups, size, -1).mean(
+            axis=2).transpose(2, 0, 1)
     return means
 
 
@@ -184,10 +199,10 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
 
     Each nonzero row takes one draw set, shared by its k coordinates (see
     ``mom_estimates``). Every draw gathers k values, so a block's budget
-    is BLOCK_DRAWS of those values, draws times k: the rows are scored in
-    blocks of consecutive rows within it, one tree per row and one descent
-    per block. A row over the budget by itself is a block of its own and
-    descends a few groups at a time.
+    is SAMPLED_BLOCK_DRAWS of those values, draws times k: the rows are
+    scored in blocks of consecutive rows within it, one tree per row and
+    one descent per block. A row over the budget by itself is a block of
+    its own and descends a few groups at a time.
 
     Each coordinate lands within xi_i ||S_i|| ||V_{:,j}|| of the truth
     with probability at least 1 - delta / k, so all k do at least with
@@ -208,7 +223,7 @@ def sampled_block(s: np.ndarray, sketch: SketchDescription, params: Params,
     while start < live.size:
         drawn = ends[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(
-            ends, drawn + BLOCK_DRAWS, side="right")))
+            ends, drawn + SAMPLED_BLOCK_DRAWS, side="right")))
         block = live[start:stop]
         leaves, sums = build_trees(s[block])
         t = mom_estimates(sums, leaves, sketch.v, groups, sizes[start:stop],

@@ -90,10 +90,17 @@ def check_index(i, size: int, what: str = "index") -> int:
 def check_indices(idx, size: int, what: str = "index") -> np.ndarray:
     """``idx`` as an int64 array of indices in [0, size), checked before
     any cast. An array of any other than an integer type, bool included,
-    raises ValueError, and an index outside the range IndexRangeError."""
+    raises ValueError, and an index outside the range IndexRangeError. An
+    object array of Python and numpy integers, as numpy holds an int that
+    int64 cannot, is checked value by value."""
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be a whole number")
+        if not (idx.dtype == object and all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                for i in idx.flat)):
+            raise ValueError(f"{what} must be a whole number")
+        if not all(0 <= i < size for i in idx.flat):
+            raise IndexRangeError(f"{what} out of range for size {size}")
     idx = idx.astype(np.int64, copy=False)
     # one pass: a negative index read as unsigned is above any size
     if idx.size and idx.view(np.uint64).max() >= size:

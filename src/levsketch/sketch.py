@@ -184,12 +184,11 @@ def sample_columns(store: MatrixSampleStore, p: int, rng: np.random.Generator
     """p i.i.d. column indices by squared column norm, with replacement.
 
     Returns the indices, their exact probabilities P_j and their squared
-    norms ||A_{:,j}||^2, one norm read per draw. A zero matrix raises
+    norms ||A_{:,j}||^2, one norm read per draw. A ``p`` that is not a
+    positive integer (see ``positive_int``) or a zero matrix raises
     ValueError.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    idx = store.sample_column_indices(rng, p)
+    idx = store.sample_column_indices(rng, positive_int(p, "p"))
     col_sq = store.col_sq_norms(idx)
     return idx, col_sq / store.sq_frobenius, col_sq
 
@@ -212,7 +211,10 @@ def sample_rows(store: MatrixSampleStore, col_indices, col_sq, p: int,
     (p ||A_{:,j_t}||^2), which equal ||S_{i,:}||^2 / ||S||_F^2, and the
     p-by-p block A[i_s, j_t] of the drawn rows, which ``build_w`` scales
     into W. Returns the row indices, their probabilities and that block.
+    A ``p`` that is not a positive integer raises ValueError, as in
+    ``sample_columns``.
     """
+    p = positive_int(p, "p")
     cols = check_indices(col_indices, store.n, "column index")
     if np.shape(col_sq) != cols.shape:
         raise ValueError("col_sq must hold one squared norm per column")

@@ -405,10 +405,11 @@ def test_compare_underflowing_matrix_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["exact-dot", "sampled-dot"])
-@pytest.mark.parametrize("row", [0, 41])
+@pytest.mark.parametrize("row", [0, 41, 10 ** 23, -2 ** 63 - 1])
 def test_compare_rows_out_of_range_exits_two(tmp_path, capsys, mode, row):
-    # rows are 1-based: 0 and 41 are outside a 40-row matrix, and the
-    # store's check refuses them before a report is written
+    # rows are 1-based: 0 and 41 are outside a 40-row matrix, as are rows
+    # that int64 cannot hold, and the store's check refuses them before a
+    # report is written
     mat = tmp_path / "m.csv"
     write_matrix_csv(mat, gen_example2(40, 8, 3, 2.0, 1, 10, 4))
     rep = tmp_path / "rep.csv"

@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from levsketch import (LeverageReport, MatrixSampleStore, Params,
                        compute_params, estimate_inner, gen_example1,
+                       gen_example2,
                        mom_group_shape, oracle_facts, orthogonality_defect,
                        qisls_all, qisls_score, qisvd, read_report_csv,
                        SketchDescription, standard_normal, stream,
                        write_report_csv)
-from levsketch.estimator import (BLOCK_DRAWS, MODES, group_means,
-                                 mom_estimates, row_scores, sampled_block)
+from levsketch.estimator import (BLOCK_DRAWS, MODES, SAMPLED_BLOCK_DRAWS,
+                                 group_means, mom_estimates, row_scores,
+                                 sampled_block)
 from levsketch.sample_store import build_trees, sample_leaves
 from levsketch.sketch import s_rows
 
@@ -194,6 +196,83 @@ def test_sampled_block_is_bitwise_the_row_loop(p, k, exponents, delta, xi,
     assert np.array_equal(vec_rng.random(2), loop_rng.random(2))
 
 
+@given(st.lists(st.one_of(st.none(), st.integers(1, 4)), min_size=2,
+                max_size=16).filter(
+                    lambda sizes: 2 <= len(set(sizes) - {None}) <= 3),
+       st.integers(1, 12), st.integers(1, 5),
+       st.sampled_from([0.05, 0.1, 0.3]), st.integers(0, 10_000))
+def test_one_block_of_interleaved_group_sizes_is_bitwise_the_row_loop(
+        sizes, p, k, delta, seed):
+    # rows of two or three group sizes (None: a zero row) in any order, in
+    # one draw block: the rows of each size gather their own draws
+    k = min(k, p)
+    xi = 0.5
+    rng = stream(seed)
+    s = standard_normal(rng, (len(sizes), p))
+    # a squared row norm of (size - 1/2) xi^2 / 6 at ||S||_F = 1 makes
+    # ceil(6 / xi_i^2) that size
+    for r, size in enumerate(sizes):
+        s[r] *= 0.0 if size is None else math.sqrt(
+            (size - 0.5) * xi * xi / 6.0 / (s[r] @ s[r]))
+    sketch = SketchDescription(
+        col_indices=np.arange(p), col_probs=np.full(p, 1.0 / p),
+        row_indices=np.arange(p), row_probs=np.full(p, 1.0 / p),
+        frob_norm=1.0, v=standard_normal(rng, (p, k)),
+        sigma=np.sort(np.abs(standard_normal(rng, k)))[::-1] + 0.1)
+    params = compute_params(0.5, delta, k, 1.0, 1.0, 1.0, p_override=p,
+                            xi_override=xi)
+    calls = []
+
+    def spy(sums, leaves, ys, groups, sizes, rng):
+        calls.append(sizes)
+        return group_means(sums, leaves, ys, groups, sizes, rng)
+
+    got, want = np.zeros(len(sizes)), np.zeros(len(sizes))
+    vec_rng, loop_rng = stream(seed + 1), stream(seed + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("levsketch.estimator.group_means", spy)
+        sampled_block(s, sketch, params, vec_rng, got)
+    loop_sampled_block(s, sketch, params, loop_rng, want)
+    assert len(calls) == 1
+    assert calls[0].tolist() == [size for size in sizes if size]
+    assert np.array_equal(got, want)
+    assert np.array_equal(vec_rng.random(2), loop_rng.random(2))
+
+
+SCALED = gen_example2(200, 40, 10, 5.0, 1, 10, 3)
+
+
+def scaled_scores(scale: int) -> list:
+    """qisls_all's scores of SCALED times 2^scale in both modes, each with
+    the stream's next draws after it, from a sketch at p = 20 and k = 5."""
+    a = np.ldexp(SCALED, scale)
+    store = MatrixSampleStore(a)
+    _, _, spectral, kappa = oracle_facts(a)
+    prm = compute_params(0.5, 0.1, 5, kappa, spectral,
+                         math.sqrt(store.sq_frobenius), p_override=20,
+                         xi_override=0.2)
+    out = []
+    for mode in MODES:
+        rng = stream(43)
+        sketch = qisvd(store, prm, rng)
+        out += [qisls_all(store, sketch, prm, mode=mode, rng=rng).approx,
+                rng.random(4)]
+    return out
+
+
+SCALE_ZERO = scaled_scores(0)
+
+
+@given(st.integers(-500, 100))
+@example(-500)
+@example(100)
+def test_scores_are_bitwise_the_same_at_any_scale(scale):
+    # A times 2^s scales S, sigma and the row norms exactly, so the draws,
+    # group means and scores of both modes are the s = 0 bits
+    for got, want in zip(scaled_scores(scale), SCALE_ZERO):
+        assert np.array_equal(got, want)
+
+
 def test_vanishing_xi_is_a_value_error():
     # xi ||S||_F / ||S_i|| squares to 0: the group size 6 / 0 is refused
     # as too many draws, not raised as a division by zero
@@ -210,13 +289,14 @@ def test_vanishing_xi_is_a_value_error():
         estimate_inner([1.0, 2.0], [1.0, 1.0], 1e-170, 0.1, stream(0))
 
 
-@pytest.mark.parametrize("block_draws", [BLOCK_DRAWS, 800])
+@pytest.mark.parametrize("block_draws", [SAMPLED_BLOCK_DRAWS, 800])
 def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
-    # 130 rows, one of them zero, over several draw blocks; at a budget of
-    # 800 values a block S is also gathered in several parts, and a row
-    # takes 34 to 748 draws of 4 values each, so the heavier rows are over
-    # the budget by themselves and are drawn a few groups at a time
-    monkeypatch.setattr("levsketch.estimator.BLOCK_DRAWS", block_draws)
+    # 130 rows, one of them zero, over several draw blocks; a row takes 68
+    # to 2958 draws of 4 values each, so at a budget of 800 values the
+    # heavier rows are over the budget by themselves and are drawn a few
+    # groups at a time
+    monkeypatch.setattr("levsketch.estimator.SAMPLED_BLOCK_DRAWS",
+                        block_draws)
     blocks = []
 
     def counting(sums, counts, rng):
@@ -238,7 +318,7 @@ def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
     _, _, norm, kappa = oracle_facts(a)
     prm = compute_params(0.5, 0.1, 4, kappa, norm,
                          math.sqrt(store.sq_frobenius), p_override=20,
-                         xi_override=0.1)
+                         xi_override=0.05)
     sketch = qisvd(store, prm, stream(32))
     rows = np.arange(130)
     together, one_by_one, loop = stream(33), stream(33), stream(33)
@@ -248,7 +328,7 @@ def test_block_scores_match_row_at_a_time_scores(monkeypatch, block_draws):
     # no descent gathers more than the budget's values, 4 per draw
     assert all(c.sum() <= block_draws // 4 for c in blocks)
     # only under the small budget did a row descend a few groups at a time
-    assert (min(chunks) < 34) == (block_draws < BLOCK_DRAWS)
+    assert (min(chunks) < 34) == (block_draws < SAMPLED_BLOCK_DRAWS)
     single = np.array([qisls_score(store, sketch, int(i), mode="sampled-dot",
                                    params=prm, rng=one_by_one) for i in rows])
     plain = np.array([loop_sampled_score(store, sketch, int(i), prm, loop)
@@ -358,6 +438,10 @@ def test_row_blocks_score_any_row_set_bitwise_per_row(monkeypatch, mode,
     # sampled-dot blocks 40 // p = 4 or 1; a block of one increasing run
     # of rows is read from a view, any other with a row take
     monkeypatch.setattr("levsketch.estimator.BLOCK_DRAWS", block_draws)
+    if block_draws < BLOCK_DRAWS:
+        # and sampled-dot's draws descend in blocks as small
+        monkeypatch.setattr("levsketch.estimator.SAMPLED_BLOCK_DRAWS",
+                            block_draws)
     store, prm, sketch = gather_fixture()
     rows = GATHER_ROW_SETS[name]
     blocks = []

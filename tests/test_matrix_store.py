@@ -18,7 +18,8 @@ from levsketch import (MatrixSampleStore, compute_params, draw_sketch,
                        sample_rows, stream, trial_stream, write_matrix_csv)
 from levsketch.cli import main
 from levsketch.sample_store import (ROW_BLOCK, IndexRangeError,
-                                    pick_in_block, sample_leaves, sum_levels)
+                                    check_indices, pick_in_block,
+                                    sample_leaves, sum_levels)
 
 from oracles import chisquare_pvalue
 
@@ -318,22 +319,26 @@ def test_out_of_range_update_changes_nothing(small_store, i, j):
             small_store.col_sq_norm(j)
 
 
-@pytest.mark.parametrize("call", [
-    lambda store: store.query(1.9, 0.5),
-    lambda store: store.query(1, np.float64(0.0)),
-    lambda store: store.col_sq_norm(1.99),
-    lambda store: store.update(0.7, 1.2, 9.0),
-    lambda store: store.update(1, 1.0, 9.0),
-    lambda store: store.sample_column_indices(stream(0), 2.7),
-    lambda store: store.sample_column_indices(stream(0), 2.0),
-    lambda store: sample_columns(store, 2.7, stream(0)),
+@pytest.mark.parametrize("call, match", [
+    (lambda store: store.query(1.9, 0.5), "whole number"),
+    (lambda store: store.query(1, np.float64(0.0)), "whole number"),
+    (lambda store: store.col_sq_norm(1.99), "whole number"),
+    (lambda store: store.update(0.7, 1.2, 9.0), "whole number"),
+    (lambda store: store.update(1, 1.0, 9.0), "whole number"),
+    (lambda store: store.sample_column_indices(stream(0), 2.7),
+     "whole number"),
+    (lambda store: store.sample_column_indices(stream(0), 2.0),
+     "whole number"),
+    # sample_columns takes p by svd.positive_int's rule for a count
+    (lambda store: sample_columns(store, 2.7, stream(0)),
+     "^p must be a positive integer$"),
 ], ids=["query", "query-whole-float", "col_sq_norm", "update",
         "update-whole-float", "draw-count", "draw-count-whole-float",
         "sample_columns"])
-def test_index_that_is_not_an_integer_is_refused(small_store, call):
+def test_index_that_is_not_an_integer_is_refused(small_store, call, match):
     # int() would truncate 1.9 to row 1, 0.7 to row 0 and a count of 2.7
     # draws to 2
-    with pytest.raises(ValueError, match="whole number") as info:
+    with pytest.raises(ValueError, match=match) as info:
         call(small_store)
     assert "\n" not in str(info.value)
     np.testing.assert_array_equal(small_store.to_array(),
@@ -382,6 +387,40 @@ def test_index_array_that_is_not_in_range_integers_is_refused(small_store,
         call(small_store)
     assert "\n" not in str(info.value)
     assert small_store.queries == 0
+
+
+@pytest.mark.parametrize("rows", [
+    [10 ** 23], [-2 ** 63 - 1], [2 ** 64], [0, 2 ** 70],
+    np.array([1, 2 ** 70], dtype=object), np.array([3], dtype=object),
+    np.array([np.int64(-1)], dtype=object),
+], ids=["huge", "below-int64", "above-uint64", "mixed", "object-mixed",
+        "object-small", "object-numpy"])
+def test_index_beyond_int64_is_out_of_range(small_store, rows):
+    # numpy keeps an int that int64 cannot hold in an object array; that
+    # is a whole number out of range, not a non-integer
+    with pytest.raises(IndexRangeError) as info:
+        check_indices(rows, 2, "row index")
+    assert str(info.value) == "row index out of range for size 2"
+    with pytest.raises(IndexRangeError, match="^row index out of range"):
+        small_store.block_values(rows, [0])
+    assert small_store.queries == 0
+
+
+def test_object_array_of_ints_in_range_is_accepted():
+    got = check_indices(np.array([1, np.int8(0), 2], dtype=object), 3)
+    assert got.dtype == np.int64
+    assert got.tolist() == [1, 0, 2]
+
+
+@pytest.mark.parametrize("rows", [
+    [True, 2 ** 70], [1.0, 2 ** 70], np.array([np.True_], dtype=object),
+    np.array(["1"], dtype=object), np.array([None], dtype=object),
+], ids=["bool", "float", "numpy-bool", "string", "none"])
+def test_object_array_of_other_than_ints_is_not_whole(rows):
+    with pytest.raises(ValueError) as info:
+        check_indices(rows, 2, "row index")
+    assert type(info.value) is ValueError
+    assert str(info.value) == "row index must be a whole number"
 
 
 def test_index_arrays_of_any_integer_type_are_accepted(small_store):

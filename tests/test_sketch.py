@@ -179,6 +179,30 @@ def test_sample_columns_errors(small_store):
         sample_columns(MatrixSampleStore(np.zeros((2, 2))), 1, stream(0))
 
 
+@pytest.mark.parametrize("p", [True, 2.5, 0, -1])
+def test_draw_counts_are_positive_integers(small_store, p):
+    # one rule for a count, svd.positive_int's, in both draws
+    with pytest.raises(ValueError) as info:
+        sample_columns(small_store, p, stream(0))
+    assert str(info.value) == "p must be a positive integer"
+    with pytest.raises(ValueError) as info:
+        sample_rows(small_store, [0], [10.0], p, stream(0))
+    assert str(info.value) == "p must be a positive integer"
+    assert small_store.queries == 0
+
+
+def test_whole_float_draw_count_draws_as_its_int(small_store):
+    got_rng, want_rng = stream(6), stream(6)
+    got = sample_columns(small_store, 8.0, got_rng)
+    want = sample_columns(small_store, 8, want_rng)
+    got += sample_rows(small_store, got[0], got[2], 8.0, got_rng)
+    want += sample_rows(small_store, want[0], want[2], 8, want_rng)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    assert np.array_equal(got_rng.random(2), want_rng.random(2))
+
+
 def test_sample_rows_mixture_probs(small_store):
     cols = np.array([0, 1, 1])
     col_sq = np.array([10.0, 20.0, 20.0])

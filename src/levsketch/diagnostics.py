@@ -105,10 +105,16 @@ def concentration_ratios(store: MatrixSampleStore, p: int,
 
 
 def deviation_bound(theta: float, p: int) -> float:
-    """Tail probability bound 1 / (theta^2 p), clipped to 1."""
-    if not theta > 0.0 or p < 1:
-        raise ValueError("need theta > 0 and p >= 1")
-    return min(1.0 / (theta * theta * p), 1.0)
+    """Tail probability bound 1 / (theta^2 p), clipped to 1.
+
+    theta lies in (0, inf) and p is a positive integer (see
+    ``positive_int``); anything else raises ValueError. A theta^2 p that
+    underflows gives the clipped 1.0.
+    """
+    if not 0.0 < theta < math.inf:
+        raise ValueError("need theta > 0 and finite")
+    denom = theta * theta * positive_int(p, "p")
+    return 1.0 / denom if denom > 1.0 else 1.0
 
 
 def sigma_min_bound(params: Params) -> float:

@@ -455,17 +455,15 @@ class MatrixSampleStore:
         """Indices j drawn with probability ||A_{:,j}||^2 / ||A||_F^2, by
         one walk of the mass tree per draw (see ``sample_leaves``). A
         ``size`` that is not a whole number, as ``check_index`` has it, or
-        is negative, raises ValueError."""
-        try:
-            # no count is too large for this range; a negative one is out
-            size = check_index(size, math.inf, "draw count")
-        except IndexError:
-            raise ValueError(f"draw count {size} is negative") from None
+        that is negative or beyond int64, raises ValueError; the draws
+        are counted once they are made."""
+        size = check_index(size, 2 ** 63, "draw count")
         sums = self._mass_tree()
         if sums[1] <= 0.0:
             raise ValueError("zero matrix")
+        idx = sample_leaves(sums[None], np.array([size]), rng)[1]
         self.queries += size
-        return sample_leaves(sums[None], np.array([size]), rng)[1]
+        return idx
 
 
 def write_matrix_csv(path, matrix, metadata: dict | None = None) -> None:

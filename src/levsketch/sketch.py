@@ -17,6 +17,7 @@ probabilities and the entries of W.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,22 +68,60 @@ class Params:
         return self.omega / (4 * self.k + 3)
 
 
+def _parameter_formulas(epsilon: float, k: int, kappa: float,
+                        spectral_norm: float, frob_norm: float
+                        ) -> tuple[float, float, float]:
+    """(omega, theta's upper end, xi): the one checked evaluation of the
+    paper's formulas behind ``theta_upper`` and ``compute_params``."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    k = positive_int(k, "k")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and >= 1")
+    if not (0.0 < spectral_norm < math.inf and 0.0 < frob_norm < math.inf):
+        raise ValueError("norms must be positive and finite")
+    for shift in (0, -math.frexp(spectral_norm)[1]):
+        try:
+            spectral = math.ldexp(spectral_norm, shift)
+            frob = math.ldexp(frob_norm, shift)
+            w = max(frob * kappa + spectral, kappa)
+            # bounds every product below: where it is finite, none overflows
+            bound = 196.0 * (4 * k + 5) * w * w
+            s2, f2, k2 = spectral ** 2, frob ** 2, kappa ** 2
+            num, xnum = s2 * epsilon ** 2, 2.0 * epsilon * s2
+            omega = num / (196.0 * (frob * kappa + spectral) ** 2)
+            top = omega * s2
+            upper = top / ((4 * k + 3 + 2 * omega) * k2 * f2)
+            xi = (math.sqrt(xnum / (k2 * (4 * k + 5) * f2) + 1.0)
+                  - 1.0) / math.sqrt(k)
+        except (OverflowError, ZeroDivisionError):
+            continue
+        # upper and xi overflow where frob_norm is far below spectral_norm;
+        # every other intermediate that scales with the norms is at least
+        # one of the last four, so none is subnormal
+        if (max(bound, upper, xi) < math.inf
+                and min(f2, num, top, xnum) >= sys.float_info.min):
+            return omega, upper, xi
+    raise ValueError("the parameter formulas overflow or underflow at "
+                     "every scale of the norms")
+
+
 def theta_upper(epsilon: float, k: int, kappa: float, spectral_norm: float,
                 frob_norm: float) -> tuple[float, float]:
-    """(omega, largest admissible theta) for the given constants."""
-    omega = (spectral_norm ** 2 * epsilon ** 2
-             / (196.0 * (frob_norm * kappa + spectral_norm) ** 2))
-    upper = (omega * spectral_norm ** 2
-             / ((4 * k + 3 + 2 * omega) * kappa ** 2 * frob_norm ** 2))
-    return omega, upper
+    """(omega, largest admissible theta) for the given constants.
 
-
-def _largest_product(k: int, kappa: float, spectral_norm: float,
-                     frob_norm: float) -> float:
-    """A bound on every product in the formulas of omega, theta and xi:
-    while it is finite, none of their squares overflows."""
-    w = max(frob_norm * kappa + spectral_norm, kappa)
-    return 196.0 * (4 * k + 5) * w * w
+    epsilon lies in (0, 1), k is a positive integer (see
+    ``positive_int``), kappa is finite and >= 1 and both norms are positive
+    and finite; anything else raises ValueError. omega, theta and xi
+    depend on the norms only through their ratio. Where an intermediate of
+    their formulas could overflow or is subnormal, they are evaluated on
+    both norms divided by the power of two that brings spectral_norm into
+    [0.5, 1), which is exact. Only there: elsewhere ``**`` rounds through
+    libm ``pow``, and scaled norms could move the last bit. Where the
+    formulas overflow or underflow at that scale too (kappa, the ratio of
+    the norms, 1 / epsilon or k far out of range), ValueError.
+    """
+    return _parameter_formulas(epsilon, k, kappa, spectral_norm, frob_norm)[:2]
 
 
 def compute_params(epsilon: float, delta: float, k: int, kappa: float,
@@ -92,43 +131,18 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
                    xi_override: float | None = None) -> Params:
     """Derive the full parameter set.
 
-    ``theta`` defaults to the upper end of its admissible interval (any
-    smaller value only inflates p). ``p_override`` replaces p alone.
-    ``k`` and ``p_override`` are whole numbers of any real type, stored
-    as int. omega, theta and xi depend on the norms only through their
-    ratio; where a square in their formulas would overflow, they are
-    computed from both norms divided by the same power of two, which is
-    exact. Only there: elsewhere ``**`` rounds through libm ``pow``, and
-    scaled norms could move the last bit. A ratio kappa * frob_norm /
-    spectral_norm that overflows at any scale, a frob_norm whose square
-    underflows, or a theta for which p = 1 / (theta^2 delta) is not finite
-    (theta underflows to 0 for a large enough kappa) raises ValueError.
+    omega, theta's upper end and xi are evaluated, and epsilon, k, kappa
+    and the norms checked, as in ``theta_upper``. ``theta`` defaults to
+    the upper end of its admissible interval (any smaller value only
+    inflates p). ``p_override`` replaces p alone. ``k`` and ``p_override``
+    are whole numbers of any real type, stored as int. A theta for which
+    p = 1 / (theta^2 delta) is not finite (theta underflows to 0 for a
+    large enough kappa) raises ValueError.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    k = positive_int(k, "k")
-    if not 1.0 <= kappa < math.inf:
-        raise ValueError("kappa must be finite and >= 1")
-    if not (0.0 < spectral_norm < math.inf and 0.0 < frob_norm < math.inf):
-        raise ValueError("norms must be positive and finite")
-    spectral, frob = spectral_norm, frob_norm
-    if not _largest_product(k, kappa, spectral, frob) < math.inf:
-        shift = -math.frexp(spectral)[1]
-        spectral = math.ldexp(spectral, shift)
-        try:
-            frob = math.ldexp(frob, shift)
-        except OverflowError:
-            frob = math.inf
-        if not _largest_product(k, kappa, spectral, frob) < math.inf:
-            raise ValueError("kappa * frob_norm / spectral_norm overflows "
-                             "the parameter formulas")
-    # frob^2 bounds every divisor in the formulas from below
-    if not frob ** 2 > 0.0:
-        raise ValueError("frob_norm squared underflows the parameter "
-                         "formulas")
-    omega, upper = theta_upper(epsilon, k, kappa, spectral, frob)
+    omega, upper, xi = _parameter_formulas(epsilon, k, kappa,
+                                           spectral_norm, frob_norm)
     if theta is None:
         theta = upper
     elif not 0.0 < theta <= upper:
@@ -139,15 +153,13 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
     if not (denom > 0.0 and 1.0 / denom < math.inf):
         raise ValueError(f"theta={theta!r} underflows the parameter "
                          "formulas: p = 1 / (theta^2 delta) is not finite")
-    p = math.ceil(1.0 / denom)
+    # a theta^2 delta that overflows still needs one draw
+    p = max(math.ceil(1.0 / denom), 1)
     if p_override is not None:
         p = p_override = positive_int(p_override, "p_override")
-    xi = (math.sqrt(2.0 * epsilon * spectral ** 2
-                    / (kappa ** 2 * (4 * k + 5) * frob ** 2) + 1.0)
-          - 1.0) / math.sqrt(k)
     if xi_override is not None and xi_override <= 0.0:
         raise ValueError("xi_override must be positive")
-    return Params(epsilon=epsilon, delta=delta, k=k, kappa=kappa,
+    return Params(epsilon=epsilon, delta=delta, k=int(k), kappa=kappa,
                   spectral_norm=spectral_norm, frob_norm=frob_norm,
                   omega=omega, theta=theta, p=p, xi=xi,
                   p_override=p_override, xi_override=xi_override)

@@ -255,9 +255,11 @@ def pivoted_qr(matrix, *, basis: bool = True
 
 def positive_int(value, name: str) -> int:
     """``value`` as an int: a whole number >= 1 of any real type but bool,
-    which is refused as the store refuses a bool index."""
+    which is refused as the store refuses a bool index. An integer beyond
+    the float range is one too."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and value >= 1 and float(value).is_integer()):
+            and value >= 1 and (isinstance(value, numbers.Integral)
+                                or float(value).is_integer())):
         raise ValueError(f"{name} must be a positive integer")
     return int(value)
 
@@ -269,7 +271,7 @@ def truncate_top_k(res: SvdResult, k: int) -> SvdResult:
     ``positive_int``), or nothing survives the threshold ("numerically
     rank zero").
     """
-    if not 1 <= k <= res.sigma.size:
+    if isinstance(k, numbers.Real) and not 1 <= k <= res.sigma.size:
         raise ValueError(f"k={k} out of range 1..{res.sigma.size}")
     k = positive_int(k, "k")
     significant = int((res.sigma > REL_THRESHOLD * res.sigma[0]).sum())

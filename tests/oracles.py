@@ -4,6 +4,8 @@ Everything here leans on numpy.linalg and scipy, which the library's own
 algorithm paths avoid on purpose; agreement between the two routes is
 evidence, not tautology.
 """
+import math
+
 import numpy as np
 from scipy import stats
 
@@ -86,3 +88,23 @@ def sample_leaves_reference(sums, counts, uniforms):
             rest.append(u)
     return (np.array(tree, dtype=np.int64), np.array(leaf, dtype=np.int64),
             np.array(rest))
+
+
+def parameter_formulas_reference(epsilon, k, kappa, spectral, frob):
+    """(omega, theta's upper end, xi) literally as the paper writes them,
+    on the unscaled norms, and every intermediate of their formulas."""
+    omega = (spectral ** 2 * epsilon ** 2
+             / (196.0 * (frob * kappa + spectral) ** 2))
+    upper = (omega * spectral ** 2
+             / ((4 * k + 3 + 2 * omega) * kappa ** 2 * frob ** 2))
+    xi = (math.sqrt(2.0 * epsilon * spectral ** 2
+                    / (kappa ** 2 * (4 * k + 5) * frob ** 2) + 1.0)
+          - 1.0) / math.sqrt(k)
+    intermediates = (
+        spectral ** 2, epsilon ** 2, frob * kappa + spectral,
+        spectral ** 2 * epsilon ** 2, 196.0 * (frob * kappa + spectral) ** 2,
+        omega, omega * spectral ** 2, kappa ** 2 * frob ** 2,
+        (4 * k + 3 + 2 * omega) * kappa ** 2 * frob ** 2, upper,
+        2.0 * epsilon * spectral ** 2, kappa ** 2 * (4 * k + 5) * frob ** 2,
+        xi)
+    return (omega, upper, xi), intermediates

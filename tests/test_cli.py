@@ -263,6 +263,26 @@ def test_concentration_rejects_nan_theta(tmp_path, gaussian_csv, capsys):
     assert not out.exists()
 
 
+def test_concentration_underflowing_theta_gives_the_clipped_bound(
+        tmp_path, gaussian_csv):
+    # theta^2 p underflows: the command ended in a ZeroDivisionError
+    # traceback with exit 1
+    out = tmp_path / "c.csv"
+    assert run(["concentration", gaussian_csv, "--theta", 1e-200, "--p", 5,
+                "--trials", 2, "-o", out]) == 0
+    assert meta_floats(out)["bound"] == 1.0
+
+
+def test_concentration_rejects_infinite_theta(tmp_path, gaussian_csv,
+                                              capsys):
+    # it ran and wrote bound=0.0
+    out = tmp_path / "c.csv"
+    assert run(["concentration", gaussian_csv, "--theta", "inf", "--p", 5,
+                "--trials", 2, "-o", out]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_concentration_reruns_byte_identical(tmp_path, gaussian_csv):
     outs = [tmp_path / f"c{i}.csv" for i in range(2)]
     argv = ["concentration", gaussian_csv, "--theta", 0.5, "--p", 30,

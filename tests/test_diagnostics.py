@@ -6,7 +6,9 @@ import pytest
 
 from levsketch import (MatrixSampleStore, compute_params,
                        concentration_ratios, counted_sketch_spectrum,
-                       deviation_bound, gen_example1, gen_example2, qisvd,
+                       deviation_bound, draw_sketch, estimate_inner,
+                       gen_example1, gen_example2, oracle_facts,
+                       orthogonality_defect, qisvd, s_matrix,
                        sigma_min_bound, standard_normal, stream,
                        trial_stream)
 
@@ -21,6 +23,28 @@ def test_deviation_bound_values():
         deviation_bound(0.5, 0)
     with pytest.raises(ValueError, match="theta > 0"):
         deviation_bound(float("nan"), 5)
+
+
+def test_deviation_bound_of_an_underflowing_theta_is_clipped():
+    # theta^2 p underflows to 0: 1 / 0 raised ZeroDivisionError
+    assert deviation_bound(1e-200, 5) == 1.0
+    assert deviation_bound(5e-324, 10 ** 6) == 1.0
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, -0.5])
+def test_deviation_bound_refuses_theta_outside_zero_to_inf(theta):
+    # an infinite theta gave the bound 0.0
+    with pytest.raises(ValueError, match="theta > 0") as info:
+        deviation_bound(theta, 5)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("p", [2.5, True, 0, -3, math.nan])
+def test_deviation_bound_takes_p_as_a_positive_integer(p):
+    # 2.5 and True gave the bound 1.0
+    with pytest.raises(ValueError, match="p must be a positive integer"):
+        deviation_bound(0.5, p)
+    assert deviation_bound(0.5, 100.0) == deviation_bound(0.5, 100)
 
 
 def test_sigma_min_bound_formula():
@@ -71,6 +95,38 @@ def test_counted_spectrum_is_bitwise_the_same_at_any_scale(a, p, scale):
     got = counted_sketch_spectrum(np.ldexp(a, scale), p, 5, stream(12))
     assert np.array_equal(got[0], np.ldexp(sigma, scale))
     assert got[1] == defect
+
+
+def layer_outputs(a, scale):
+    """What each layer gives on A times 2^scale, divided back by the power
+    of 2^scale it carries: W, the draws, S, the defect of the implied U,
+    sigma_min_bound, an inner product estimate and the counted defect."""
+    _, _, spectral, kappa = oracle_facts(a)
+    frob = float(np.sqrt((a * a).sum()))
+    scaled = np.ldexp(a, scale)
+    store = MatrixSampleStore(scaled)
+    sketch, w = draw_sketch(store, 20, trial_stream(3, 0))
+    params = compute_params(0.5, 0.1, 5, kappa, math.ldexp(spectral, scale),
+                            math.ldexp(frob, scale), p_override=20)
+    full = qisvd(store, params, trial_stream(3, 1))
+    inner = estimate_inner(scaled[:, 0], a[:, 1], 0.2, 0.1, stream(5))
+    return [np.ldexp(w, -scale), sketch.col_indices, sketch.col_probs,
+            sketch.row_indices, sketch.row_probs,
+            np.ldexp(s_matrix(store, sketch), -scale),
+            orthogonality_defect(store, full),
+            math.ldexp(sigma_min_bound(params), -scale),
+            math.ldexp(inner, -scale),
+            counted_sketch_spectrum(scaled, 20, 5, stream(12))[1]]
+
+
+def test_every_layer_is_the_same_bits_at_a_power_of_two_scale():
+    # the draws, the scale-free values and the scaled ones divided back are
+    # the s = 0 bits at each scale where the store takes A
+    a = gen_example2(200, 40, 10, 5.0, 1, 10, 3)
+    want = layer_outputs(a, 0)
+    for scale in (-500, -300, -100, 100, 300, 400):
+        for got, ref in zip(layer_outputs(a, scale), want, strict=True):
+            assert np.array_equal(got, ref), scale
 
 
 def test_counted_handles_astronomical_p():

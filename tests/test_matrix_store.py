@@ -1195,6 +1195,21 @@ def test_negative_draw_count_is_refused(small_store):
     assert small_store.queries == 3
 
 
+def test_draw_count_beyond_int64_is_refused_before_it_is_counted(
+        small_store):
+    # 2^70 and 2^63 ended in a numpy TypeError, 2^62 in numpy's "array is
+    # too big", and each left the count in queries, reads that never
+    # happened
+    for size in (2 ** 70, 2 ** 63):
+        with pytest.raises(ValueError, match="draw count") as info:
+            small_store.sample_column_indices(stream(0), size)
+        assert "\n" not in str(info.value)
+    with pytest.raises(ValueError) as info:
+        small_store.sample_column_indices(stream(0), 2 ** 62)
+    assert "\n" not in str(info.value)
+    assert small_store.queries == 0
+
+
 def col_norms(store, cols):
     return [store.col_sq_norm(j) for j in cols]
 

@@ -2,11 +2,12 @@
 import dataclasses
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import levsketch.sketch
 from levsketch import (MatrixSampleStore, SketchDescription, build_w,
@@ -17,7 +18,7 @@ from levsketch import (MatrixSampleStore, SketchDescription, build_w,
                        write_sketch_csv)
 from levsketch.sketch import s_matrix, s_rows
 
-from oracles import dense_s, dense_w
+from oracles import dense_s, dense_w, parameter_formulas_reference
 from test_matrix_store import TopDraw
 
 # reference parameter set: unit norms, kappa 1, k 1
@@ -96,25 +97,105 @@ def test_parameter_validation():
         compute_params(**REF, xi_override=-0.1)
 
 
-@pytest.mark.parametrize("scale", [-300, 100, 300, 505])
+def example_constants():
+    """kappa, spectral norm and Frobenius norm of
+    gen_example2(200, 40, 10, 5, 1, 10, 3)."""
+    a = gen_example2(200, 40, 10, 5.0, 1, 10, 3)
+    _, _, spectral, kappa = oracle_facts(a)
+    return kappa, spectral, float(np.sqrt((a * a).sum()))
+
+
+EXAMPLE = example_constants()
+
+
+def params_at(scale, **kw):
+    kappa, spectral, frob = EXAMPLE
+    return compute_params(0.5, 0.1, 5, kappa, math.ldexp(spectral, scale),
+                          math.ldexp(frob, scale), **kw)
+
+
+def derived(prm):
+    return prm.omega, prm.theta, prm.p, prm.xi
+
+
+def theta_upper_at(scale):
+    kappa, spectral, frob = EXAMPLE
+    return theta_upper(0.5, 5, kappa, math.ldexp(spectral, scale),
+                       math.ldexp(frob, scale))
+
+
+@pytest.mark.parametrize("scale", [-530, -520, -515, -510, -300, 100, 300,
+                                   505])
 @pytest.mark.parametrize("p_override", [None, 20])
 def test_params_at_a_power_of_two_scale_are_the_unscaled_ones(scale,
                                                               p_override):
     # omega, theta, p and xi depend on the norms only through their ratio.
-    # At scale 505 the squares of gen_example2(200, 40, 10, 5, 1, 10, 3)'s
-    # norms overflow: theta came out 0 and p = ceil(1 / (theta^2 delta))
-    # divided by zero
-    a = gen_example2(200, 40, 10, 5.0, 1, 10, 3)
-    _, _, spectral, kappa = oracle_facts(a)
-    frob = float(np.sqrt((a * a).sum()))
-    want = compute_params(0.5, 0.1, 5, kappa, spectral, frob,
-                          p_override=p_override)
-    got = compute_params(0.5, 0.1, 5, kappa, math.ldexp(spectral, scale),
-                         math.ldexp(frob, scale), p_override=p_override)
-    assert (got.omega, got.theta, got.p, got.xi) == (
-        want.omega, want.theta, want.p, want.xi)
+    # At scale 505 the squares of the example's norms overflow: theta came
+    # out 0 and p = ceil(1 / (theta^2 delta)) divided by zero. From -510
+    # down to -530 omega * spectral^2, and then the squares themselves, are
+    # subnormal, and omega, theta, p and xi drifted from the unscaled values
+    want = params_at(0, p_override=p_override)
+    got = params_at(scale, p_override=p_override)
+    assert derived(got) == derived(want)
     assert (got.spectral_norm, got.frob_norm) == (
-        math.ldexp(spectral, scale), math.ldexp(frob, scale))
+        math.ldexp(EXAMPLE[1], scale), math.ldexp(EXAMPLE[2], scale))
+
+
+@pytest.mark.parametrize("scale", [-530, -510, 300, 505, 510])
+def test_theta_upper_at_a_power_of_two_scale_is_the_unscaled_one(scale):
+    # at 505 the squares of the norms overflowed and theta_upper returned
+    # (0.0, 0.0); at 510 it raised OverflowError; at -510 and -530 it
+    # drifted, as compute_params did
+    assert theta_upper_at(scale) == theta_upper_at(0)
+
+
+@given(st.integers(-1000, 1000))
+@example(-1000)
+@example(1000)
+def test_parameters_are_the_same_bits_at_any_scale(scale):
+    assert theta_upper_at(scale) == theta_upper_at(0)
+    assert derived(params_at(scale)) == derived(params_at(0))
+
+
+@given(epsilon=st.floats(1e-3, 0.999), k=st.integers(1, 1000),
+       kappa=st.floats(1.0, 1e4), ratio=st.floats(1.0, 1e4),
+       mantissa=st.floats(0.5, 1.0, exclude_max=True),
+       exponent=st.integers(-540, 450))
+def test_parameter_formulas_match_the_literal_reference(
+        epsilon, k, kappa, ratio, mantissa, exponent):
+    # where every intermediate of the reference is a normal, finite
+    # double, the library runs the formulas unscaled and gives the
+    # reference's bits; exponents up to 450 keep every product well below
+    # the largest double, short of where the library prescales
+    spectral = math.ldexp(mantissa, exponent)
+    frob = spectral * ratio
+    want, intermediates = parameter_formulas_reference(epsilon, k, kappa,
+                                                       spectral, frob)
+    assume(all(sys.float_info.min <= x < math.inf for x in intermediates))
+    assert theta_upper(epsilon, k, kappa, spectral, frob) == want[:2]
+    prm = compute_params(epsilon, 0.1, k, kappa, spectral, frob)
+    assert (prm.omega, prm.theta, prm.xi) == want
+    assert prm.p == math.ceil(1.0 / (want[1] * want[1] * 0.1))
+
+
+@pytest.mark.parametrize("args, match", [
+    ((0.5, 5, 2.0, 0.0, 1.0), "norms must be positive and finite"),
+    ((0.5, 5, 2.0, 1.0, 0.0), "norms must be positive and finite"),
+    ((0.5, 5, 2.0, math.nan, 1.0), "norms must be positive and finite"),
+    ((0.5, 5, 2.0, 1.0, math.inf), "norms must be positive and finite"),
+    ((2.0, 5, 2.0, 1.0, 1.0), "epsilon must lie in"),
+    ((0.5, 0, 2.0, 1.0, 1.0), "k must be a positive integer"),
+    ((0.5, 10 ** 400, 2.0, 1.0, 1.0), "overflow")],
+    ids=["zero-spectral", "zero-frob", "nan-spectral", "inf-frob",
+         "epsilon-2", "k-0", "k-beyond-float"])
+def test_theta_upper_refuses_bad_input(args, match):
+    # each returned numbers, nan or 0 before the one evaluation checked
+    # its input; a k beyond the float range raised OverflowError
+    with pytest.raises(ValueError, match=match) as info:
+        theta_upper(*args)
+    assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match=match):
+        compute_params(args[0], 0.1, *args[1:])
 
 
 @pytest.mark.parametrize("kappa, spectral, frob", [
@@ -130,17 +211,39 @@ def test_params_whose_ratio_overflows_are_refused(kappa, spectral, frob):
 
 @pytest.mark.parametrize("kappa, spectral, frob, p_override, theta", [
     (1e100, 1.0, 1.0, None, None), (1e100, 1.0, 1.0, 20, None),
-    (1.0, 1e-170, 1e-170, None, None), (1.0, 1.0, 1.0, None, 1e-160)])
+    (1.0, 1.0, 1.0, None, 1e-160)])
 def test_params_whose_theta_underflows_are_refused(kappa, spectral, frob,
                                                    p_override, theta):
     # a huge kappa made theta 0, and p = ceil(1 / (theta^2 delta))
-    # divided by zero; squares of tiny norms made omega divide by zero; a
-    # theta of 1e-160 made p infinite: one line, not a ZeroDivisionError
-    # or OverflowError
+    # divided by zero; a theta of 1e-160 made p infinite: one line, not a
+    # ZeroDivisionError or OverflowError
     with pytest.raises(ValueError, match="underflows the parameter") as info:
         compute_params(0.5, 0.1, 1, kappa, spectral, frob,
                        p_override=p_override, theta=theta)
     assert "\n" not in str(info.value)
+
+
+def test_params_of_tiny_norms_are_those_at_any_power_of_two_scale():
+    # the squares of 1e-170 underflow, which was refused as "theta=0.0
+    # underflows the parameter formulas"; the formulas run on both norms
+    # times 2^564, so the result is the bits of both norms times any power
+    # of two. 1e-170 is not a power of two: the unit norms' values agree
+    # to an ulp, and their p to 1
+    got = derived(compute_params(0.5, 0.1, 1, 1.0, 1e-170, 1e-170))
+    for scale in (-400, 100, 300, 564, 1000):
+        tiny = math.ldexp(1e-170, scale)
+        assert derived(compute_params(0.5, 0.1, 1, 1.0, tiny, tiny)) == got
+    unit = derived(compute_params(0.5, 0.1, 1, 1.0, 1.0, 1.0))
+    assert got == pytest.approx(unit, rel=1e-15, abs=1)
+
+
+def test_params_whose_theta_squared_overflows_draw_once():
+    # a frob_norm far below spectral_norm, which no matrix has, makes
+    # theta's upper end about 1.8e296: p = ceil(1 / (theta^2 delta)) came
+    # out 0 where theta^2 delta overflows
+    prm = compute_params(0.5, 0.1, 1, 1.0, 1.0, 1e-150)
+    assert prm.theta > 1e296
+    assert prm.p == 1
 
 
 def test_overrides_and_derived_properties():

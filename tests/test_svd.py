@@ -152,6 +152,16 @@ def test_truncate_errors():
         truncate_top_k(zero, 1)
 
 
+@pytest.mark.parametrize("k", [None, "a", "2", [2]],
+                         ids=["none", "text", "digit-text", "list"])
+def test_truncate_k_that_is_not_a_real_number_is_refused(k):
+    # each raised TypeError from the range comparison
+    with pytest.raises(ValueError, match="k must be a positive integer"
+                       ) as info:
+        truncate_top_k(svd_dense(np.diag([4.0, 3.0, 2.0, 1.0])), k)
+    assert "\n" not in str(info.value)
+
+
 @given(st.integers(2, 64), st.integers(2, 64), st.integers(0, 10_000))
 def test_random_shapes_match_numpy(m, n, seed):
     a = stream(seed).standard_normal((m, n))

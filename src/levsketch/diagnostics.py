@@ -20,6 +20,7 @@ SVD paths, so it must not share code with them.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -108,12 +109,24 @@ def deviation_bound(theta: float, p: int) -> float:
     """Tail probability bound 1 / (theta^2 p), clipped to 1.
 
     theta lies in (0, inf) and p is a positive integer (see
-    ``positive_int``); anything else raises ValueError. A theta^2 p that
-    underflows gives the clipped 1.0.
+    ``positive_int``); anything else raises ValueError. Where theta^2 or
+    theta^2 p leaves the normal range of a double, or p the float range,
+    the bound is the exact 1 / (theta^2 p) rounded once; elsewhere it is
+    the float formula's.
     """
     if not 0.0 < theta < math.inf:
         raise ValueError("need theta > 0 and finite")
-    denom = theta * theta * positive_int(p, "p")
+    p = positive_int(p, "p")
+    square = theta * theta
+    try:
+        denom = square * p
+    except OverflowError:  # p beyond the float range
+        denom = math.inf
+    if square < sys.float_info.min or denom == math.inf:
+        # theta is num / den exactly, and an int division rounds once
+        num, den = theta.as_integer_ratio()
+        num, den = num * num * p, den * den
+        return den / num if num > den else 1.0
     return 1.0 / denom if denom > 1.0 else 1.0
 
 

@@ -335,13 +335,14 @@ def read_report_csv(path) -> LeverageReport:
     integer, a data row of other than 4 fields or a file without data rows
     raises a one-line ValueError."""
     f = textfile.TextFile(path, "report", header="i,")
-    body = [line.split(",") for line in f.sections[None]]
-    for fields in body:
-        if len(fields) != 4:
-            raise f.malformed(f"data row of {len(fields)} fields")
+    body = f.sections[None]
+    for line in body:
+        fields = line.count(",") + 1
+        if fields != 4:
+            raise f.malformed(f"data row of {fields} fields")
     if not body:
         raise f.malformed("no data rows")
-    data = np.array([f.numbers(fields) for fields in body])
+    data = f.table(body)
     meta = f.metadata()
     missing = [key for key in (*_REPORT_FLOATS, "k", "p", "coherence_row",
                                "coherence", "seed", "mode")

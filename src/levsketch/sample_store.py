@@ -517,12 +517,9 @@ def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
         meta.setdefault("m", m)
         meta.setdefault("n", n)
         return arr, meta
-    values = [f.numbers(line.split(",")) for line in rows]
-    widths = {len(row) for row in values}
-    if len(widths) > 1:
-        raise f.malformed(f"rows of {sorted(widths)} fields")
-    shape = (len(values), widths.pop() if widths else 0)
+    arr = f.table(rows)
+    shape = arr.shape if rows else (0, 0)
     if (meta.get("m", shape[0]), meta.get("n", shape[1])) != shape:
         raise f.malformed(f"header m={meta.get('m')} n={meta.get('n')} "
                           f"but {shape[0]} rows of {shape[1]} values")
-    return np.array(values), meta
+    return arr, meta

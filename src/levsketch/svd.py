@@ -102,7 +102,7 @@ def svd_dense(matrix, *, left: bool = True) -> SvdResult:
     sigma, u_t, v_t, sweeps, residual = _jacobi(t[:r, :r], left)
     v = np.empty((n, sigma.size))
     v[perm] = q2[:, :r] @ u_t
-    return SvdResult(u=None if q is None else q[:, :r] @ v_t,
+    return SvdResult(u=None if q is None else q @ v_t,
                      sigma=np.ldexp(sigma, shift), v=v, sweeps=sweeps,
                      residual=residual)
 
@@ -196,14 +196,14 @@ def pivoted_qr(matrix, *, basis: bool = True
                ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Householder QR with column pivoting, stopped at the numerical rank.
 
-    Returns (Q, R, perm) for an (m, n) input, m >= n: Q is (m, n) with
+    Returns (Q, R, perm) for an (m, n) input, m >= n: Q is (m, r) with
     orthonormal columns, R is (r, n) upper trapezoidal and A[:, perm] =
-    Q[:, :r] R up to rounding, where r is the numerical rank; Q[:, r:]
-    completes Q[:, :r] to an orthonormal basis. With ``basis=False`` Q is
-    not built and is None; R and perm are the same. Each step pivots the
-    remaining column of largest norm, recomputed exactly (ties: lowest
-    original index), and the factorization stops when every remaining
-    squared norm is at most (n eps)^2 times the largest initial one.
+    Q R up to rounding, where r is the numerical rank. With
+    ``basis=False`` Q is not built and is None; R and perm are the same.
+    Each step pivots the remaining column of largest norm, recomputed
+    exactly (ties: lowest original index), and the factorization stops
+    when every remaining squared norm is at most (n eps)^2 times the
+    largest initial one.
     """
     # a C-ordered copy: the result must not depend on the input's layout
     a = np.array(matrix, dtype=np.float64, order="C")
@@ -243,14 +243,18 @@ def pivoted_qr(matrix, *, basis: bool = True
     if not basis:
         return None, upper, perm
     a = rest = x = None  # free the factored copy before Q is built
+    r = len(reflectors)
+    # only Q's first r columns are built. Each reflector's product still
+    # spans all n - j columns: a product's columns depend only on their
+    # own, but a narrower one rounds them differently
     q = np.zeros((m, n))
-    q[:n, :n] = np.eye(n)
-    for j in range(len(reflectors) - 1, -1, -1):
+    q[:r, :r] = np.eye(r)
+    for j in range(r - 1, -1, -1):
         w, v = reflectors[j]
-        out = buf[:m - j, :n - j]
-        np.multiply.outer(w, v @ q[j:, j:], out=out)
-        q[j:, j:] -= out
-    return q, upper, perm
+        out = buf[:m - j, :r - j]
+        np.multiply.outer(w, (v @ q[j:, j:])[:r - j], out=out)
+        q[j:, j:r] -= out
+    return q[:, :r], upper, perm
 
 
 def positive_int(value, name: str) -> int:

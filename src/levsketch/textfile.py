@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
+# whitespace to np.loadtxt, but not to float()
+_FIELD_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
 
 class TextFile:
     """The comment bodies of one file and the data rows of each of its
-    sections. A row is kept as its line, which a reader splits at the
-    commas as it parses it, so that a large file's fields are never all
-    held at once (that made the dense matrix read measurably slower)."""
+    sections. A row is kept as its line: a reader splits it at the commas
+    as it parses it, or parses all rows at once with ``table``, so that a
+    large file's fields are never all held as strings."""
 
     def __init__(self, path, kind: str, sections=(None,),
                  header: str | None = None):
@@ -59,6 +62,31 @@ class TextFile:
             return [cast(x) for x in fields]
         except ValueError as exc:
             raise self.malformed(f"non-numeric field ({exc})") from None
+
+    def table(self, rows) -> np.ndarray:
+        """The float fields of ``rows`` as a 2-D array, one row per line,
+        bitwise ``float`` of each field; a non-numeric field, or rows of
+        unequal width, raise. No rows give an empty 1-D array.
+
+        One C-level ``np.loadtxt`` pass parses well-formed rows: its float
+        parse and ``float`` both round through ``PyOS_string_to_double``.
+        It refuses forms that ``float`` accepts, such as ``1_0`` and
+        non-ASCII digits, so whatever it refuses is parsed again field by
+        field, which accepts those forms and words every error. It also
+        strips the separators U+001C to U+001F around a field, which
+        ``float`` refuses, so rows that hold one skip it."""
+        text = "".join(rows)
+        if text and not any(sep in text for sep in _FIELD_SEPARATORS):
+            try:
+                return np.loadtxt(rows, dtype=np.float64, delimiter=",",
+                                  comments=None, ndmin=2)
+            except ValueError:
+                pass
+        values = [self.numbers(line.split(",")) for line in rows]
+        widths = {len(row) for row in values}
+        if len(widths) > 1:
+            raise self.malformed(f"rows of {sorted(widths)} fields")
+        return np.array(values)
 
     def indices(self, values: np.ndarray, what: str) -> np.ndarray:
         """The 1-based ``values`` as 0-based int64; each must be a positive

@@ -273,6 +273,17 @@ def test_concentration_underflowing_theta_gives_the_clipped_bound(
     assert meta_floats(out)["bound"] == 1.0
 
 
+def test_concentration_p_beyond_the_float_range_exits_two(
+        tmp_path, gaussian_csv, capsys):
+    # the bound's theta^2 p raised OverflowError: a traceback and exit 1
+    out = tmp_path / "c.csv"
+    assert run(["concentration", gaussian_csv, "--theta", 0.5,
+                "--p", "9" * 401, "--trials", 2, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: draw count") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_concentration_rejects_infinite_theta(tmp_path, gaussian_csv,
                                               capsys):
     # it ran and wrote bound=0.0

@@ -1,5 +1,6 @@
 """Count-collapsed sketch evaluation and concentration measurements."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,31 @@ def test_deviation_bound_of_an_underflowing_theta_is_clipped():
     # theta^2 p underflows to 0: 1 / 0 raised ZeroDivisionError
     assert deviation_bound(1e-200, 5) == 1.0
     assert deviation_bound(5e-324, 10 ** 6) == 1.0
+
+
+@pytest.mark.parametrize("theta, p, bound", [
+    # p beyond the float range: theta^2 p raised OverflowError
+    (0.5, 10 ** 400, 0.0),
+    (1e-200, 10 ** 401, 1 / (Fraction(1e-200) ** 2 * 10 ** 401)),
+    (1.0, 2 ** 1030, 2.0 ** -1030),
+    # theta^2 p overflows a double: the bound is a subnormal, not 1 / inf
+    (1e154, 2, 1 / (Fraction(1e154) ** 2 * 2)),
+    (2.0 ** 600, 1, 0.0),
+    # a subnormal theta^2 has lost bits: the float formula gives ...903
+    (1e-154, 101 * 10 ** 306, 0.9900990099009902),
+], ids=["p-401-digits", "tiny-theta-p-402-digits", "p-2^1030",
+        "product-overflows", "square-overflows", "square-subnormal"])
+def test_deviation_bound_beyond_the_float_range_is_correctly_rounded(
+        theta, p, bound):
+    assert deviation_bound(theta, p) == float(bound)
+
+
+def test_deviation_bound_keeps_the_float_formula_in_range():
+    # the two roundings of 1.0 / (theta * theta * p) stay where nothing
+    # leaves the normal range
+    for theta, p in [(0.5, 7), (0.75, 50), (1e-150, 10 ** 301),
+                     (1e150, 1)]:
+        assert deviation_bound(theta, p) == 1.0 / (theta * theta * p)
 
 
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, -0.5])

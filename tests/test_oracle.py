@@ -1,4 +1,6 @@
 """Exact scores, conditioning, QR, and the two synthetic dataset families."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,19 @@ from levsketch import (gen_example1, gen_example2, householder_qr,
                        write_matrix_csv)
 
 from oracles import hat_leverage
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (7, "50f68b74fd003e2b67596eec0998759531116f3798a3c938f120d870a59a4860"),
+    (11, "9a925fdab6d256f1f961e18110bf98f6fa15208cff2667218d275cb8004c24fe"),
+], ids=["seed-7", "seed-11"])
+def test_oracle_facts_are_bitwise_pinned(seed, digest):
+    # the compare command's oracle on its benchmark's matrix shape: how
+    # the pivoted QR builds Q must keep every bit of the scores
+    facts = oracle_facts(gen_example2(1000, 100, 30, 1.0, 1, 10, seed))
+    h = hashlib.sha256(facts.scores.tobytes())
+    h.update(repr(facts[1:]).encode())
+    assert h.hexdigest() == digest
 
 
 def test_identity_scores():

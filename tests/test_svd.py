@@ -308,9 +308,27 @@ def test_pivoted_qr_without_basis_keeps_r_and_perm(make):
     a = make()
     q, upper, perm = svd_module.pivoted_qr(a)
     none, same_upper, same_perm = svd_module.pivoted_qr(a, basis=False)
-    assert q.shape == a.shape and none is None
+    assert q.shape == (a.shape[0], upper.shape[0]) and none is None
     np.testing.assert_array_equal(same_upper, upper)
     np.testing.assert_array_equal(same_perm, perm)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: stream(37).standard_normal((80, 30)),
+    # the factorization of a wide input's transpose
+    lambda: stream(37).standard_normal((30, 80)).T,
+    lambda: gen_example1(200, 40, 12, 37),
+    lambda: kahan(60, 0.6),
+], ids=["tall", "wide", "rank-deficient", "kahan"])
+def test_pivoted_qr_basis_is_the_rank_r_columns(make):
+    # Q is built only to the rank r, the columns svd_dense reads
+    a = make()
+    q, upper, perm = svd_module.pivoted_qr(a)
+    r = upper.shape[0]
+    assert q.shape == (a.shape[0], r)
+    assert orthonormality_defect(q) < 1e-14
+    diff = a[:, perm] - q @ upper
+    assert np.abs(diff).max() <= 1e-13 * np.linalg.norm(a, 2)
 
 
 @pytest.mark.parametrize("shape", [(30, 30), (60, 20), (20, 60)])

@@ -110,17 +110,17 @@ def deviation_bound(theta: float, p: int) -> float:
 
     theta lies in (0, inf) and p is a positive integer (see
     ``positive_int``); anything else raises ValueError. Where theta^2 or
-    theta^2 p leaves the normal range of a double, or p the float range,
-    the bound is the exact 1 / (theta^2 p) rounded once; elsewhere it is
-    the float formula's.
+    theta^2 p leaves the normal range of a double, or p or an int theta^2 p
+    the float range, the bound is the exact 1 / (theta^2 p) rounded once;
+    elsewhere it is the float formula's.
     """
     if not 0.0 < theta < math.inf:
         raise ValueError("need theta > 0 and finite")
     p = positive_int(p, "p")
     square = theta * theta
     try:
-        denom = square * p
-    except OverflowError:  # p beyond the float range
+        denom = float(square * p)
+    except OverflowError:  # p, or an int theta^2 p, beyond the float range
         denom = math.inf
     if square < sys.float_info.min or denom == math.inf:
         # theta is num / den exactly, and an int division rounds once

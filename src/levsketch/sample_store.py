@@ -19,7 +19,7 @@ block of every column, one tree per column over those block sums, whose
 root is the column's squared norm ("mass"), and one tree over the masses,
 whose root is ||A||_F^2. The build sums all of it in one chunked pass over
 the entries. A write checks its indices and value, stores the value, flags
-its block and reads nothing else: about 0.34 us a write in a loop of 20000
+its block and reads nothing else: about 0.47 us a write in a loop of 20000
 writes to a 64000x100 store (2-core host, Python 3.11, numpy 2.4). The
 first norm read or draw after writes sums every flagged block afresh in
 one gather, then the trees of the changed columns and the mass tree, with
@@ -71,9 +71,9 @@ def check_index(i, size: int, what: str = "index") -> int:
     """``i`` as an int in [0, size). Only Python and numpy integers are
     indices: a bool, or any other type, even the float 1.0, raises
     ValueError, and an index outside the range IndexRangeError. This and
-    ``check_indices`` are the library's only index checks."""
-    # a point write spends half its time here: an exact int in range skips
-    # the type checks, and every other index takes them
+    ``check_indices`` are the library's index checks, except that
+    ``MatrixSampleStore.update`` tests an exact int in range in place and
+    defers every other index to this one."""
     if type(i) is int and 0 <= i < size:
         return i
     try:
@@ -225,8 +225,9 @@ class MatrixSampleStore:
             raise ValueError("matrix must be two-dimensional and non-empty")
         self.m, self.n = entries.shape
         self._entries = entries
-        # a view of the entries in row-major order, which update writes
-        self._flat = entries.reshape(-1)
+        # the entries in row-major order as a 1-D memoryview, which update
+        # writes: its item store is cheaper than a numpy scalar setitem
+        self._flat = memoryview(entries.reshape(-1))
         # row blocks of the column layer, the last one possibly ragged
         self._blocks = -(-self.m // ROW_BLOCK)
         self.queries = 0
@@ -398,7 +399,12 @@ class MatrixSampleStore:
         value, or one whose square overflows, raises ValueError and leaves
         the store as it was; a total that overflows only with the other
         entries is refused at the next read (see ``_mass_tree``)."""
-        i, j = check_index(i, self.m, "row"), check_index(j, self.n, "column")
+        # a check_index call per index is a large share of a write: an
+        # exact int in range is tested here, and check_index takes the rest
+        if not (type(i) is int and 0 <= i < self.m):
+            i = check_index(i, self.m, "row")
+        if not (type(j) is int and 0 <= j < self.n):
+            j = check_index(j, self.n, "column")
         value = float(value)
         # one test refuses nan, an infinity and a square that overflows
         if not value * value < math.inf:

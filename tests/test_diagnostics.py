@@ -49,6 +49,13 @@ def test_deviation_bound_beyond_the_float_range_is_correctly_rounded(
     assert deviation_bound(theta, p) == float(bound)
 
 
+@pytest.mark.parametrize("theta, p", [
+    (10 ** 160, 5), (10 ** 400, 5), (10 ** 154, 2), (3, 10 ** 400)])
+def test_deviation_bound_of_an_int_theta_beyond_the_float_range(theta, p):
+    # an int theta^2 p beyond the float range raised OverflowError
+    assert deviation_bound(theta, p) == float(1 / (Fraction(theta) ** 2 * p))
+
+
 def test_deviation_bound_keeps_the_float_formula_in_range():
     # the two roundings of 1.0 / (theta * theta * p) stay where nothing
     # leaves the normal range

@@ -266,6 +266,27 @@ def test_update_refreshes_all_layers(small_store):
     assert small_store._mass_tree().tolist() == fresh._mass_tree().tolist()
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_write_never_reaches_the_callers_array(layout):
+    # the store writes its own copy of the entries, whatever the input's
+    # memory order
+    base = stream(9).standard_normal((130, 10))
+    given_array = {"C": np.ascontiguousarray(base),
+                   "F": np.asfortranarray(base),
+                   "strided": base[::2, ::3]}[layout]
+    before = given_array.copy()
+    store = MatrixSampleStore(given_array)
+    writes = [(0, 0, 7.5), (64, 2, -1.0), (given_array.shape[0] - 1,
+                                            given_array.shape[1] - 1, 3.25)]
+    for i, j, value in writes:
+        store.update(i, j, value)
+    np.testing.assert_array_equal(given_array, before)
+    want = before.copy()
+    for i, j, value in writes:
+        want[i, j] = value
+    np.testing.assert_array_equal(store.to_array(), want)
+
+
 def test_update_whose_square_overflows_changes_nothing():
     store = MatrixSampleStore([[1.2e154, 0.0], [0.0, 1.0]])
     before = store.to_array()

@@ -19,8 +19,9 @@ block of every column, one tree per column over those block sums, whose
 root is the column's squared norm ("mass"), and one tree over the masses,
 whose root is ||A||_F^2. The build sums all of it in one chunked pass over
 the entries. A write checks its indices and value, stores the value, flags
-its block and reads nothing else: about 0.47 us a write in a loop of 20000
-writes to a 64000x100 store (2-core host, Python 3.11, numpy 2.4). The
+its block and reads nothing else: about 0.50 us a write in a loop of 20000
+writes to a 64000x100 store (the benchmark's banded-tall ``update_us``, in
+reference-host time; Python 3.11, numpy 2.4). The
 first norm read or draw after writes sums every flagged block afresh in
 one gather, then the trees of the changed columns and the mass tree, with
 the adds of the build: every norm and tree the store reports is bitwise a
@@ -74,8 +75,6 @@ def check_index(i, size: int, what: str = "index") -> int:
     ``check_indices`` are the library's index checks, except that
     ``MatrixSampleStore.update`` tests an exact int in range in place and
     defers every other index to this one."""
-    if type(i) is int and 0 <= i < size:
-        return i
     try:
         if isinstance(i, (bool, np.bool_)):
             raise TypeError

@@ -42,18 +42,18 @@ def test_deviation_bound_of_an_underflowing_theta_is_clipped():
     (2.0 ** 600, 1, 0.0),
     # a subnormal theta^2 has lost bits: the float formula gives ...903
     (1e-154, 101 * 10 ** 306, 0.9900990099009902),
+    # an int theta^2 p beyond the float range raised OverflowError
+    (10 ** 160, 5, 1 / (Fraction(10 ** 160) ** 2 * 5)),
+    (10 ** 400, 5, 0.0),
+    (10 ** 154, 2, 1 / (Fraction(10 ** 154) ** 2 * 2)),
+    (3, 10 ** 400, 0.0),
 ], ids=["p-401-digits", "tiny-theta-p-402-digits", "p-2^1030",
-        "product-overflows", "square-overflows", "square-subnormal"])
+        "product-overflows", "square-overflows", "square-subnormal",
+        "int-theta-160-digits", "int-theta-400-digits",
+        "int-product-overflows", "int-theta-p-401-digits"])
 def test_deviation_bound_beyond_the_float_range_is_correctly_rounded(
         theta, p, bound):
     assert deviation_bound(theta, p) == float(bound)
-
-
-@pytest.mark.parametrize("theta, p", [
-    (10 ** 160, 5), (10 ** 400, 5), (10 ** 154, 2), (3, 10 ** 400)])
-def test_deviation_bound_of_an_int_theta_beyond_the_float_range(theta, p):
-    # an int theta^2 p beyond the float range raised OverflowError
-    assert deviation_bound(theta, p) == float(1 / (Fraction(theta) ** 2 * p))
 
 
 def test_deviation_bound_keeps_the_float_formula_in_range():

@@ -92,14 +92,17 @@ def _parameter_formulas(epsilon: float, k: int, kappa: float,
             omega = num / (196.0 * (frob * kappa + spectral) ** 2)
             top = omega * s2
             upper = top / ((4 * k + 3 + 2 * omega) * k2 * f2)
-            xi = (math.sqrt(xnum / (k2 * (4 * k + 5) * f2) + 1.0)
-                  - 1.0) / math.sqrt(k)
+            # sqrt(r + 1) - 1 = r / (sqrt(r + 1) + 1), which does not
+            # cancel where r is small; r = inf gives xi = nan
+            r = xnum / (k2 * (4 * k + 5) * f2)
+            xi = r / (math.sqrt(r + 1.0) + 1.0) / math.sqrt(k)
         except (OverflowError, ZeroDivisionError):
             continue
-        # upper and xi overflow where frob_norm is far below spectral_norm;
+        # upper overflows, and xi is nan, where frob_norm is far below
+        # spectral_norm (max() would pass a nan, so xi is tested itself);
         # every other intermediate that scales with the norms is at least
         # one of the last four, so none is subnormal
-        if (max(bound, upper, xi) < math.inf
+        if (max(bound, upper) < math.inf and xi < math.inf
                 and min(f2, num, top, xnum) >= sys.float_info.min):
             return omega, upper, xi
     raise ValueError("the parameter formulas overflow or underflow at "

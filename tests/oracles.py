@@ -92,14 +92,16 @@ def sample_leaves_reference(sums, counts, uniforms):
 
 def parameter_formulas_reference(epsilon, k, kappa, spectral, frob):
     """(omega, theta's upper end, xi) literally as the paper writes them,
-    on the unscaled norms, and every intermediate of their formulas."""
+    on the unscaled norms, and every intermediate of their formulas. xi's
+    (sqrt(r + 1) - 1) / sqrt(k) is written r / (sqrt(r + 1) + 1) / sqrt(k),
+    the same number without the cancellation."""
     omega = (spectral ** 2 * epsilon ** 2
              / (196.0 * (frob * kappa + spectral) ** 2))
     upper = (omega * spectral ** 2
              / ((4 * k + 3 + 2 * omega) * kappa ** 2 * frob ** 2))
-    xi = (math.sqrt(2.0 * epsilon * spectral ** 2
-                    / (kappa ** 2 * (4 * k + 5) * frob ** 2) + 1.0)
-          - 1.0) / math.sqrt(k)
+    r = (2.0 * epsilon * spectral ** 2
+         / (kappa ** 2 * (4 * k + 5) * frob ** 2))
+    xi = r / (math.sqrt(r + 1.0) + 1.0) / math.sqrt(k)
     intermediates = (
         spectral ** 2, epsilon ** 2, frob * kappa + spectral,
         spectral ** 2 * epsilon ** 2, 196.0 * (frob * kappa + spectral) ** 2,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levsketch import (gen_example2, read_matrix_csv, read_report_csv,
-                       standard_normal, stream, write_matrix_csv)
+                       standard_normal, stream, svd_dense, write_matrix_csv)
 from levsketch.cli import main, parse_argv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -199,13 +199,35 @@ def test_compare_reruns_byte_identical(tmp_path):
 
 
 def test_compare_unconverged_svd_exits_two(tmp_path, capsys, monkeypatch):
+    # singular values graded by 10 and mixed over the columns: a Gaussian
+    # input converges in one sweep, so one sweep would not fail
+    graded = (standard_normal(stream(15), (24, 8))
+              @ np.diag(10.0 ** -np.arange(8.0))
+              @ standard_normal(stream(16), (8, 8)))
     mat = tmp_path / "m.csv"
-    write_matrix_csv(mat, standard_normal(stream(15), (24, 8)))
+    write_matrix_csv(mat, graded)
+    assert svd_dense(read_matrix_csv(mat)[0]).sweeps >= 2
     monkeypatch.setattr("levsketch.svd._MAX_SWEEPS", 1)
     assert run(["compare", mat, "--p", 12, "--k", 2,
                 "-o", tmp_path / "rep.csv"]) == 2
     err = capsys.readouterr().err
     assert "did not converge" in err
+    assert err.count("\n") == 1
+
+
+def test_compare_failed_eigensolve_exits_two(tmp_path, capsys, monkeypatch):
+    # the sweeps start from the eigenvectors of the triangle's Gram matrix;
+    # LinAlgError is a ValueError, so a failed eigh is one line
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    mat = tmp_path / "m.csv"
+    write_matrix_csv(mat, standard_normal(stream(15), (24, 8)))
+    monkeypatch.setattr("levsketch.svd.np.linalg.eigh", fail)
+    assert run(["compare", mat, "--p", 12, "--k", 2,
+                "-o", tmp_path / "rep.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "Eigenvalues did not converge" in err
     assert err.count("\n") == 1
 
 
@@ -363,14 +385,14 @@ def test_sampled_dot_compare_output_is_pinned(tmp_path):
     assert run(["gen", "--family", "example2", "--m", 600, "--n", 80,
                 "--r", 25, "--kappa", 10, "--a", 2, "--b", 9, "--seed", 5,
                 "-o", mat]) == 0
-    assert sha256_of(mat) == ("929c496a809f5171417d2aee6f5da2be"
-                              "fa4c95c8ecccb4bd426c4c0e2fdc0c90")
+    assert sha256_of(mat) == ("4f981fb5da2ce1e0fdb3576e8fe9e895"
+                              "feaab9f7d311ea372869560af3a64a76")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--mode", "sampled-dot", "--p", 50,
                 "--k", 12, "--trials", 3, "--seed", 8,
                 "--rows", "1,7,50,100,233,400,599,600", "-o", rep]) == 0
-    assert sha256_of(rep) == ("702ac0e1c3eaf4b32a80818a09f8f8ec"
-                              "2f64310f6395ad0e00e97d3399a146e0")
+    assert sha256_of(rep) == ("3e06c010ff8bd6436bd0ab775a0cb0d1"
+                              "6409325fdf70099e231262363220a51a")
 
 
 def test_exact_dot_compare_output_is_pinned(tmp_path):
@@ -379,13 +401,13 @@ def test_exact_dot_compare_output_is_pinned(tmp_path):
     mat = tmp_path / "e1.csv"
     assert run(["gen", "--family", "example1", "--m", 1000, "--n", 100,
                 "--zero", 70, "--seed", 4, "-o", mat]) == 0
-    assert sha256_of(mat) == ("1a8bc6c688086f278f875e56d95462e3"
-                              "8a295ac6449274a9def836ee3887d88a")
+    assert sha256_of(mat) == ("0849441b481e0e83141e2037b4cbbb0d"
+                              "c935d254c767c85e3e346a44b107d8d9")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--p", 60, "--k", 20, "--trials", 2,
                 "--seed", 3, "-o", rep]) == 0
-    assert sha256_of(rep) == ("8cc680af244edfdd9879de64231353fb"
-                              "2f90960f731fd3d819c01ab8fe71a0c1")
+    assert sha256_of(rep) == ("a8aed649692f58244fd60b6ea568dcb9"
+                              "2b2e46c0cb50bc0c9f60304a0ebfb059")
 
 
 DEGENERATE = {

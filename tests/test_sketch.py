@@ -1,5 +1,6 @@
 """Parameter derivation and the two-stage column/row sketch."""
 import dataclasses
+import decimal
 import hashlib
 import math
 import sys
@@ -36,7 +37,22 @@ def test_reference_omega_theta_p():
 
 def test_reference_xi():
     prm = compute_params(0.5, 0.1, 20, 10.0, 1.0, math.sqrt(30.0))
-    assert prm.xi == pytest.approx(4.384442716124085e-7, rel=1e-12)
+    # (sqrt(r + 1) - 1) / sqrt(k) at 50 digits, on the float frob_norm:
+    # evaluated in doubles it cancelled to 4.384442716124085e-07
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        r = 1 / (100 * 85 * decimal.Decimal(math.sqrt(30.0)) ** 2)
+        exact = ((r + 1).sqrt() - 1) / decimal.Decimal(20).sqrt()
+    # abs=0: approx's default 1e-12 absolute tolerance would pass any xi
+    # this small
+    assert prm.xi == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+def test_small_xi_does_not_cancel_to_zero():
+    # kappa 1e4 and frob / spectral 1e4 give r = 1 / (9 * 10^16), below
+    # eps, where sqrt(r + 1) - 1 gave xi = 0.0
+    prm = compute_params(0.5, 0.1, 1, 1e4, 1.0, 1e4)
+    assert prm.xi == pytest.approx(1.0 / 1.8e17, rel=1e-15, abs=0.0)
 
 
 def test_theta_defaults_to_upper_endpoint():
@@ -559,8 +575,8 @@ def test_sketch_csv_output_is_pinned(tmp_path):
     path = tmp_path / "sketch.csv"
     write_sketch_csv(path, qisvd(store, prm, stream(34)))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("e64a79e5df3ceb4c636b9edc1fc40819"
-                      "502a69d7bbf93736c903761539600e66")
+    assert digest == ("2d5e8571f1bcfa791a19f9d098a13b73"
+                      "43ceefd2c44b620cc1daedf09368898a")
 
 
 @given(st.integers(0, 5000), st.integers(2, 10), st.integers(2, 8),

@@ -41,15 +41,16 @@ MAX_COORD_DRAWS = 1 << 24
 def mom_group_shape(xi, eta: float) -> tuple[int, float | np.ndarray]:
     """(group count, group size) for additive error xi||x||||y|| with
     failure probability eta: Chernoff gives 9 ln(1/eta) groups and
-    Chebyshev ceil(6/xi^2) draws per group, as a float that is inf where
-    it overflows. An array ``xi`` gives one size per value."""
+    Chebyshev ceil(6/xi^2) draws per group, at least one, as a float that
+    is inf where it overflows. An array ``xi`` gives one size per value."""
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     xi = np.asarray(xi, dtype=np.float64)
     if not (xi > 0.0).all():
         raise ValueError("xi must be positive")
     with np.errstate(divide="ignore", over="ignore"):
-        sizes = np.ceil(6.0 / (xi * xi))
+        # 6 / xi^2 is 0 where xi^2 overflows: one draw meets that target
+        sizes = np.maximum(np.ceil(6.0 / (xi * xi)), 1.0)
     return max(math.ceil(9.0 * math.log(1.0 / eta)), 1), sizes
 
 

@@ -160,7 +160,7 @@ def compute_params(epsilon: float, delta: float, k: int, kappa: float,
     p = max(math.ceil(1.0 / denom), 1)
     if p_override is not None:
         p = p_override = positive_int(p_override, "p_override")
-    if xi_override is not None and xi_override <= 0.0:
+    if xi_override is not None and not xi_override > 0.0:
         raise ValueError("xi_override must be positive")
     return Params(epsilon=epsilon, delta=delta, k=int(k), kappa=kappa,
                   spectral_norm=spectral_norm, frob_norm=frob_norm,

@@ -1,23 +1,21 @@
-"""Dense SVD by one-sided Jacobi rotations on a rank-revealed triangle.
+"""Dense SVD by one-sided Jacobi rotations on a rank-revealing QR's R.
 
 After Drmac and Veselic, "New fast and accurate Jacobi SVD algorithm I/II",
-SIMAX 29(4), 2008. An m-by-n input with m >= n (wide inputs are transposed)
-is factored A P = Q R by Householder QR with column pivoting, stopped at
-the numerical rank r: when no remaining column is larger than n eps times
-the largest initial column. The first r rows of R are factored again
-without pivoting, R_r^T = Q2 T. The r-by-r triangle T is scaled by the
-power of two that brings its largest entry into [0.5, 1), T_s = T 2^-e,
-and preconditioned after Veselic and Hari (Numer. Math. 56, 1989): the
-Jacobi sweeps start from T_s Q_e, where Q_e holds the eigenvectors of
-T_s^T T_s by non-increasing eigenvalue, ties in column order. Those
-columns are nearly orthogonal already, so on the benchmark's cores one
-or two sweeps finish them where plain sweeps on T took 7 to 10. Each
+SIMAX 29(4), 2008, and Veselic and Hari, Numer. Math. 56, 1989. An m-by-n
+input with m >= n (wide inputs are transposed) is factored A P = Q R by
+Householder QR with column pivoting, stopped at the numerical rank r: when
+no remaining column is larger than n eps times the largest initial column.
+The r-by-n R is scaled by the power of two that brings its largest entry
+into [0.5, 1), R_s = R 2^-e, and the Jacobi sweeps run on the n-by-r
+R_s^T Q_e, where Q_e holds the eigenvectors of R_s R_s^T by non-increasing
+eigenvalue, ties in column order. Those columns are nearly orthogonal
+already, so on the benchmark's cores one or two sweeps finish them. Each
 round rotates r/2 disjoint column pairs in one array step, in Brent and
 Luk's round-robin order. The columns are kept as rows of one array in
 pair order, the second of each pair in the bottom half, so each round
 works on two forward-strided halves and moves them by one row. The final
-column norms are the singular values, T_s Q_e = U_T Sigma_s V_J^T, so
-T = U_T (Sigma_s 2^e) (Q_e V_J)^T and A = (Q Q_e V_J) Sigma (P Q2 U_T)^T.
+column norms are the singular values, R_s^T Q_e = U_J Sigma_s V_J^T, so
+R = (Q_e V_J) (Sigma_s 2^e) U_J^T and A = (Q Q_e V_J) Sigma (P U_J)^T.
 Only the triplets with sigma > 0 are returned: the thin SVD
 U_A Sigma_A V_A^T of the paper, with U_A m-by-r and V_A n-by-r. The
 sweeps rotate V_J beside the columns, and the QR builds Q, only when U_A
@@ -27,9 +25,9 @@ after an exact power-of-two scaling too, so that its squares do not
 underflow in the QR. The order is fixed, so the result is deterministic
 for a fixed input. The Gram matrix's eigenvectors only choose where the
 sweeps start: the sweeps still stop only when every pair's cosine, on
-the actual columns, is at most ``_TOL``, so sigma and U_T come from
+the actual columns, is at most ``_TOL``, so sigma and U_J come from
 Jacobi on the matrix, not from the eigensolve, and a poor Q_e (say on an
-ill-conditioned T, whose Gram matrix squares its conditioning) costs
+ill-conditioned R, whose Gram matrix squares its conditioning) costs
 sweeps, not accuracy.
 """
 from __future__ import annotations
@@ -56,8 +54,8 @@ class SvdResult:
     sigma > 0, where r is the numerical rank.
 
     ``sweeps`` counts the Jacobi sweeps run on the preconditioned
-    triangle T_s Q_e (see the module docstring), the last of which
-    rotated nothing: 1 means the preconditioner left nothing to rotate.
+    R_s^T Q_e (see the module docstring), the last of which rotated
+    nothing: 1 means the preconditioner left nothing to rotate.
     ``residual`` is the largest |u_i . u_j| / (|u_i| |u_j|) over the
     column pairs of that last sweep. ``u`` is None when the caller did
     not ask for it.
@@ -78,14 +76,14 @@ def svd_dense(matrix, *, left: bool = True) -> SvdResult:
     left : return U as well. With ``left=False`` neither the pivoted QR's
         Q nor the sweeps' V_J, which only U reads, is built, and the
         preconditioner costs one r-by-r Gram product, one ``eigh`` and one
-        r-by-r product; sigma, V, ``sweeps`` and ``residual`` are bitwise
+        n-by-r product; sigma, V, ``sweeps`` and ``residual`` are bitwise
         those of ``left=True``. A wide input builds both either way, since
         its V is the transposed problem's U.
 
-    The triangle T of the second QR is scaled by the power of two that
-    brings its largest entry into [0.5, 1) and the sweeps start from its
-    product with the eigenvectors of its Gram matrix; sigma is scaled
-    back exactly. See the module docstring.
+    The pivoted QR's R is scaled by the power of two that brings its
+    largest entry into [0.5, 1), R_s, and the sweeps run on R_s^T times
+    the eigenvectors of R_s R_s^T; sigma is scaled back exactly. See the
+    module docstring.
 
     Returns
     -------
@@ -112,52 +110,46 @@ def svd_dense(matrix, *, left: bool = True) -> SvdResult:
     shift = math.frexp(top)[1] if top < _TINY_ENTRY else 0
     q, upper, perm = pivoted_qr(np.ldexp(a, -shift) if shift else a,
                                 basis=left)
-    n, r = a.shape[1], upper.shape[0]
-    # padded to n x n: a thin n x r QR rounds differently on rank-deficient
-    # inputs
-    padded = np.zeros((n, n))
-    padded[:, :r] = upper.T
-    q2, t = householder_qr(padded)
-    # T_s = T 2^-t_shift has its largest entry in [0.5, 1), so that its
+    # R_s = R 2^-r_shift has its largest entry in [0.5, 1), so that its
     # Gram matrix does not overflow or underflow needlessly; the sweeps
-    # start from T_s Q_e (see the module docstring)
-    t_shift = math.frexp(float(np.abs(t[:r, :r]).max()))[1]
-    scaled = np.ldexp(t[:r, :r], -t_shift)
-    lam, eig = np.linalg.eigh(scaled.T @ scaled)
+    # run on R_s^T Q_e (see the module docstring)
+    r_shift = math.frexp(float(np.abs(upper).max()))[1]
+    scaled = np.ldexp(upper, -r_shift)
+    lam, eig = np.linalg.eigh(scaled @ scaled.T)
     eig = eig[:, np.argsort(-lam, kind="stable")]
-    sigma, u_t, v_t, sweeps, residual = _jacobi(scaled @ eig, left)
-    v = np.empty((n, sigma.size))
-    v[perm] = q2[:, :r] @ u_t
-    return SvdResult(u=None if q is None else q @ (eig @ v_t),
-                     sigma=np.ldexp(sigma, shift + t_shift), v=v,
+    sigma, u_j, v_j, sweeps, residual = _jacobi(scaled.T @ eig, left)
+    v = np.empty((a.shape[1], sigma.size))
+    v[perm] = u_j
+    return SvdResult(u=None if q is None else q @ (eig @ v_j),
+                     sigma=np.ldexp(sigma, shift + r_shift), v=v,
                      sweeps=sweeps, residual=residual)
 
 
 def _jacobi(a: np.ndarray, left: bool):
-    """One-sided Jacobi on the columns of the square ``a``.
+    """One-sided Jacobi on the n columns of the m-by-n ``a``.
 
     Returns (sigma, U, V, sweeps, residual) with a = U diag(sigma) V^T,
     only the columns with sigma > 0, sorted non-increasing, ties in column
     order; V is not accumulated, and is None, when ``left`` is false.
     """
-    # each row holds a column of the working matrix, then that column of
-    # V if it is accumulated (a zero row pads odd n). Columns sit on a
-    # circle of size positions, position k paired with size-1-k: row k
-    # holds position k and row half+k position size-1-k, so pair k is rows
-    # k and half+k and both halves are forward views. Positions 1.. move
-    # one step per round, so each sweep ends with every column back in
-    # place.
-    n = a.shape[1]
+    # each row holds a column of the working matrix, m long, then that
+    # column of V if it is accumulated (a zero row pads odd n). Columns sit
+    # on a circle of size positions, position k paired with size-1-k: row
+    # k holds position k and row half+k position size-1-k, so pair k is
+    # rows k and half+k and both halves are forward views. Positions 1..
+    # move one step per round, so each sweep ends with every column back
+    # in place.
+    m, n = a.shape
     size = n + n % 2
     half = size // 2
-    work = np.zeros((size, 2 * n if left else n))
-    work[:n, :n] = a.T
+    work = np.zeros((size, m + n if left else m))
+    work[:n, :m] = a.T
     if left:
-        work[:n, n:] = np.eye(n)
+        work[:n, m:] = np.eye(n)
     work[half:] = work[half:][::-1]
-    cols = work[:, :n]
+    cols = work[:, :m]
     top, bottom = work[:half], work[half:]
-    top_cols, bottom_cols = top[:, :n], bottom[:, :n]
+    top_cols, bottom_cols = top[:, :m], bottom[:, :m]
     # the rotation's products, one buffer each
     s_top, s_bottom = np.empty_like(top), np.empty_like(bottom)
     # a pair with a zero column divides 0 by 0: never rotated, not counted
@@ -209,12 +201,12 @@ def _jacobi(a: np.ndarray, left: bool):
 
     # back to column order, so that ties sort in it
     work[half:] = work[half:][::-1]
-    sigma = np.sqrt(np.einsum("ij,ij->i", work[:n, :n], work[:n, :n]))
+    sigma = np.sqrt(np.einsum("ij,ij->i", cols[:n], cols[:n]))
     # zero columns sort last and are dropped
     order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
     sigma = sigma[order]
-    u = work[order, :n].T / sigma
-    return (sigma, u, work[order, n:].T if left else None, sweeps,
+    u = work[order, :m].T / sigma
+    return (sigma, u, work[order, m:].T if left else None, sweeps,
             residual)
 
 

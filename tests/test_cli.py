@@ -199,10 +199,11 @@ def test_compare_reruns_byte_identical(tmp_path):
 
 
 def test_compare_unconverged_svd_exits_two(tmp_path, capsys, monkeypatch):
-    # singular values graded by 10 and mixed over the columns: a Gaussian
-    # input converges in one sweep, so one sweep would not fail
+    # singular values graded by 100 and mixed over the columns: a Gaussian
+    # input, or one graded by 10, converges in one sweep, so one sweep
+    # would not fail
     graded = (standard_normal(stream(15), (24, 8))
-              @ np.diag(10.0 ** -np.arange(8.0))
+              @ np.diag(100.0 ** -np.arange(8.0))
               @ standard_normal(stream(16), (8, 8)))
     mat = tmp_path / "m.csv"
     write_matrix_csv(mat, graded)
@@ -215,9 +216,28 @@ def test_compare_unconverged_svd_exits_two(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_sampled_dot_row_whose_group_size_underflows(tmp_path, capsys):
+    # row 8's squared norm is subnormal, so 6 / xi^2 is 0 draws a group;
+    # each of its groups still takes one draw of its own
+    a = gen_example2(80, 20, 5, 1.0, 1, 10, 3)
+    a[7] *= 1e-157
+    mat = tmp_path / "m.csv"
+    write_matrix_csv(mat, a)
+    argv = ["compare", mat, "--p", 10, "--k", 4, "--mode", "sampled-dot"]
+    assert run(argv + ["--rows", 8, "-o", tmp_path / "one.csv"]) == 0
+    assert run(argv + ["--trials", 3, "-o", tmp_path / "all.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    one = read_report_csv(tmp_path / "one.csv")
+    every = read_report_csv(tmp_path / "all.csv")
+    assert one.rows.tolist() == [7]
+    assert 0.0 <= one.approx[0] < 1e-300
+    assert 0.0 <= every.approx[7] < 1e-300
+
+
 def test_compare_failed_eigensolve_exits_two(tmp_path, capsys, monkeypatch):
-    # the sweeps start from the eigenvectors of the triangle's Gram matrix;
-    # LinAlgError is a ValueError, so a failed eigh is one line
+    # the sweeps start from the eigenvectors of R_s R_s^T, the pivoted
+    # QR's scaled R times its transpose; LinAlgError is a ValueError, so a
+    # failed eigh is one line
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -243,7 +263,7 @@ def test_concentration_bound_holds(tmp_path, gaussian_csv):
     assert run(["concentration", gaussian_csv, "--theta", 0.5, "--p", 100,
                 "--trials", 50, "--seed", 44, "-o", out]) == 0
     meta = meta_floats(out)
-    assert meta["bound"] == pytest.approx(0.04, rel=1e-12)
+    assert meta["bound"] == pytest.approx(0.04, rel=1e-12, abs=0.0)
     assert meta["exceed_aat"] <= 0.07
     assert meta["exceed_wtw"] <= 0.07
     lines = out.read_text().splitlines()
@@ -385,14 +405,14 @@ def test_sampled_dot_compare_output_is_pinned(tmp_path):
     assert run(["gen", "--family", "example2", "--m", 600, "--n", 80,
                 "--r", 25, "--kappa", 10, "--a", 2, "--b", 9, "--seed", 5,
                 "-o", mat]) == 0
-    assert sha256_of(mat) == ("4f981fb5da2ce1e0fdb3576e8fe9e895"
-                              "feaab9f7d311ea372869560af3a64a76")
+    assert sha256_of(mat) == ("6b2199a26e378657055b0810991ff619"
+                              "bc3ef9f9e74dc408b154e51459653680")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--mode", "sampled-dot", "--p", 50,
                 "--k", 12, "--trials", 3, "--seed", 8,
                 "--rows", "1,7,50,100,233,400,599,600", "-o", rep]) == 0
-    assert sha256_of(rep) == ("3e06c010ff8bd6436bd0ab775a0cb0d1"
-                              "6409325fdf70099e231262363220a51a")
+    assert sha256_of(rep) == ("acdec9c2eef1792e34513e202d2c237f"
+                              "1274064d513f1a165a3031a41827b30b")
 
 
 def test_exact_dot_compare_output_is_pinned(tmp_path):
@@ -401,13 +421,13 @@ def test_exact_dot_compare_output_is_pinned(tmp_path):
     mat = tmp_path / "e1.csv"
     assert run(["gen", "--family", "example1", "--m", 1000, "--n", 100,
                 "--zero", 70, "--seed", 4, "-o", mat]) == 0
-    assert sha256_of(mat) == ("0849441b481e0e83141e2037b4cbbb0d"
-                              "c935d254c767c85e3e346a44b107d8d9")
+    assert sha256_of(mat) == ("52696d70372a6d4b73b3b14502e97589"
+                              "976c69520dc458687c8ccd845878ff93")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--p", 60, "--k", 20, "--trials", 2,
                 "--seed", 3, "-o", rep]) == 0
-    assert sha256_of(rep) == ("a8aed649692f58244fd60b6ea568dcb9"
-                              "2b2e46c0cb50bc0c9f60304a0ebfb059")
+    assert sha256_of(rep) == ("b5d30e90a11795e138769c23a5c562d1"
+                              "6c82efe51d4a7d846c82b04c2497a7cc")
 
 
 DEGENERATE = {

@@ -15,7 +15,8 @@ from levsketch import (MatrixSampleStore, compute_params,
 
 
 def test_deviation_bound_values():
-    assert deviation_bound(0.5, 100) == pytest.approx(0.04, rel=1e-14)
+    assert deviation_bound(0.5, 100) == pytest.approx(0.04, rel=1e-14,
+                                                      abs=0.0)
     assert deviation_bound(1.0, 1) == 1.0
     assert deviation_bound(0.1, 10) == 1.0
     with pytest.raises(ValueError):

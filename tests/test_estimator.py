@@ -31,6 +31,35 @@ def test_mom_group_shape():
         mom_group_shape(0.1, 1.0)
 
 
+def test_a_group_size_below_one_draw_is_one():
+    # 6 / xi^2 is 0 where xi^2 overflows; one draw per group already meets
+    # an error target that large
+    assert mom_group_shape(1e200, 0.1)[1] == 1
+    assert mom_group_shape([1e200, 10.0, 0.1], 0.1)[1].tolist() == [1, 1, 600]
+    assert math.isfinite(estimate_inner([1.0, 2.0], [3.0, 4.0], 1e200, 0.1,
+                                        stream(0)))
+    assert estimate_inner([2.0, 0.0], [7.0, 1.0], 1e200, 0.1,
+                          stream(0)) == 14.0
+
+
+def test_sampled_dot_scores_a_row_whose_group_size_underflows():
+    # row 7's squared norm is subnormal, so its xi^2 overflows and its
+    # group size is one draw
+    a = gen_example2(80, 20, 5, 1.0, 1, 10, 3)
+    a[7] *= 1e-157
+    store = MatrixSampleStore(a)
+    _, _, spectral, kappa = oracle_facts(a)
+    prm = compute_params(0.5, 0.1, 4, kappa, spectral,
+                         math.sqrt(store.sq_frobenius), p_override=10)
+    sketch = qisvd(store, prm, stream(1))
+    scores = row_scores(store, sketch, [6, 7, 8], "sampled-dot", prm,
+                        stream(2))
+    assert 0.0 <= scores[1] < 1e-300
+    # row 6 reads the stream first
+    assert scores[0] == row_scores(store, sketch, [6], "sampled-dot", prm,
+                                   stream(2))[0]
+
+
 def test_estimate_inner_single_support_is_exact():
     # x has one nonzero coordinate: every draw hits it and z = x_0 y_0
     x = np.array([2.0, 0.0, 0.0])

@@ -12,8 +12,8 @@ from oracles import hat_leverage
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (7, "847fbd37f948c731adec2a93c68e3855b9cf28398fa6752fb34ccf50f9452ecb"),
-    (11, "80c45ad42b39dd100e5b5088b7b4c5e8796d1a0896befaceca80e0742eddf8db"),
+    (7, "53f5b585ab2f6d41c94abd8df9a16dbadbbd1ca843c8ee2bcf0f92502b2493a1"),
+    (11, "8620babc71a00448902b22bc397f103dbdf4a82a8fd05ea764a2f82b0beeed26"),
 ], ids=["seed-7", "seed-11"])
 def test_oracle_facts_are_bitwise_pinned(seed, digest):
     # the compare command's oracle on its benchmark's matrix shape: how

@@ -394,6 +394,42 @@ def test_singular_values_below_the_qr_rank_are_completed(n, theta):
     assert orthonormality_defect(res.v) < 1e-13
 
 
+# singular values of the float inputs below, computed once by mpmath's
+# svd_r at 60 decimal digits and kept here to 20
+SIXTY_DIGIT_SIGMA = {
+    "kahan-20": (lambda: kahan(20, 1.0), [
+        "3.8357044313574081801", "1.2532122857993804929",
+        "1.0519396023662696345", "0.88297126759235171616",
+        "0.74093653265792882853", "0.62152489754411775878",
+        "0.52113210634047236087", "0.43672951482570167411",
+        "0.36576983695373280027", "0.30611013202971343963",
+        "0.25594731522573310354", "0.21376381655976421832",
+        "0.17828161707790247142", "0.1484231098101682411",
+        "0.1232772231719404034", "0.10206878178195679138",
+        "0.084127116743975249097", "0.068841078027656265185",
+        "0.055527433502760678124", "1.86373887847380775e-5"]),
+    "graded-columns": (lambda: (standard_normal(stream(9), (14, 8))
+                                @ np.diag(1e4 ** -np.arange(8.0))), [
+        "4.1115302932215115168", "3.0984528622450545314e-4",
+        "3.2334488421579805118e-8", "3.3992639066829310442e-12",
+        "3.0847438163260095563e-16", "3.495077261404574939e-20",
+        "3.3776837316096765624e-24", "1.5524782679429406409e-28"]),
+}
+
+
+@pytest.mark.parametrize("name, bound", [("kahan-20", 3e-14),
+                                         ("graded-columns", 2e-15)])
+def test_sigma_matches_a_sixty_digit_reference(name, bound):
+    # the sweeps run on the pivoted QR's R_s^T Q_e with no second QR; the
+    # largest relative error of the top r sigma stays within about 2.5
+    # times what the padded second QR gave (1.2e-14 on Kahan's triangle,
+    # 6e-16 on the graded columns)
+    make, digits = SIXTY_DIGIT_SIGMA[name]
+    res = svd_dense(make())
+    ref = np.array([float(d) for d in digits[:res.sigma.size]])
+    assert (np.abs(res.sigma - ref) / ref).max() <= bound
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e-300])
 def test_tiny_identity_sigma_is_exact(scale):
     # the squares of these entries underflow unless the input is scaled
@@ -459,41 +495,41 @@ PINNED_INPUTS = {
 # sha256 of each result's sigma, V, U (when returned), sweeps and residual
 PINNED_DIGESTS = {
     ('factor-core-even', True):
-        "80dc44f5770c088df458d1dd7311c98ac063ccf4b7839cfd2bdc0ab584fed193",
+        "268885ed2badebc94755c42f3daf1cc9f2de5545fe62719b4e11afd6bd3688c6",
     ('factor-core-even', False):
-        "8fdda31fe0a9526d584e2518cbb36c6fffea1a9dabd99631523dd57859aeaaef",
+        "2783b2f8ae1a47e1e59ca66f38309ef35e08940f34e7f2db134fe9893a9322c2",
     ('factor-core-odd', True):
-        "82defec653b6bb35f2f6c0ff408c9dfea74141a8bc743774ff61de5d5be5333e",
+        "6f646949443f753597129d2c56dd6a3487523dbd3a8f65402f81849a911930f8",
     ('factor-core-odd', False):
-        "544d5cbfb6f899ade0f48c29c314e06c099ab841e328e2b1026f4762bb70dde4",
+        "e6861a0889509c7252075e76da8d2ae97346d1459c73ce3c94f5134c9c2107e9",
     ('kahan', True):
-        "f602b465906050a135a0c7849ae6fa9e7ca71ed27d73e7f98cde0e461f763c42",
+        "cf7c8a30d08b9b6660dabffb5e5b98ab35c96d38597c0e94d7f39c18acf99c53",
     ('kahan', False):
-        "99841535be11986f1b071b26dca21699a9ac9e63fe4ab0ac3c15026c1cc229cd",
+        "18d93e4797f80416853b461d305978bd02900e7df66dcd5757bd1c6ee396d42a",
     ('n1', True):
         "8b1cbb34bf46854aeb053d76dc6a30f79cdcde80a31794fd33fbe0af09065940",
     ('n1', False):
         "d035d5759414d5a837c2cf3b5ebbbb7e04d22c53ae48c8f46f0afbe8c0b15a84",
     ('n2', True):
-        "3eded6f887eb331fa2f7c8d84b82c00cf255905118cbef82ce71bf7a65b21fdb",
+        "7467f3f131d1b7d7997efe3b53a02293d850a2b6110e028af9d2dc3fb1b3a08b",
     ('n2', False):
-        "46e7341be401415dea7a7e4aacc51c85e1ebf65cd845d15826d067f9d2128efc",
+        "4f4c2e10a5115871ecadea9c35258a48c6c3302779a43af7e4d336dd545a63ae",
     ('n3', True):
-        "c4c908b65eb2ba75d543f7ff13dbae33f7ccf4d87554797e2e92f42e054c6d79",
+        "30bb4cf1ee660afeb5d69b57a592077b9a1143242bbed0c8360cd11ef687ee7d",
     ('n3', False):
-        "cac6088fef9069177bd40825687958d981ec641841875cfa48f9c3e0b0224efc",
+        "ee32c8ab2951e020d67740729180edeaddc08313fc2285e8306cf44fc56d2446",
     ('n4', True):
-        "1df261d9dabab22f26e2b55ab0390f0accc369db327e6904b60fceb627bacd2d",
+        "b5b554ae58b4847f00b105ba090a49881b6aa776f33f4569c0cc84ca242035e3",
     ('n4', False):
-        "0530b413fcddf52428d3be2648fdea5809e09d9cafb70145ebb74a45a5a9169b",
+        "ae4f9866b9d5c80f448bdb767b983b3f7c6c62f4460b9a0d3de68036b09666f5",
     ('wide', True):
-        "f9a0daa612c9b8b78b90fc9e5abd7270fb97bf73f82f6d40b4c1160da1e75a8e",
+        "83ab3e5643f9ec274449c5e9975147f1bdc301a9172b2b7ecd142d96ffd99c6c",
     ('wide', False):
-        "a327e6a8ad7f18fce921ab902c89c9cd781d1100dddf71f55ad4dced16b5538e",
+        "d50cb241e6c780254c1f4567f69f0cb22b0c4a700520ffd354b6c88585dda43b",
     ('zero-columns', True):
-        "1660d975f88e422e7299c7225dcc6ef72cea6abee03b0b8978f921e91bd41e0d",
+        "304f2a262d8ec21b87eb8dad59a344944ba25f7b28ff54a99c0764c1978ccf9a",
     ('zero-columns', False):
-        "eb6bc9c64c33990dc750f47aa8b64a5126168436b854dcfb011467adec25c2c5",
+        "db0404a2540b6cdcf63fb1cd7909f6168c3914b187150f9dd58e56da473f5e8b",
 }
 
 

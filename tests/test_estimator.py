@@ -27,22 +27,20 @@ def test_mom_group_shape():
         mom_group_shape(0.0, 0.1)
     # a group size that overflows is inf, which the draw cap refuses
     assert mom_group_shape(1e-170, 0.1)[1] == math.inf
-    with pytest.raises(ValueError, match="eta"):
-        mom_group_shape(0.1, 1.0)
-
-
-def test_a_group_size_below_one_draw_is_one():
     # 6 / xi^2 is 0 where xi^2 overflows; one draw per group already meets
     # an error target that large
     assert mom_group_shape(1e200, 0.1)[1] == 1
     assert mom_group_shape([1e200, 10.0, 0.1], 0.1)[1].tolist() == [1, 1, 600]
-    assert math.isfinite(estimate_inner([1.0, 2.0], [3.0, 4.0], 1e200, 0.1,
-                                        stream(0)))
-    assert estimate_inner([2.0, 0.0], [7.0, 1.0], 1e200, 0.1,
-                          stream(0)) == 14.0
+    with pytest.raises(ValueError, match="eta"):
+        mom_group_shape(0.1, 1.0)
 
 
 def test_sampled_dot_scores_a_row_whose_group_size_underflows():
+    # a group of one draw: exact on a single-support x
+    assert estimate_inner([2.0, 0.0], [7.0, 1.0], 1e200, 0.1,
+                          stream(0)) == 14.0
+    assert math.isfinite(estimate_inner([1.0, 2.0], [3.0, 4.0], 1e200, 0.1,
+                                        stream(0)))
     # row 7's squared norm is subnormal, so its xi^2 overflows and its
     # group size is one draw
     a = gen_example2(80, 20, 5, 1.0, 1, 10, 3)

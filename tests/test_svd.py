@@ -420,10 +420,9 @@ SIXTY_DIGIT_SIGMA = {
 @pytest.mark.parametrize("name, bound", [("kahan-20", 3e-14),
                                          ("graded-columns", 2e-15)])
 def test_sigma_matches_a_sixty_digit_reference(name, bound):
-    # the sweeps run on the pivoted QR's R_s^T Q_e with no second QR; the
-    # largest relative error of the top r sigma stays within about 2.5
-    # times what the padded second QR gave (1.2e-14 on Kahan's triangle,
-    # 6e-16 on the graded columns)
+    # the top r sigma, r the numerical rank, against the reference; each
+    # bound is about 2.5 times the largest relative error measured when it
+    # was set (1.16e-14 on Kahan's triangle, 5.9e-16 on the graded columns)
     make, digits = SIXTY_DIGIT_SIGMA[name]
     res = svd_dense(make())
     ref = np.array([float(d) for d in digits[:res.sigma.size]])

@@ -9,7 +9,10 @@ The r-by-n R is scaled by the power of two that brings its largest entry
 into [0.5, 1), R_s = R 2^-e, and the Jacobi sweeps run on the n-by-r
 R_s^T Q_e, where Q_e holds the eigenvectors of R_s R_s^T by non-increasing
 eigenvalue, ties in column order. Those columns are nearly orthogonal
-already, so on the benchmark's cores one or two sweeps finish them. Each
+already. Each sweep starts with one check of every pair's cosine at once,
+bitwise as the rounds compute it, and the sweeps end when no pair
+exceeds ``_TOL``: the sweep that would rotate nothing is not run, so on
+the benchmark's cores the check passes at once or after one sweep. Each
 round rotates r/2 disjoint column pairs in one array step, in Brent and
 Luk's round-robin order. The columns are kept as rows of one array in
 pair order, the second of each pair in the bottom half, so each round
@@ -54,11 +57,11 @@ class SvdResult:
     sigma > 0, where r is the numerical rank.
 
     ``sweeps`` counts the Jacobi sweeps run on the preconditioned
-    R_s^T Q_e (see the module docstring), the last of which rotated
-    nothing: 1 means the preconditioner left nothing to rotate.
-    ``residual`` is the largest |u_i . u_j| / (|u_i| |u_j|) over the
-    column pairs of that last sweep. ``u`` is None when the caller did
-    not ask for it.
+    R_s^T Q_e (see the module docstring) and, as the last of them, the
+    all-pairs check that found nothing to rotate: 1 means the
+    preconditioner left nothing to rotate. ``residual`` is the largest
+    |u_i . u_j| / (|u_i| |u_j|) over the column pairs in that check.
+    ``u`` is None when the caller did not ask for it.
     """
     u: np.ndarray | None
     sigma: np.ndarray
@@ -131,6 +134,12 @@ def _jacobi(a: np.ndarray, left: bool):
     Returns (sigma, U, V, sweeps, residual) with a = U diag(sigma) V^T,
     only the columns with sigma > 0, sorted non-increasing, ties in column
     order; V is not accumulated, and is None, when ``left`` is false.
+    Each sweep first zeroes the columns at rounding level, then takes
+    every pair's cosine from one Gram matrix, whose entries numpy's own
+    einsum loop makes bitwise the rounds' dot products. If no cosine
+    exceeds ``_TOL``, that check ends the sweeps and counts as the last;
+    otherwise the sweep runs, and it rotates: until its first rotation
+    its rounds see the columns that the check saw.
     """
     # each row holds a column of the working matrix, m long, then that
     # column of V if it is accumulated (a zero row pads odd n). Columns sit
@@ -159,7 +168,16 @@ def _jacobi(a: np.ndarray, left: bool):
             # never pass _TOL: zero them
             norms = np.sqrt(np.einsum("ij,ij->i", cols, cols))
             cols[norms <= n * _EPS * norms.max(initial=0.0)] = 0.0
-            rotated, residual = False, 0.0
+            # every pair's cosine at once, bitwise as the rounds compute
+            # it: a sweep that would rotate nothing is not run
+            gram = np.einsum("ij,kj->ik", cols, cols)
+            norms = np.sqrt(np.diagonal(gram))
+            ratio = np.abs(gram) / np.multiply.outer(norms, norms)
+            np.fill_diagonal(ratio, 0.0)
+            residual = float(np.fmax.reduce(ratio, axis=None, initial=0.0))
+            if residual <= _TOL:
+                break
+            residual = 0.0
             for _ in range(size - 1):
                 sq = np.einsum("ij,ij->i", cols, cols)
                 gamma = np.einsum("ij,ij->i", top_cols, bottom_cols)
@@ -169,7 +187,6 @@ def _jacobi(a: np.ndarray, left: bool):
                 worst = float(np.fmax.reduce(ratio))
                 residual = max(residual, worst)
                 if worst > _TOL:
-                    rotated = True
                     zeta = (sq[half:] - sq[:half]) / (2.0 * gamma)
                     # sign(0) must be +1: equal-mass parallel columns need
                     # the full 45-degree rotation, not a no-op
@@ -192,8 +209,6 @@ def _jacobi(a: np.ndarray, left: bool):
                     bottom[-1] = top[-1]
                     top[2:] = top[1:-1]
                     top[1] = to_top
-            if not rotated:
-                break
         else:
             raise ValueError(f"Jacobi SVD did not converge in "
                              f"{_MAX_SWEEPS} sweeps (residual "
@@ -219,7 +234,9 @@ def pivoted_qr(matrix, *, basis: bool = True
     Q R up to rounding, where r is the numerical rank. With
     ``basis=False`` Q is not built and is None; R and perm are the same.
     Each step pivots the remaining column of largest norm, recomputed
-    exactly (ties: lowest original index), and the factorization stops
+    exactly: a unique largest is taken directly, exactly tied norms go to
+    the lowest original index, and a pivot already in place is not
+    swapped. The factorization stops
     when every remaining squared norm is at most (n eps)^2 times the
     largest initial one.
     """
@@ -234,17 +251,23 @@ def pivoted_qr(matrix, *, basis: bool = True
     for j in range(n):
         rest = a[j:, j:]
         sq = np.einsum("ij,ij->j", rest, rest)
-        top = sq.max()
+        k = int(sq.argmax())
+        top = sq[k]
         if j == 0:
             if not math.isfinite(top):
                 raise ValueError("squared norm overflows")
             floor = (n * _EPS) ** 2 * top
         if top <= floor:
             break
-        ties = np.flatnonzero(sq == top)
-        k = j + ties[np.argmin(perm[j + ties])]
-        a[:, [j, k]] = a[:, [k, j]]
-        perm[[j, k]] = perm[[k, j]]
+        if (sq[k + 1:] == top).any():  # a tie: lowest original index
+            ties = np.flatnonzero(sq == top)
+            k = int(ties[np.argmin(perm[j + ties])])
+        k += j
+        if k != j:
+            col = a[:, j].copy()
+            a[:, j] = a[:, k]
+            a[:, k] = col
+            perm[j], perm[k] = perm[k], perm[j]
         # x -> beta e_1 with v[0] = 1: exact for a column with one nonzero
         x = a[j:, j]
         alpha = float(x[0])

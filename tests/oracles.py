@@ -2,12 +2,16 @@
 
 Everything here leans on numpy.linalg and scipy, which the library's own
 algorithm paths avoid on purpose; agreement between the two routes is
-evidence, not tautology.
+evidence, not tautology. The exceptions are the frozen references at the
+end: library functions kept verbatim as they were before a change that
+must keep every bit, which the change is checked against.
 """
 import math
 
 import numpy as np
 from scipy import stats
+
+from levsketch.svd import _EPS, _MAX_SWEEPS, _TOL
 
 
 def power_iteration_sigma(matrix, count, seed=0, max_iters=100_000):
@@ -110,3 +114,156 @@ def parameter_formulas_reference(epsilon, k, kappa, spectral, frob):
         2.0 * epsilon * spectral ** 2, kappa ** 2 * (4 * k + 5) * frob ** 2,
         xi)
     return (omega, upper, xi), intermediates
+
+
+# ``svd._jacobi`` and ``svd.pivoted_qr`` as they were before the sweeps
+# gained the all-pairs check and the QR's pivot step its argmax: the
+# bitwise references for both
+def jacobi_reference(a: np.ndarray, left: bool):
+    """One-sided Jacobi on the n columns of the m-by-n ``a``.
+
+    Returns (sigma, U, V, sweeps, residual) with a = U diag(sigma) V^T,
+    only the columns with sigma > 0, sorted non-increasing, ties in column
+    order; V is not accumulated, and is None, when ``left`` is false.
+    """
+    # each row holds a column of the working matrix, m long, then that
+    # column of V if it is accumulated (a zero row pads odd n). Columns sit
+    # on a circle of size positions, position k paired with size-1-k: row
+    # k holds position k and row half+k position size-1-k, so pair k is
+    # rows k and half+k and both halves are forward views. Positions 1..
+    # move one step per round, so each sweep ends with every column back
+    # in place.
+    m, n = a.shape
+    size = n + n % 2
+    half = size // 2
+    work = np.zeros((size, m + n if left else m))
+    work[:n, :m] = a.T
+    if left:
+        work[:n, m:] = np.eye(n)
+    work[half:] = work[half:][::-1]
+    cols = work[:, :m]
+    top, bottom = work[:half], work[half:]
+    top_cols, bottom_cols = top[:, :m], bottom[:, :m]
+    # the rotation's products, one buffer each
+    s_top, s_bottom = np.empty_like(top), np.empty_like(bottom)
+    # a pair with a zero column divides 0 by 0: never rotated, not counted
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
+            # columns at rounding level would shrink toward underflow and
+            # never pass _TOL: zero them
+            norms = np.sqrt(np.einsum("ij,ij->i", cols, cols))
+            cols[norms <= n * _EPS * norms.max(initial=0.0)] = 0.0
+            rotated, residual = False, 0.0
+            for _ in range(size - 1):
+                sq = np.einsum("ij,ij->i", cols, cols)
+                gamma = np.einsum("ij,ij->i", top_cols, bottom_cols)
+                norms = np.sqrt(sq)
+                ratio = np.abs(gamma) / (norms[:half] * norms[half:])
+                # fmax skips the NaN of a pair with a zero column
+                worst = float(np.fmax.reduce(ratio))
+                residual = max(residual, worst)
+                if worst > _TOL:
+                    rotated = True
+                    zeta = (sq[half:] - sq[:half]) / (2.0 * gamma)
+                    # sign(0) must be +1: equal-mass parallel columns need
+                    # the full 45-degree rotation, not a no-op
+                    t = np.copysign(1.0, zeta) / (np.abs(zeta)
+                                                  + np.hypot(1.0, zeta))
+                    # t = 0 leaves a pair that passes, or whose ratio is
+                    # NaN, bit-for-bit as it is
+                    t[~(ratio > _TOL)] = 0.0
+                    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                    s = c * t[:, None]
+                    np.multiply(s, top, out=s_top)
+                    top *= c
+                    top -= np.multiply(s, bottom, out=s_bottom)
+                    bottom *= c
+                    bottom += s_top
+                if half > 1:  # two columns never move
+                    # position size-1 moves to 1 and half-1 to half
+                    to_top = bottom[0].copy()
+                    bottom[:-1] = bottom[1:]
+                    bottom[-1] = top[-1]
+                    top[2:] = top[1:-1]
+                    top[1] = to_top
+            if not rotated:
+                break
+        else:
+            raise ValueError(f"Jacobi SVD did not converge in "
+                             f"{_MAX_SWEEPS} sweeps (residual "
+                             f"{residual:.3g})")
+
+    # back to column order, so that ties sort in it
+    work[half:] = work[half:][::-1]
+    sigma = np.sqrt(np.einsum("ij,ij->i", cols[:n], cols[:n]))
+    # zero columns sort last and are dropped
+    order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
+    sigma = sigma[order]
+    u = work[order, :m].T / sigma
+    return (sigma, u, work[order, m:].T if left else None, sweeps,
+            residual)
+
+
+def pivoted_qr_reference(matrix, *, basis: bool = True
+               ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Householder QR with column pivoting, stopped at the numerical rank.
+
+    Returns (Q, R, perm) for an (m, n) input, m >= n: Q is (m, r) with
+    orthonormal columns, R is (r, n) upper trapezoidal and A[:, perm] =
+    Q R up to rounding, where r is the numerical rank. With
+    ``basis=False`` Q is not built and is None; R and perm are the same.
+    Each step pivots the remaining column of largest norm, recomputed
+    exactly (ties: lowest original index), and the factorization stops
+    when every remaining squared norm is at most (n eps)^2 times the
+    largest initial one.
+    """
+    # a C-ordered copy: the result must not depend on the input's layout
+    a = np.array(matrix, dtype=np.float64, order="C")
+    m, n = a.shape
+    perm = np.arange(n)
+    # one product buffer for every step: fresh per-step temporaries of the
+    # matrix's size cost page faults
+    buf = np.empty((m, n))
+    reflectors = []
+    for j in range(n):
+        rest = a[j:, j:]
+        sq = np.einsum("ij,ij->j", rest, rest)
+        top = sq.max()
+        if j == 0:
+            if not math.isfinite(top):
+                raise ValueError("squared norm overflows")
+            floor = (n * _EPS) ** 2 * top
+        if top <= floor:
+            break
+        ties = np.flatnonzero(sq == top)
+        k = j + ties[np.argmin(perm[j + ties])]
+        a[:, [j, k]] = a[:, [k, j]]
+        perm[[j, k]] = perm[[k, j]]
+        # x -> beta e_1 with v[0] = 1: exact for a column with one nonzero
+        x = a[j:, j]
+        alpha = float(x[0])
+        beta = -math.copysign(math.sqrt(top), alpha)
+        v = x / (alpha - beta)
+        v[0] = 1.0
+        w = (beta - alpha) / beta * v
+        a[j, j] = beta
+        out = buf[:m - j, :n - j - 1]
+        np.multiply.outer(w, v @ a[j:, j + 1:], out=out)
+        a[j:, j + 1:] -= out
+        reflectors.append((w, v))
+    upper = np.triu(a[:len(reflectors)])
+    if not basis:
+        return None, upper, perm
+    a = rest = x = None  # free the factored copy before Q is built
+    r = len(reflectors)
+    # only Q's first r columns are built. Each reflector's product still
+    # spans all n - j columns: a product's columns depend only on their
+    # own, but a narrower one rounds them differently
+    q = np.zeros((m, n))
+    q[:r, :r] = np.eye(r)
+    for j in range(r - 1, -1, -1):
+        w, v = reflectors[j]
+        out = buf[:m - j, :r - j]
+        np.multiply.outer(w, (v @ q[j:, j:])[:r - j], out=out)
+        q[j:, j:r] -= out
+    return q[:, :r], upper, perm

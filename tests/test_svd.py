@@ -3,16 +3,17 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import levsketch.sketch as sketch_module
 import levsketch.svd as svd_module
 from levsketch import (MatrixSampleStore, SvdResult, compute_params,
                        draw_sketch, gen_example1, gen_example2,
-                       standard_normal, stream, svd_dense, trial_stream,
-                       truncate_top_k)
+                       householder_qr, standard_normal, stream, svd_dense,
+                       trial_stream, truncate_top_k)
 
-from oracles import power_iteration_sigma
+from oracles import (jacobi_reference, pivoted_qr_reference,
+                     power_iteration_sigma)
 
 
 def reconstruction_error(a, res):
@@ -331,6 +332,15 @@ def test_pivoted_qr_basis_is_the_rank_r_columns(make):
     assert np.abs(diff).max() <= 1e-13 * np.linalg.norm(a, 2)
 
 
+@pytest.mark.parametrize("stack", [1, 2], ids=["square", "stacked"])
+def test_pivoted_qr_ties_go_to_the_lowest_original_index(stack):
+    # after column 2 is pivoted first, columns 1 and 0 tie in that order:
+    # the first of them in the working order would give [2, 1, 0]
+    a = np.vstack([np.diag([1.0, 1.0, 2.0])] * stack)
+    perm = svd_module.pivoted_qr(a)[2]
+    np.testing.assert_array_equal(perm, [2, 0, 1])
+
+
 @pytest.mark.parametrize("shape", [(30, 30), (60, 20), (20, 60)])
 def test_memory_layout_does_not_change_the_result(shape):
     a = stream(32).standard_normal(shape)
@@ -394,6 +404,27 @@ def test_singular_values_below_the_qr_rank_are_completed(n, theta):
     assert orthonormality_defect(res.v) < 1e-13
 
 
+def graded_rows(m, n, step):
+    """A standard normal m x n matrix whose row i is scaled by step^-i."""
+    return (standard_normal(stream(9), (m, n))
+            * (step ** -np.arange(float(m)))[:, None])
+
+
+def row_bands():
+    """Four bands of ten standard normal rows, scaled by 1, 10^(4/3),
+    10^(8/3) and 1e4."""
+    bands = np.repeat(np.logspace(0.0, 4.0, 4), 10)
+    return standard_normal(stream(9), (40, 10)) * bands[:, None]
+
+
+def conditioned_1e12():
+    """Q_1 diag(1 .. 1e-12) Q_2^T, 20 x 12, with sigma spaced evenly in
+    the logarithm; the product is einsum's own loop."""
+    q1 = householder_qr(standard_normal(stream(9), (20, 12)))[0]
+    q2 = householder_qr(standard_normal(stream(10), (12, 12)))[0]
+    return np.einsum("ik,k,jk->ij", q1, np.logspace(0.0, -12.0, 12), q2)
+
+
 # singular values of the float inputs below, computed once by mpmath's
 # svd_r at 60 decimal digits and kept here to 20
 SIXTY_DIGIT_SIGMA = {
@@ -414,15 +445,64 @@ SIXTY_DIGIT_SIGMA = {
         "3.2334488421579805118e-8", "3.3992639066829310442e-12",
         "3.0847438163260095563e-16", "3.495077261404574939e-20",
         "3.3776837316096765624e-24", "1.5524782679429406409e-28"]),
+    "graded-rows-1e2": (lambda: graded_rows(12, 8, 1e2), [
+        "3.2548764958815277084", "0.017172987890467762278",
+        "0.00014611972248248599002", "2.2720656634307988818e-6",
+        "1.3670019010548360314e-8", "1.1826657085130677689e-10",
+        "8.2106692440085436e-13", "2.6080035641135987955e-15"]),
+    "graded-rows-1e4": (lambda: graded_rows(14, 8, 1e4), [
+        "3.2548173575962164725", "0.00017173299780827210759",
+        "1.4611686153569655768e-8", "2.2720700489833724794e-12",
+        "1.3670219856451967203e-16", "1.1825711992930539334e-20",
+        "8.2112806550650858829e-25", "2.6075949760897582551e-29"]),
+    # rows graded down by 1e3 and columns up by 1e3
+    "graded-both-ways": (lambda: graded_rows(10, 10, 1e3)
+                         * 1e3 ** np.arange(10.0), [
+        "8.5920516346324531572e+26", "4.0065495630257627518e+20",
+        "4567583685901332.5663", "294483809.29671082674",
+        "1167.6079931278921697", "0.0012838793890832100772",
+        "2.1690411139426280893e-9", "2.0011409825296068947e-14",
+        "1.2979293931226197488e-21", "6.328609312733311218e-27"]),
+    "row-bands": (row_bands, [
+        "51237.648661890505676", "49713.314257294469227",
+        "39927.980048046091547", "33222.144866313101407",
+        "27724.484351677418879", "26490.148897250930172",
+        "14640.196163664611208", "12453.175580949520229",
+        "10800.549374846161649", "3583.3894645980452625"]),
+    "hilbert-10": (lambda: 1.0 / (np.arange(10.0)[:, None]
+                                  + np.arange(10.0) + 1.0), [
+        "1.7519196702651775066", "0.34292954848350909963",
+        "0.035741816271639232787", "0.0025308907686700285995",
+        "0.00012874961427637339136", "4.7296892931900962987e-6",
+        "1.2289677387429185853e-7", "2.1474388217975422457e-9",
+        "2.2667455503810731916e-11", "1.093252433497455222e-13"]),
+    "conditioned-1e12": (conditioned_1e12, [
+        "1.0000000000000006177", "0.081113083078968708159",
+        "0.0065793322465756905433", "0.00053366992312062642319",
+        "0.000043287612810826257257", "3.5111917342041653629e-6",
+        "2.8480358683047567694e-7", "2.3101296999708656735e-8",
+        "1.8738174211574474095e-9", "1.5199109692766540298e-10",
+        "1.2328459450850642883e-11", "1.0000052484060824234e-12"]),
 }
 
 
 @pytest.mark.parametrize("name, bound", [("kahan-20", 3e-14),
-                                         ("graded-columns", 2e-15)])
+                                         ("graded-columns", 2e-15),
+                                         ("graded-rows-1e2", 5e-6),
+                                         ("graded-rows-1e4", 8e-12),
+                                         ("graded-both-ways", 6e-16),
+                                         ("row-bands", 1.5e-15),
+                                         ("hilbert-10", 6e-5),
+                                         ("conditioned-1e12", 1e-5)])
 def test_sigma_matches_a_sixty_digit_reference(name, bound):
     # the top r sigma, r the numerical rank, against the reference; each
     # bound is about 2.5 times the largest relative error measured when it
-    # was set (1.16e-14 on Kahan's triangle, 5.9e-16 on the graded columns)
+    # was set: 1.16e-14 on Kahan's triangle, 5.9e-16 on the graded columns,
+    # 1.84e-6 and 3.06e-12 on the rows graded by 1e2 and 1e4, 2.19e-16 on
+    # the input graded both ways, 5.85e-16 on the row bands, 2.48e-5 on
+    # Hilbert's matrix and 4.04e-6 at condition 1e12. The computed R
+    # carries the rows graded by 1e2 error already: its exact sigma_7 is
+    # as far from the input's
     make, digits = SIXTY_DIGIT_SIGMA[name]
     res = svd_dense(make())
     ref = np.array([float(d) for d in digits[:res.sigma.size]])
@@ -548,3 +628,61 @@ def test_results_are_bitwise_pinned(name, left):
     # a refactor of the sweeps or the QRs must keep every bit
     res = svd_dense(PINNED_INPUTS[name](), left=left)
     assert result_digest(res) == PINNED_DIGESTS[name, left]
+
+
+@st.composite
+def graded_inputs(draw):
+    """Tall, square or wide inputs, odd and even widths down to one
+    column, of any rank, graded by columns or by rows, with exactly tied
+    column norms and zeroed columns."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(n, 40))
+    r = draw(st.integers(1, n))
+    rng = stream(draw(st.integers(0, 10_000)))
+    a = standard_normal(rng, (m, r)) @ standard_normal(rng, (r, n))
+    step = 10.0 ** -draw(st.integers(0, 4))
+    graded = draw(st.sampled_from(["none", "columns", "rows"]))
+    if graded == "columns":
+        a *= step ** np.arange(float(n))
+    elif graded == "rows":
+        a *= (step ** np.arange(float(m)))[:, None]
+    cols = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(cols, cols), max_size=3)):
+        a[:, dst] = -a[:, src]  # the same squared norm, bit for bit
+    a[:, draw(st.lists(cols, max_size=2))] = 0.0
+    return a.T if draw(st.booleans()) else a
+
+
+def assert_bitwise(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150)
+@given(graded_inputs(), st.booleans())
+@example(np.ones((5, 5)), True)
+@example(np.eye(6), False)
+@example(np.array([[-3.0]]), True)
+@example(np.arange(1.0, 6.0)[:, None], False)
+@example(np.vstack([np.diag([1.0, 1.0, 2.0])] * 2), True)
+def test_bitwise_the_frozen_references(a, left):
+    # svd_dense with the _jacobi and pivoted_qr of tests/oracles.py, kept
+    # as they were before the sweeps' all-pairs check and the QR's argmax
+    # pivot, gives the same bits, and so does pivoted_qr alone
+    if not a.any():
+        return
+    res = svd_dense(a, left=left)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svd_module, "_jacobi", jacobi_reference)
+        patch.setattr(svd_module, "pivoted_qr", pivoted_qr_reference)
+        ref = svd_dense(a, left=left)
+    for name in ("u", "sigma", "v"):
+        assert_bitwise(getattr(res, name), getattr(ref, name))
+    assert res.sweeps == ref.sweeps
+    assert res.residual.hex() == ref.residual.hex()
+    tall = a if a.shape[0] >= a.shape[1] else a.T
+    for got, want in zip(svd_module.pivoted_qr(tall, basis=left),
+                         pivoted_qr_reference(tall, basis=left)):
+        assert_bitwise(got, want)

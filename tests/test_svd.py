@@ -500,9 +500,10 @@ def test_sigma_matches_a_sixty_digit_reference(name, bound):
     # was set: 1.16e-14 on Kahan's triangle, 5.9e-16 on the graded columns,
     # 1.84e-6 and 3.06e-12 on the rows graded by 1e2 and 1e4, 2.19e-16 on
     # the input graded both ways, 5.85e-16 on the row bands, 2.48e-5 on
-    # Hilbert's matrix and 4.04e-6 at condition 1e12. The computed R
-    # carries the rows graded by 1e2 error already: its exact sigma_7 is
-    # as far from the input's
+    # Hilbert's matrix and 4.04e-6 at condition 1e12. The rows graded by
+    # 1e2 lose theirs to the QR's rank stop, which drops a trailing block
+    # of norm 4.1e-15, below n eps times the largest column: that moves
+    # sigma_7 = 8.2e-13 by 1.5e-18
     make, digits = SIXTY_DIGIT_SIGMA[name]
     res = svd_dense(make())
     ref = np.array([float(d) for d in digits[:res.sigma.size]])
@@ -670,7 +671,7 @@ def assert_bitwise(got, want):
 def test_bitwise_the_frozen_references(a, left):
     # svd_dense with the _jacobi and pivoted_qr of tests/oracles.py, kept
     # as they were before the sweeps' all-pairs check and the QR's argmax
-    # pivot, gives the same bits, and so does pivoted_qr alone
+    # pivot, gives the same bits, and so do pivoted_qr and _jacobi alone
     if not a.any():
         return
     res = svd_dense(a, left=left)
@@ -686,3 +687,9 @@ def test_bitwise_the_frozen_references(a, left):
     for got, want in zip(svd_module.pivoted_qr(tall, basis=left),
                          pivoted_qr_reference(tall, basis=left)):
         assert_bitwise(got, want)
+    # _jacobi alone on the input's own columns, where most sweeps rotate
+    got = svd_module._jacobi(tall, left)
+    want = jacobi_reference(tall, left)
+    for part, ref_part in zip(got[:3], want[:3]):
+        assert_bitwise(part, ref_part)
+    assert got[3] == want[3] and got[4].hex() == want[4].hex()

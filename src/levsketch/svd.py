@@ -10,15 +10,18 @@ into [0.5, 1), R_s = R 2^-e, and the Jacobi sweeps run on the n-by-r
 R_s^T Q_e, where Q_e holds the eigenvectors of R_s R_s^T by non-increasing
 eigenvalue, ties in column order. Those columns are nearly orthogonal
 already. Each sweep starts with one check of every pair's cosine at once,
-bitwise as the rounds compute it, and the sweeps end when no pair
+bitwise as a rotation computes it, and the sweeps end when no pair
 exceeds ``_TOL``: the sweep that would rotate nothing is not run, so on
-the benchmark's cores the check passes at once or after one sweep. Each
-round rotates r/2 disjoint column pairs in one array step, in Brent and
-Luk's round-robin order. The columns are kept as rows of one array in
-pair order, the second of each pair in the bottom half, so each round
-works on two forward-strided halves and moves them by one row. The final
-column norms are the singular values, R_s^T Q_e = U_J Sigma_s V_J^T, so
-R = (Q_e V_J) (Sigma_s 2^e) U_J^T and A = (Q Q_e V_J) Sigma (P U_J)^T.
+the benchmark's cores the check passes at once or after one sweep. A
+sweep rotates only the pairs that its check flagged, a few dozen of some
+four thousand on factor-core's cores, in the order in which Brent and
+Luk's round-robin rounds meet them; a pair that a rotation pushes over
+``_TOL`` waits for the next check. The flagged pairs go in batches of
+disjoint pairs, one array step each, on rows gathered from the columns,
+which never move: disjoint rotations commute exactly, so the sweep is
+bitwise one pair at a time in round-robin order. The final column norms
+are the singular values, R_s^T Q_e = U_J Sigma_s V_J^T, so R =
+(Q_e V_J) (Sigma_s 2^e) U_J^T and A = (Q Q_e V_J) Sigma (P U_J)^T.
 Only the triplets with sigma > 0 are returned: the thin SVD
 U_A Sigma_A V_A^T of the paper, with U_A m-by-r and V_A n-by-r. The
 sweeps rotate V_J beside the columns, and the QR builds Q, only when U_A
@@ -60,8 +63,10 @@ class SvdResult:
     R_s^T Q_e (see the module docstring) and, as the last of them, the
     all-pairs check that found nothing to rotate: 1 means the
     preconditioner left nothing to rotate. ``residual`` is the largest
-    |u_i . u_j| / (|u_i| |u_j|) over the column pairs in that check.
-    ``u`` is None when the caller did not ask for it.
+    |u_i . u_j| / (|u_i| |u_j|) over the column pairs in that check; when
+    the sweeps do not converge, the error names the largest cosine of the
+    last sweep's opening check. ``u`` is None when the caller did not ask
+    for it.
     """
     u: np.ndarray | None
     sigma: np.ndarray
@@ -135,32 +140,26 @@ def _jacobi(a: np.ndarray, left: bool):
     only the columns with sigma > 0, sorted non-increasing, ties in column
     order; V is not accumulated, and is None, when ``left`` is false.
     Each sweep first zeroes the columns at rounding level, then takes
-    every pair's cosine from one Gram matrix, whose entries numpy's own
-    einsum loop makes bitwise the rounds' dot products. If no cosine
-    exceeds ``_TOL``, that check ends the sweeps and counts as the last;
-    otherwise the sweep runs, and it rotates: until its first rotation
-    its rounds see the columns that the check saw.
+    every pair's cosine from one Gram matrix made by numpy's own einsum
+    loop. If no cosine exceeds ``_TOL``, that check ends the sweeps and
+    counts as the last. Otherwise the sweep rotates only the pairs that
+    the check flagged, in batches of disjoint pairs (see
+    ``_round_robin_batches``), which is bitwise one pair at a time in
+    Brent and Luk's round-robin order, top and bottom roles included.
+    Each rotation takes its pair's dot products afresh and gets t = 0 if
+    its cosine no longer exceeds ``_TOL``; a pair that an earlier rotation
+    pushed over ``_TOL`` waits for the next check. ``residual`` is the
+    largest cosine of the last check, and so is the residual that the
+    error names when the sweeps do not converge in ``_MAX_SWEEPS``.
     """
     # each row holds a column of the working matrix, m long, then that
-    # column of V if it is accumulated (a zero row pads odd n). Columns sit
-    # on a circle of size positions, position k paired with size-1-k: row
-    # k holds position k and row half+k position size-1-k, so pair k is
-    # rows k and half+k and both halves are forward views. Positions 1..
-    # move one step per round, so each sweep ends with every column back
-    # in place.
+    # column of V if it is accumulated; the columns never move
     m, n = a.shape
-    size = n + n % 2
-    half = size // 2
-    work = np.zeros((size, m + n if left else m))
-    work[:n, :m] = a.T
+    work = np.zeros((n, m + n if left else m))
+    work[:, :m] = a.T
     if left:
-        work[:n, m:] = np.eye(n)
-    work[half:] = work[half:][::-1]
+        work[:, m:] = np.eye(n)
     cols = work[:, :m]
-    top, bottom = work[:half], work[half:]
-    top_cols, bottom_cols = top[:, :m], bottom[:, :m]
-    # the rotation's products, one buffer each
-    s_top, s_bottom = np.empty_like(top), np.empty_like(bottom)
     # a pair with a zero column divides 0 by 0: never rotated, not counted
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweeps in range(1, _MAX_SWEEPS + 1):
@@ -168,8 +167,7 @@ def _jacobi(a: np.ndarray, left: bool):
             # never pass _TOL: zero them
             norms = np.sqrt(np.einsum("ij,ij->i", cols, cols))
             cols[norms <= n * _EPS * norms.max(initial=0.0)] = 0.0
-            # every pair's cosine at once, bitwise as the rounds compute
-            # it: a sweep that would rotate nothing is not run
+            # every pair's cosine at once, bitwise as a rotation computes it
             gram = np.einsum("ij,kj->ik", cols, cols)
             norms = np.sqrt(np.diagonal(gram))
             ratio = np.abs(gram) / np.multiply.outer(norms, norms)
@@ -177,52 +175,64 @@ def _jacobi(a: np.ndarray, left: bool):
             residual = float(np.fmax.reduce(ratio, axis=None, initial=0.0))
             if residual <= _TOL:
                 break
-            residual = 0.0
-            for _ in range(size - 1):
-                sq = np.einsum("ij,ij->i", cols, cols)
-                gamma = np.einsum("ij,ij->i", top_cols, bottom_cols)
-                norms = np.sqrt(sq)
-                ratio = np.abs(gamma) / (norms[:half] * norms[half:])
-                # fmax skips the NaN of a pair with a zero column
-                worst = float(np.fmax.reduce(ratio))
-                residual = max(residual, worst)
-                if worst > _TOL:
-                    zeta = (sq[half:] - sq[:half]) / (2.0 * gamma)
-                    # sign(0) must be +1: equal-mass parallel columns need
-                    # the full 45-degree rotation, not a no-op
-                    t = np.copysign(1.0, zeta) / (np.abs(zeta)
-                                                  + np.hypot(1.0, zeta))
-                    # t = 0 leaves a pair that passes, or whose ratio is
-                    # NaN, bit-for-bit as it is
-                    t[~(ratio > _TOL)] = 0.0
-                    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-                    s = c * t[:, None]
-                    np.multiply(s, top, out=s_top)
-                    top *= c
-                    top -= np.multiply(s, bottom, out=s_bottom)
-                    bottom *= c
-                    bottom += s_top
-                if half > 1:  # two columns never move
-                    # position size-1 moves to 1 and half-1 to half
-                    to_top = bottom[0].copy()
-                    bottom[:-1] = bottom[1:]
-                    bottom[-1] = top[-1]
-                    top[2:] = top[1:-1]
-                    top[1] = to_top
+            for top, bottom in _round_robin_batches(ratio > _TOL):
+                x, y = work[top], work[bottom]
+                sq_x = np.einsum("ij,ij->i", x[:, :m], x[:, :m])
+                sq_y = np.einsum("ij,ij->i", y[:, :m], y[:, :m])
+                gamma = np.einsum("ij,ij->i", x[:, :m], y[:, :m])
+                zeta = (sq_y - sq_x) / (2.0 * gamma)
+                # sign(0) must be +1: equal-mass parallel columns need the
+                # full 45-degree rotation, not a no-op
+                t = np.copysign(1.0, zeta) / (np.abs(zeta)
+                                              + np.hypot(1.0, zeta))
+                ratio = np.abs(gamma) / (np.sqrt(sq_x) * np.sqrt(sq_y))
+                t[~(ratio > _TOL)] = 0.0
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = c * t[:, None]
+                work[top] = x * c - s * y
+                work[bottom] = y * c + s * x
         else:
             raise ValueError(f"Jacobi SVD did not converge in "
                              f"{_MAX_SWEEPS} sweeps (residual "
                              f"{residual:.3g})")
 
-    # back to column order, so that ties sort in it
-    work[half:] = work[half:][::-1]
-    sigma = np.sqrt(np.einsum("ij,ij->i", cols[:n], cols[:n]))
+    sigma = np.sqrt(np.einsum("ij,ij->i", cols, cols))
     # zero columns sort last and are dropped
     order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
     sigma = sigma[order]
     u = work[order, :m].T / sigma
     return (sigma, u, work[order, m:].T if left else None, sweeps,
             residual)
+
+
+def _round_robin_batches(flagged: np.ndarray):
+    """The pairs (i, k) that the n-by-n ``flagged`` marks, as one (top
+    indices, bottom indices) pair of lists per batch.
+
+    Brent and Luk's round r pairs position k, the top, with size-1-k, for
+    k < size/2, where size is n, or n + 1 with a column that pairs with
+    nothing for odd n: position 0 holds column 0, and position p >= 1
+    holds column 1 + (p - 1 - r) mod (size - 1). Taken round by round,
+    each pair goes into the batch after the last one that holds either of
+    its columns, so a batch's pairs are disjoint and a pair comes after
+    every earlier pair that shares a column with it.
+    """
+    size = flagged.shape[0] + flagged.shape[0] % 2
+    flagged = np.pad(flagged, (0, size - flagged.shape[0]))
+    pos = np.arange(size)
+    col = np.where(pos == 0, 0, 1 + (pos - 1 - np.arange(size - 1)[:, None])
+                   % (size - 1))
+    top, bottom = col[:, :size // 2], col[:, :size // 2 - 1:-1]
+    hit = flagged[top, bottom]
+    batches, last = [], [-1] * size
+    for i, k in zip(top[hit].tolist(), bottom[hit].tolist()):
+        b = max(last[i], last[k]) + 1
+        if b == len(batches):
+            batches.append(([], []))
+        batches[b][0].append(i)
+        batches[b][1].append(k)
+        last[i] = last[k] = b
+    return batches
 
 
 def pivoted_qr(matrix, *, basis: bool = True

@@ -2,9 +2,10 @@
 
 Everything here leans on numpy.linalg and scipy, which the library's own
 algorithm paths avoid on purpose; agreement between the two routes is
-evidence, not tautology. The exceptions are the frozen references at the
-end: library functions kept verbatim as they were before a change that
-must keep every bit, which the change is checked against.
+evidence, not tautology. The exceptions are the Jacobi and QR references
+at the end: a plain one-pair-at-a-time loop that ``svd._jacobi`` must
+match bit for bit, and library functions kept verbatim as they were
+before a change, which the change is checked against.
 """
 import math
 
@@ -116,9 +117,82 @@ def parameter_formulas_reference(epsilon, k, kappa, spectral, frob):
     return (omega, upper, xi), intermediates
 
 
+def threshold_jacobi_reference(a: np.ndarray, left: bool):
+    """One-sided Jacobi on the n columns of the m-by-n ``a``, one pair at
+    a time: the bitwise reference for ``svd._jacobi``.
+
+    Returns (sigma, U, V, sweeps, residual) as ``_jacobi`` does. Each
+    sweep zeroes the columns at rounding level and takes every pair's
+    cosine from its two columns. If none exceeds ``_TOL`` the sweeps stop,
+    and ``residual`` is the largest. Otherwise each pair whose cosine
+    exceeded it is rotated alone, from its two columns' dot products taken
+    afresh (t = 0 once its cosine no longer exceeds ``_TOL``), in the order
+    in which Brent and Luk's round-robin rounds meet the pairs.
+    """
+    m, n = a.shape
+    work = np.zeros((n, m + n if left else m))
+    work[:, :m] = a.T
+    if left:
+        work[:, m:] = np.eye(n)
+    cols = work[:, :m]
+    # the round-robin circle: position k meets size-1-k, position 0 stays
+    # and the others move one step a round; None pads odd n
+    circle = list(range(n)) + [None] * (n % 2)
+    size = len(circle)
+    pairs = []
+    for _ in range(size - 1):
+        pairs += [(circle[k], circle[size - 1 - k])
+                  for k in range(size // 2)
+                  if None not in (circle[k], circle[size - 1 - k])]
+        circle = [circle[0], circle[-1]] + circle[1:-1]
+
+    def dots(i, k):
+        x, y = cols[i:i + 1], cols[k:k + 1]
+        sq_x = np.einsum("ij,ij->i", x, x)
+        sq_y = np.einsum("ij,ij->i", y, y)
+        gamma = np.einsum("ij,ij->i", x, y)
+        return sq_x, sq_y, gamma, np.abs(gamma) / (np.sqrt(sq_x)
+                                                   * np.sqrt(sq_y))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
+            norms = np.sqrt(np.einsum("ij,ij->i", cols, cols))
+            cols[norms <= n * _EPS * norms.max(initial=0.0)] = 0.0
+            cosines = [float(dots(i, k)[3][0]) for i, k in pairs]
+            residual = max((c for c in cosines if c == c), default=0.0)
+            if residual <= _TOL:
+                break
+            for (i, k), cosine in zip(pairs, cosines):
+                if not cosine > _TOL:
+                    continue
+                sq_x, sq_y, gamma, ratio = dots(i, k)
+                zeta = (sq_y - sq_x) / (2.0 * gamma)
+                t = np.copysign(1.0, zeta) / (np.abs(zeta)
+                                              + np.hypot(1.0, zeta))
+                t[~(ratio > _TOL)] = 0.0
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = c * t[:, None]
+                x, y = work[i:i + 1].copy(), work[k:k + 1].copy()
+                work[i:i + 1] = x * c - s * y
+                work[k:k + 1] = y * c + s * x
+        else:
+            raise ValueError(f"Jacobi SVD did not converge in "
+                             f"{_MAX_SWEEPS} sweeps (residual "
+                             f"{residual:.3g})")
+    sigma = np.sqrt(np.einsum("ij,ij->i", cols, cols))
+    order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
+    sigma = sigma[order]
+    u = work[order, :m].T / sigma
+    return (sigma, u, work[order, m:].T if left else None, sweeps,
+            residual)
+
+
 # ``svd._jacobi`` and ``svd.pivoted_qr`` as they were before the sweeps
 # gained the all-pairs check and the QR's pivot step its argmax: the
-# bitwise references for both
+# bitwise references for both. ``jacobi_reference`` also rotates, within
+# a sweep, every pair that the rounds find above ``_TOL``, where
+# ``_jacobi`` now rotates only the pairs that the sweep's opening check
+# flagged, so it pins the old bits only on inputs where the two agree
 def jacobi_reference(a: np.ndarray, left: bool):
     """One-sided Jacobi on the n columns of the m-by-n ``a``.
 

@@ -1,5 +1,9 @@
 """One-sided Jacobi SVD: exact small cases, orthonormality, oracle agreement."""
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from levsketch import (MatrixSampleStore, SvdResult, compute_params,
                        trial_stream, truncate_top_k)
 
 from oracles import (jacobi_reference, pivoted_qr_reference,
-                     power_iteration_sigma)
+                     power_iteration_sigma, threshold_jacobi_reference)
 
 
 def reconstruction_error(a, res):
@@ -198,9 +202,25 @@ def test_convergence_is_reported():
 def test_unconverged_sweeps_raise(monkeypatch):
     a = stream(77).standard_normal((30, 30))
     monkeypatch.setattr(svd_module, "_MAX_SWEEPS", 1)
+    inputs = []
+
+    def record(cols, left):
+        inputs.append(cols)
+        return jacobi(cols, left)
+
+    jacobi = svd_module._jacobi
+    monkeypatch.setattr(svd_module, "_jacobi", record)
     with pytest.raises(ValueError, match="did not converge") as info:
         svd_dense(a)
     assert "\n" not in str(info.value)
+    # the residual named is the largest cosine of the last (here the
+    # first) sweep's opening check, on the Jacobi input's own columns
+    cols = inputs[0].T
+    gram = np.einsum("ij,kj->ik", cols, cols)
+    norms = np.sqrt(np.diagonal(gram))
+    ratio = np.abs(gram) / np.multiply.outer(norms, norms)
+    np.fill_diagonal(ratio, 0.0)
+    assert str(info.value).endswith(f"(residual {ratio.max():.3g})")
 
 
 def example1_core():
@@ -529,12 +549,11 @@ def test_tiny_input_is_factored_after_an_exact_power_of_two(shape):
     np.testing.assert_array_equal(tiny.sigma, np.ldexp(ref.sigma, -700))
 
 
-def factor_core(trial):
-    """The merged core that ``qisvd`` factors on factor-core's matrix
-    (example2 2000x500, rank 100, p = 100): trial 1 leaves a 92-wide
-    Jacobi triangle, trial 2 a 95-wide one."""
-    store = MatrixSampleStore(gen_example2(2000, 500, 100, 1.0, 1, 1000, 7))
-    params = compute_params(0.5, 0.1, 88, 1.0, 1.0, 1.0, p_override=100)
+def qisvd_core(matrix, p, k, trial):
+    """The merged core that ``qisvd`` factors on ``matrix`` with p and k,
+    in trial ``trial`` of seed 7."""
+    store = MatrixSampleStore(matrix)
+    params = compute_params(0.5, 0.1, k, 1.0, 1.0, 1.0, p_override=p)
     cores = []
 
     def record(core, **kwargs):
@@ -545,6 +564,14 @@ def factor_core(trial):
         patch.setattr(sketch_module, "svd_dense", record)
         sketch_module.qisvd(store, params, trial_stream(7, trial))
     return cores[0]
+
+
+def factor_core(trial):
+    """The merged core that ``qisvd`` factors on factor-core's matrix
+    (example2 2000x500, rank 100, p = 100): trial 1 leaves a 92-wide
+    Jacobi triangle, trial 2 a 95-wide one."""
+    return qisvd_core(gen_example2(2000, 500, 100, 1.0, 1, 1000, 7), 100, 88,
+                      trial)
 
 
 @pytest.mark.parametrize("trial", [1, 2], ids=["even", "odd"])
@@ -583,9 +610,9 @@ PINNED_DIGESTS = {
     ('factor-core-odd', False):
         "e6861a0889509c7252075e76da8d2ae97346d1459c73ce3c94f5134c9c2107e9",
     ('kahan', True):
-        "cf7c8a30d08b9b6660dabffb5e5b98ab35c96d38597c0e94d7f39c18acf99c53",
+        "13efd5c153c80ba20c4b690f259213897ef60b49570bbb02a0ca8f619a625146",
     ('kahan', False):
-        "18d93e4797f80416853b461d305978bd02900e7df66dcd5757bd1c6ee396d42a",
+        "80556c92d06fe7013f882be218fe336527cef8e1fc4165da221f74257f2e91c2",
     ('n1', True):
         "8b1cbb34bf46854aeb053d76dc6a30f79cdcde80a31794fd33fbe0af09065940",
     ('n1', False):
@@ -669,14 +696,14 @@ def assert_bitwise(got, want):
 @example(np.arange(1.0, 6.0)[:, None], False)
 @example(np.vstack([np.diag([1.0, 1.0, 2.0])] * 2), True)
 def test_bitwise_the_frozen_references(a, left):
-    # svd_dense with the _jacobi and pivoted_qr of tests/oracles.py, kept
-    # as they were before the sweeps' all-pairs check and the QR's argmax
-    # pivot, gives the same bits, and so do pivoted_qr and _jacobi alone
+    # svd_dense with the one-pair-at-a-time Jacobi of tests/oracles.py and
+    # the pivoted_qr kept as it was before the QR's argmax pivot gives the
+    # same bits, and so do pivoted_qr and _jacobi alone
     if not a.any():
         return
     res = svd_dense(a, left=left)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(svd_module, "_jacobi", jacobi_reference)
+        patch.setattr(svd_module, "_jacobi", threshold_jacobi_reference)
         patch.setattr(svd_module, "pivoted_qr", pivoted_qr_reference)
         ref = svd_dense(a, left=left)
     for name in ("u", "sigma", "v"):
@@ -689,7 +716,85 @@ def test_bitwise_the_frozen_references(a, left):
         assert_bitwise(got, want)
     # _jacobi alone on the input's own columns, where most sweeps rotate
     got = svd_module._jacobi(tall, left)
-    want = jacobi_reference(tall, left)
+    want = threshold_jacobi_reference(tall, left)
     for part, ref_part in zip(got[:3], want[:3]):
         assert_bitwise(part, ref_part)
     assert got[3] == want[3] and got[4].hex() == want[4].hex()
+
+
+OLD_BITS_INPUTS = {
+    "factor-core-even": lambda: factor_core(1),
+    "factor-core-odd": lambda: factor_core(2),
+    # compare-cli's matrix and p, and banded-tall's family and p on a
+    # tenth of its rows: cores whose opening check passes at once
+    "compare-cli-core": lambda: qisvd_core(
+        gen_example2(1000, 100, 30, 1.0, 1, 10, 7), 60, 20, 1),
+    "banded-tall-core": lambda: qisvd_core(gen_example1(6400, 100, 70, 7),
+                                           60, 20, 1),
+    **{name: make for name, (make, _) in SIXTY_DIGIT_SIGMA.items()},
+}
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("name", sorted(OLD_BITS_INPUTS))
+def test_workload_cores_keep_the_bits_of_full_round_robin_sweeps(name, left):
+    # the sweeps of jacobi_reference walk every round and rotate whatever
+    # a round finds above _TOL; on these inputs every pair that they
+    # rotate was flagged by the sweep's opening check, so rotating only
+    # the flagged pairs gives their bits
+    a = OLD_BITS_INPUTS[name]()
+    res = svd_dense(a, left=left)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svd_module, "_jacobi", jacobi_reference)
+        ref = svd_dense(a, left=left)
+    assert result_digest(res) == result_digest(ref)
+
+
+def test_a_sweep_rotates_only_the_pairs_its_check_flags():
+    # orthogonal columns of norms 8, 4, 2 and 1, one pair nudged to a
+    # cosine of 1e-13; the third column holds a -0.0 where the fourth is
+    # negative, which a t = 0 rotation of the two would make +0.0
+    a = np.zeros((6, 4))
+    a[[0, 1, 2, 3], [0, 1, 2, 3]] = [8.0, 4.0, 2.0, -1.0]
+    a[0, 1] = 4e-13
+    a[3, 2] = -0.0
+    sigma, u, v, sweeps, residual = svd_module._jacobi(a, True)
+    assert sweeps == 2 and residual <= svd_module._TOL
+    # only columns 0 and 1 mix
+    assert np.abs(v[0, 1]) > 0.0 and np.abs(v[1, 0]) > 0.0
+    for j in (2, 3):
+        assert sigma[j] == abs(a[j, j])
+        assert v[:, j].tobytes() == np.eye(4)[:, j].tobytes()
+        assert u[:, j].tobytes() == (a[:, j] / sigma[j]).tobytes()
+    assert np.signbit(u[3, 2])
+
+
+def jacobi_digest(parts):
+    """sha256 of _jacobi's sigma, U, V, sweeps and residual."""
+    h = hashlib.sha256()
+    for part in parts[:3]:
+        h.update(np.ascontiguousarray(part).tobytes())
+    h.update(f"{parts[3]} {parts[4].hex()}".encode())
+    return h.hexdigest()
+
+
+def test_jacobi_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the sweeps' products are numpy's own einsum and elementwise loops,
+    # never BLAS: on factor_core(1)'s raw columns, where many sweeps
+    # rotate, one BLAS thread gives the bits of the default count
+    core = factor_core(1)
+    np.save(tmp_path / "core.npy", core)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"),
+                      env.get("PYTHONPATH")]))
+    code = ("import sys, numpy as np; from levsketch.svd import _jacobi; "
+            "from test_svd import jacobi_digest; "
+            "print(jacobi_digest(_jacobi(np.load(sys.argv[1]), True)))")
+    done = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "core.npy")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == jacobi_digest(svd_module._jacobi(core,
+                                                                   True))

@@ -202,13 +202,12 @@ def test_convergence_is_reported():
 def test_unconverged_sweeps_raise(monkeypatch):
     a = stream(77).standard_normal((30, 30))
     monkeypatch.setattr(svd_module, "_MAX_SWEEPS", 1)
-    inputs = []
+    inputs, jacobi = [], svd_module._jacobi
 
     def record(cols, left):
         inputs.append(cols)
         return jacobi(cols, left)
 
-    jacobi = svd_module._jacobi
     monkeypatch.setattr(svd_module, "_jacobi", record)
     with pytest.raises(ValueError, match="did not converge") as info:
         svd_dense(a)

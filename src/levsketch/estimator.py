@@ -92,12 +92,13 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
     draw i gives the row of values ys[i, :] ||x_r||^2 / x_i, whose group
     means and median across groups are the estimates. The draws read the
     stream in the order row, group, sample, so a one-column call reads it
-    as ``estimate_inner`` does. A single row whose draws times columns
-    exceed SAMPLED_BLOCK_DRAWS descends SAMPLED_BLOCK_DRAWS // (columns *
-    size) groups at a time (at least one), which reads the stream as one
-    descent would; the caller keeps a block of several rows within
-    SAMPLED_BLOCK_DRAWS. More than MAX_COORD_DRAWS draws for one row (inf
-    included) raises ValueError before any draw.
+    as ``estimate_inner`` does. The rows descend SAMPLED_BLOCK_DRAWS //
+    (columns * the sum of their sizes) groups at a time, at least one and
+    at most all of them. The caller keeps a block of several rows within
+    SAMPLED_BLOCK_DRAWS, so that only a single row ever descends in parts,
+    which reads the stream as one descent would. More than
+    MAX_COORD_DRAWS draws for one row (inf included) raises ValueError
+    before any draw.
     """
     per_row = groups * sizes
     if per_row.max() > MAX_COORD_DRAWS:
@@ -105,8 +106,8 @@ def mom_estimates(sums: np.ndarray, leaves: np.ndarray, ys: np.ndarray,
                          f"one coordinate, more than {MAX_COORD_DRAWS}; "
                          "pass a larger xi_override")
     sizes = sizes.astype(np.int64)
-    step = groups if sizes.size > 1 else max(1, min(
-        groups, SAMPLED_BLOCK_DRAWS // (ys.shape[1] * int(sizes[0]))))
+    step = max(1, min(groups, SAMPLED_BLOCK_DRAWS // (
+        ys.shape[1] * int(sizes.sum()))))
     parts = [group_means(sums, leaves, ys, min(step, groups - first), sizes,
                          rng) for first in range(0, groups, step)]
     means = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
@@ -335,8 +336,8 @@ def read_report_csv(path) -> LeverageReport:
     metadata key, a non-numeric field, a row index that is not a positive
     integer, a data row of other than 4 fields or a file without data rows
     raises a one-line ValueError."""
-    f = textfile.TextFile(path, "report", header="i,")
-    body = f.sections[None]
+    f = textfile.TextFile(path, "report")
+    body = [line for line in f.sections[None] if not line.startswith("i,")]
     for line in body:
         fields = line.count(",") + 1
         if fields != 4:

@@ -33,9 +33,12 @@ column's tree to a block and then reads that block's entries, so it costs
 O(log m) tree steps and ROW_BLOCK entry reads, not m.
 
 Entry reads, norm reads and index draws are counted on the store for cost
-instrumentation. The build and the refresh after writes are the store's
-own upkeep and count no reads, so a sketch drawn after writes counts what
-it would on a fresh store of the same entries.
+instrumentation: every entry read in ``_gather`` but the row draws' block
+scan, which ``sample_in_columns`` counts with its draws, every norm read
+in ``col_sq_norms`` and the column draws in ``sample_column_indices``.
+The build and the refresh after writes are the store's own upkeep and
+count no reads, so a sketch drawn after writes counts what it would on a
+fresh store of the same entries.
 """
 from __future__ import annotations
 
@@ -323,14 +326,16 @@ class MatrixSampleStore:
         return self._entries.copy()
 
     def query(self, i: int, j: int) -> float:
-        """Entry A[i, j]."""
+        """Entry A[i, j], one counted gather."""
         i, j = check_index(i, self.m, "row"), check_index(j, self.n, "column")
-        self.queries += 1
-        return float(self._entries[i, j])
+        return float(self._gather(np.array([i]), np.array([j]),
+                                  np.empty((1, 1)))[0, 0])
 
     def block_values(self, rows, cols) -> np.ndarray:
         """Entries A[rows][:, cols] as one counted gather into a new
-        C-contiguous array."""
+        C-contiguous array: rows that are one increasing run, such as all
+        m, are read from a view of them, and only the column take copies
+        (see ``_gather``)."""
         rows = check_indices(rows, self.m, "row index")
         cols = check_indices(cols, self.n, "column index")
         return self._gather(rows, cols, np.empty((rows.size, cols.size)))
@@ -343,47 +348,38 @@ class MatrixSampleStore:
 
         Both index arrays are checked once, before the first block, so a
         bad index raises before anything is read or counted; each block
-        counts its entries as it is read. Every block is written to one
-        buffer, which the next block overwrites. A block whose rows are one
-        increasing run is read from a view of those rows, so only the
-        column take copies; any other block takes its rows too. Every block
-        holds the bits that ``block_values`` gives for its rows.
+        is one ``_gather``, which counts its entries as it reads them.
+        Every block is written to one buffer, which the next block
+        overwrites, and holds the bits that ``block_values`` gives for its
+        rows.
         """
         rows = check_indices(rows, self.m, "row index")
         cols = check_indices(cols, self.n, "column index")
         buf = np.empty((min(step, rows.size), cols.size))
-        # follows[i]: rows[i + 1] is rows[i] + 1
-        follows = np.diff(rows) == 1
         for first in range(0, rows.size, step):
-            stop = min(first + step, rows.size)
-            block = rows[first:stop]
-            if follows[first:stop - 1].all():
-                block = slice(int(block[0]), int(block[-1]) + 1)
-            yield first, self._gather(block, cols, buf[:stop - first])
+            block = rows[first:first + step]
+            yield first, self._gather(block, cols, buf[:block.size])
 
-    def _gather(self, rows, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _gather(self, rows: np.ndarray, cols: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
         """Write A[rows][:, cols] to ``out``, count its entries and return
-        it. ``rows`` is a slice or a checked index array and ``cols`` a
-        checked index array, so the takes skip their own bounds check.
+        it: the store's one entry read. ``rows`` and ``cols`` are checked
+        index arrays, so the takes skip their own bounds check. Rows that
+        are one increasing run are read from a view of them, and any other
+        rows are taken first; the columns are then taken into ``out``.
         ``out`` is C-contiguous, which the stacked exact-dot product needs
-        to round as each row's own product does. The axis whose take leaves
-        the smaller intermediate goes first, which changes no bit."""
-        if isinstance(rows, slice):
-            self._entries[rows].take(cols, axis=1, mode="clip", out=out)
-        elif rows.size * self.n <= self.m * cols.size:
-            self._entries.take(rows, axis=0, mode="clip").take(
-                cols, axis=1, mode="clip", out=out)
+        to round as each row's own product does."""
+        if rows.size and (np.diff(rows) == 1).all():
+            src = self._entries[rows[0]:rows[-1] + 1]
         else:
-            self._entries.take(cols, axis=1, mode="clip").take(
-                rows, axis=0, mode="clip", out=out)
+            src = self._entries.take(rows, axis=0, mode="clip")
+        src.take(cols, axis=1, mode="clip", out=out)
         self.queries += out.size
         return out
 
     def col_sq_norm(self, j: int) -> float:
-        j = check_index(j, self.n, "column")
-        self._mass_tree()
-        self.queries += 1
-        return float(self._col_sums[1, j])
+        """The squared norm of column j, one counted norm read."""
+        return float(self.col_sq_norms(check_index(j, self.n, "column")))
 
     def col_sq_norms(self, cols) -> np.ndarray:
         """The squared norms of columns ``cols`` in one read, bitwise what

@@ -23,11 +23,10 @@ class TextFile:
     as it parses it, or parses all rows at once with ``table``, so that a
     large file's fields are never all held as strings."""
 
-    def __init__(self, path, kind: str, sections=(None,),
-                 header: str | None = None):
+    def __init__(self, path, kind: str, sections=(None,)):
         """Read the ``kind`` file ``path``. Section None holds the rows
         before the first ``[name]`` line; a data row outside ``sections``
-        raises, and a line that starts with ``header`` is skipped."""
+        raises."""
         self.path, self.kind = path, kind
         self.comments: list[str] = []
         self.sections: dict = {name: [] for name in sections}
@@ -35,7 +34,7 @@ class TextFile:
         with open(path) as fh:
             for raw in fh:
                 line = raw.strip()
-                if not line or header and line.startswith(header):
+                if not line:
                     continue
                 if line[0] == "#":
                     self.comments.append(line[1:].strip())

@@ -493,6 +493,19 @@ def test_compare_rows_out_of_range_exits_two(tmp_path, capsys, mode, row):
     assert not rep.exists()
 
 
+def test_compare_rows_not_an_int_list_is_a_usage_error(tmp_path, capsys):
+    mat = tmp_path / "m.csv"
+    write_matrix_csv(mat, gen_example2(40, 8, 3, 2.0, 1, 10, 4))
+    rep = tmp_path / "rep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["compare", mat, "--p", 8, "--k", 3, "--rows", "1,x",
+             "-o", rep])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a comma-separated int list: '1,x'" in err
+    assert not rep.exists()
+
+
 def test_bench_epsilon_is_a_usage_error(tmp_path):
     # bench fixes p, so epsilon and delta changed none of its output
     with pytest.raises(SystemExit) as exc:

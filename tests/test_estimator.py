@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from levsketch import (LeverageReport, MatrixSampleStore, Params,
-                       compute_params, estimate_inner, gen_example1,
-                       gen_example2,
+                       compute_params, draw_sketch, estimate_inner,
+                       gen_example1, gen_example2,
                        mom_group_shape, oracle_facts, orthogonality_defect,
                        qisls_all, qisls_score, qisvd, read_report_csv,
                        SketchDescription, standard_normal, stream,
@@ -463,7 +463,7 @@ def test_row_blocks_score_any_row_set_bitwise_per_row(monkeypatch, mode,
                                                       block_draws, name):
     # exact-dot blocks are 40 // k = 10 or 1 rows at the small budgets,
     # sampled-dot blocks 40 // p = 4 or 1; a block of one increasing run
-    # of rows is read from a view, any other with a row take
+    # of rows is read from a view, any other with one row take
     monkeypatch.setattr("levsketch.estimator.BLOCK_DRAWS", block_draws)
     if block_draws < BLOCK_DRAWS:
         # and sampled-dot's draws descend in blocks as small
@@ -471,14 +471,22 @@ def test_row_blocks_score_any_row_set_bitwise_per_row(monkeypatch, mode,
                             block_draws)
     store, prm, sketch = gather_fixture()
     rows = GATHER_ROW_SETS[name]
-    blocks = []
+    blocks, row_takes = [], []
     gather = MatrixSampleStore._gather
 
     def spy(self, block, cols, out):
-        blocks.append(block)
+        blocks.append(block.copy())
         return gather(self, block, cols, out)
 
+    class Entries(np.ndarray):
+        # the store's entries, recording the index array of each row take
+        def take(self, indices, axis=None, **kwargs):
+            if axis == 0:
+                row_takes.append(np.array(indices))
+            return np.asarray(self).take(indices, axis, **kwargs)
+
     monkeypatch.setattr(MatrixSampleStore, "_gather", spy)
+    store._entries = store._entries.view(Entries)
     store.queries = 0
     together = stream(42)
     got = row_scores(store, sketch, rows, mode, prm, together)
@@ -486,12 +494,16 @@ def test_row_blocks_score_any_row_set_bitwise_per_row(monkeypatch, mode,
     step = max(1, block_draws // (sketch.k if mode == "exact-dot"
                                   else sketch.p))
     assert len(blocks) == -(-rows.size // step)
+    taken = []
     for first, block in zip(range(0, rows.size, step), blocks):
-        part = rows[first:first + step]
-        run = np.array_equal(part, np.arange(part[0], part[0] + part.size))
-        assert isinstance(block, slice) == run
-    if name == "all" and step < rows.size:
-        assert all(isinstance(block, slice) for block in blocks)
+        assert np.array_equal(block, rows[first:first + step])
+        if not np.array_equal(block, np.arange(block[0],
+                                               block[0] + block.size)):
+            taken.append(block)
+    assert len(row_takes) == len(taken)
+    assert all(map(np.array_equal, row_takes, taken))
+    if name == "all":
+        assert row_takes == []
     one_by_one, loop = stream(42), stream(42)
     single = np.array([qisls_score(store, sketch, int(i), mode, prm,
                                    one_by_one) for i in rows])
@@ -601,6 +613,17 @@ def test_rank_one_defect_tiny():
     prm = compute_params(0.5, 0.1, 1, 1.0, 1.0, 1.0, p_override=12)
     sketch = qisvd(store, prm, stream(6))
     assert orthogonality_defect(store, sketch) <= 1e-8
+
+
+def test_orthogonality_defect_needs_singular_triplets():
+    # draw_sketch draws the columns and rows but factors no core
+    store = MatrixSampleStore(standard_normal(stream(6), (12, 5)))
+    sketch, _ = draw_sketch(store, 6, stream(7))
+    store.queries = 0
+    with pytest.raises(ValueError,
+                       match="^sketch carries no singular triplets$"):
+        orthogonality_defect(store, sketch)
+    assert store.queries == 0
 
 
 def test_sampled_dot_on_banded_gaussian():

@@ -112,8 +112,8 @@ def test_entry_and_gather_access(small_store):
     (np.arange(40), [3, 0, 3]), ([5, 2, 5], np.arange(7)), ([1], [6]),
     (np.r_[0:9, 12, 11, 20:40], [4])])
 def test_block_values_is_a_contiguous_gather(rows, cols):
-    # either axis may be taken first, and row_blocks reads a block of one
-    # run of rows from a view; each result is bitwise A[rows][:, cols] and
+    # the gather reads one increasing run of rows from a view and takes
+    # any other rows first; each result is bitwise A[rows][:, cols] and
     # C-contiguous, which the stacked exact-dot product needs
     a = stream(9).standard_normal((40, 7))
     store = MatrixSampleStore(a)

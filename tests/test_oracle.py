@@ -102,6 +102,19 @@ def test_householder_qr_factors():
     assert np.all(np.diag(r) >= 0.0)
 
 
+def test_householder_qr_zero_column_gives_a_zero_diagonal():
+    # a zero column below the diagonal skips its reflector: Q keeps an
+    # orthonormal column there and R a 0 on its diagonal
+    a = standard_normal(stream(8), (12, 5))
+    a[:, 2] = 0.0
+    q, r = householder_qr(a)
+    np.testing.assert_allclose(q.T @ q, np.eye(5), rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(q @ r, a, rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(r, np.triu(r))
+    assert r[2, 2] == 0.0
+    assert np.all(np.diag(r) >= 0.0)
+
+
 def test_householder_qr_wide_rejected():
     with pytest.raises(ValueError, match="m >= r"):
         householder_qr(np.ones((2, 3)))

@@ -662,3 +662,16 @@ def test_truncated_sketch_csv_is_value_error(tmp_path, cut):
     with pytest.raises(ValueError, match="sketch file") as info:
         read_sketch_csv(path)
     assert "\n" not in str(info.value)
+
+
+def test_sketch_csv_data_before_its_first_section_is_refused(tmp_path):
+    store = MatrixSampleStore(standard_normal(stream(33), (10, 6)))
+    prm = compute_params(0.5, 0.1, 3, 1.0, 1.0, 1.0, p_override=8)
+    path = tmp_path / "sketch.csv"
+    write_sketch_csv(path, qisvd(store, prm, stream(34)))
+    path.write_text(path.read_text().replace("[cols]\n", "1,0.5\n[cols]\n"))
+    with pytest.raises(ValueError) as info:
+        read_sketch_csv(path)
+    assert str(info.value) == (
+        f"malformed sketch file {path}: data outside the [cols], [rows], "
+        "[V], [sigma] sections")

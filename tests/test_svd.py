@@ -436,6 +436,17 @@ def row_bands():
     return standard_normal(stream(9), (40, 10)) * bands[:, None]
 
 
+def graded_shuffled():
+    """A standard normal 12 x 8 matrix whose rows and columns are graded
+    by powers of 1e-3 in shuffled order, so that no row order the QR
+    could keep is graded downward."""
+    rows = [5, 0, 9, 2, 11, 7, 1, 4, 10, 3, 8, 6]
+    cols = [3, 6, 0, 5, 1, 7, 2, 4]
+    return (standard_normal(stream(9), (12, 8))
+            * (1e3 ** -np.array(rows, float))[:, None]
+            * 1e3 ** -np.array(cols, float))
+
+
 def conditioned_1e12():
     """Q_1 diag(1 .. 1e-12) Q_2^T, 20 x 12, with sigma spaced evenly in
     the logarithm; the product is einsum's own loop."""
@@ -482,6 +493,11 @@ SIXTY_DIGIT_SIGMA = {
         "1167.6079931278921697", "0.0012838793890832100772",
         "2.1690411139426280893e-9", "2.0011409825296068947e-14",
         "1.2979293931226197488e-21", "6.328609312733311218e-27"]),
+    "graded-shuffled": (graded_shuffled, [
+        "0.57379708005272220411", "3.5151180248415838407e-6",
+        "6.8830363444243547243e-13", "2.6671986070591989228e-19",
+        "6.44407282573703493e-24", "1.2321220352900593472e-30",
+        "1.0818202525710007324e-35", "1.8839614972091026712e-42"]),
     "row-bands": (row_bands, [
         "51237.648661890505676", "49713.314257294469227",
         "39927.980048046091547", "33222.144866313101407",
@@ -510,6 +526,7 @@ SIXTY_DIGIT_SIGMA = {
                                          ("graded-rows-1e2", 5e-6),
                                          ("graded-rows-1e4", 8e-12),
                                          ("graded-both-ways", 6e-16),
+                                         ("graded-shuffled", 2.2e-15),
                                          ("row-bands", 1.5e-15),
                                          ("hilbert-10", 6e-5),
                                          ("conditioned-1e12", 1e-5)])
@@ -518,11 +535,14 @@ def test_sigma_matches_a_sixty_digit_reference(name, bound):
     # bound is about 2.5 times the largest relative error measured when it
     # was set: 1.16e-14 on Kahan's triangle, 5.9e-16 on the graded columns,
     # 1.84e-6 and 3.06e-12 on the rows graded by 1e2 and 1e4, 2.19e-16 on
-    # the input graded both ways, 5.85e-16 on the row bands, 2.48e-5 on
-    # Hilbert's matrix and 4.04e-6 at condition 1e12. The rows graded by
-    # 1e2 lose theirs to the QR's rank stop, which drops a trailing block
-    # of norm 4.1e-15, below n eps times the largest column: that moves
-    # sigma_7 = 8.2e-13 by 1.5e-18
+    # the input graded both ways, 8.8e-16 on the shuffled grading,
+    # 5.85e-16 on the row bands, 2.48e-5 on Hilbert's matrix and 4.04e-6
+    # at condition 1e12. The rows graded by 1e2 lose theirs to the QR's
+    # rank stop, which drops a trailing block of norm 4.1e-15, below n eps
+    # times the largest column: that moves sigma_7 = 8.2e-13 by 1.5e-18.
+    # Every other graded input grades its rows downward, which a QR
+    # without column pivoting also factors within these bounds; on the
+    # shuffled grading it errs by 2.0e-13
     make, digits = SIXTY_DIGIT_SIGMA[name]
     res = svd_dense(make())
     ref = np.array([float(d) for d in digits[:res.sigma.size]])

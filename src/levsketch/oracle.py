@@ -79,7 +79,9 @@ def gen_example2(m: int, n: int, r: int, kappa: float, a: int, b: int,
     Orthonormal factors come from Householder QR of Gaussian matrices. The
     largest singular value is a uniform integer in [a, b], the smallest is
     sigma_max / kappa, and the r - 2 interior values are uniform between
-    them. kappa = 1 collapses all singular values to sigma_max.
+    them. kappa = 1 collapses all singular values to sigma_max. The
+    product of the factors runs in numpy's own einsum loop, not in BLAS,
+    so the matrix has the same bits at any BLAS thread count.
     """
     if not 1 <= r <= min(m, n):
         raise ValueError("need 1 <= r <= min(m, n)")
@@ -99,4 +101,4 @@ def gen_example2(m: int, n: int, r: int, kappa: float, a: int, b: int,
         sigma = np.concatenate(([s_max], interior, [s_min]))
     else:
         sigma = np.array([s_max])
-    return (u * sigma) @ v.T
+    return np.einsum("ik,jk->ij", u * sigma, v)

@@ -84,12 +84,15 @@ def _parameter_formulas(epsilon: float, k: int, kappa: float,
         try:
             spectral = math.ldexp(spectral_norm, shift)
             frob = math.ldexp(frob_norm, shift)
-            w = max(frob * kappa + spectral, kappa)
+            total = frob * kappa + spectral
+            w = max(total, kappa)
             # bounds every product below: where it is finite, none overflows
             bound = 196.0 * (4 * k + 5) * w * w
-            s2, f2, k2 = spectral ** 2, frob ** 2, kappa ** 2
-            num, xnum = s2 * epsilon ** 2, 2.0 * epsilon * s2
-            omega = num / (196.0 * (frob * kappa + spectral) ** 2)
+            # squares by multiplication, which rounds correctly: ** goes
+            # through libm pow, and a scaled norm could move its last bit
+            s2, f2, k2 = spectral * spectral, frob * frob, kappa * kappa
+            num, xnum = s2 * (epsilon * epsilon), 2.0 * epsilon * s2
+            omega = num / (196.0 * (total * total))
             top = omega * s2
             upper = top / ((4 * k + 3 + 2 * omega) * k2 * f2)
             # sqrt(r + 1) - 1 = r / (sqrt(r + 1) + 1), which does not
@@ -119,8 +122,9 @@ def theta_upper(epsilon: float, k: int, kappa: float, spectral_norm: float,
     depend on the norms only through their ratio. Where an intermediate of
     their formulas could overflow or is subnormal, they are evaluated on
     both norms divided by the power of two that brings spectral_norm into
-    [0.5, 1), which is exact. Only there: elsewhere ``**`` rounds through
-    libm ``pow``, and scaled norms could move the last bit. Where the
+    [0.5, 1), which is exact. Every square is a product, which rounds
+    correctly, so the results are the same bits for both norms times any
+    power of two that keeps the intermediates normal and finite. Where the
     formulas overflow or underflow at that scale too (kappa, the ratio of
     the norms, 1 / epsilon or k far out of range), ValueError.
     """

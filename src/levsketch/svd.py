@@ -5,6 +5,8 @@ SIMAX 29(4), 2008, and Veselic and Hari, Numer. Math. 56, 1989. An m-by-n
 input with m >= n (wide inputs are transposed) is factored A P = Q R by
 Householder QR with column pivoting, stopped at the numerical rank r: when
 no remaining column is larger than n eps times the largest initial column.
+The QR factors a C-ordered copy of A^T, so that each column of A, which
+each step reads whole, is one contiguous row.
 The r-by-n R is scaled by the power of two that brings its largest entry
 into [0.5, 1), R_s = R 2^-e, and the Jacobi sweeps run on the n-by-r
 R_s^T Q_e, where Q_e holds the eigenvectors of R_s R_s^T by non-increasing
@@ -13,9 +15,8 @@ already. Each sweep starts with one check of every pair's cosine at once,
 bitwise as a rotation computes it, and the sweeps end when no pair
 exceeds ``_TOL``: the sweep that would rotate nothing is not run.
 Counting that check as a sweep, the cores of 40 sketches of each
-benchmark workload's seed-7 matrix took {2: 37, 3: 3} sweeps on
-factor-core ({2: 36, 3: 4} with two BLAS threads), {1: 37, 2: 3} on
-compare-cli and {1: 40} on banded-tall. A
+benchmark workload's seed-7 matrix took {2: 38, 3: 2} sweeps on
+factor-core, {1: 38, 2: 2} on compare-cli and {1: 40} on banded-tall. A
 sweep rotates only the pairs that its check flagged, a few dozen of some
 four thousand on factor-core's cores, in the order in which Brent and
 Luk's round-robin rounds meet them; a pair that a rotation pushes over
@@ -249,21 +250,28 @@ def pivoted_qr(matrix, *, basis: bool = True
     Each step pivots the remaining column of largest norm, recomputed
     exactly: a unique largest is taken directly, exactly tied norms go to
     the lowest original index, and a pivot already in place is not
-    swapped. The factorization stops
-    when every remaining squared norm is at most (n eps)^2 times the
-    largest initial one.
+    swapped. The factorization stops when every remaining squared norm
+    is at most (n eps)^2 times the largest initial one.
+
+    It works on a C-ordered copy of A^T, in which each column of A is one
+    contiguous row: the norms are one row-wise einsum, and each reflection
+    updates the later rows by one matrix-vector product over the trailing
+    block and one rank-1 update over the whole rows. Q is built as Q^T, r
+    rows of length m, and returned as its transposed view.
     """
-    # a C-ordered copy: the result must not depend on the input's layout
-    a = np.array(matrix, dtype=np.float64, order="C")
-    m, n = a.shape
+    # the same copy whatever the input's layout: the bits must not
+    # depend on it
+    t = np.array(np.transpose(matrix), dtype=np.float64, order="C")
+    n, m = t.shape
     perm = np.arange(n)
-    # one product buffer for every step: fresh per-step temporaries of the
-    # matrix's size cost page faults
-    buf = np.empty((m, n))
+    # one flat product buffer for every step, each product a contiguous
+    # prefix: fresh per-step temporaries of the matrix's size cost page
+    # faults
+    buf = np.empty(n * m)
     reflectors = []
     for j in range(n):
-        rest = a[j:, j:]
-        sq = np.einsum("ij,ij->j", rest, rest)
+        rest = t[j:, j:]
+        sq = np.einsum("ij,ij->i", rest, rest)
         k = int(sq.argmax())
         top = sq[k]
         if j == 0:
@@ -277,38 +285,41 @@ def pivoted_qr(matrix, *, basis: bool = True
             k = int(ties[np.argmin(perm[j + ties])])
         k += j
         if k != j:
-            col = a[:, j].copy()
-            a[:, j] = a[:, k]
-            a[:, k] = col
+            t[j], t[k] = t[k], t[j].copy()
             perm[j], perm[k] = perm[k], perm[j]
         # x -> beta e_1 with v[0] = 1: exact for a column with one nonzero
-        x = a[j:, j]
+        x = t[j, j:]
         alpha = float(x[0])
         beta = -math.copysign(math.sqrt(top), alpha)
         v = x / (alpha - beta)
         v[0] = 1.0
-        w = (beta - alpha) / beta * v
-        a[j, j] = beta
-        out = buf[:m - j, :n - j - 1]
-        np.multiply.outer(w, v @ a[j:, j + 1:], out=out)
-        a[j:, j + 1:] -= out
+        w = np.zeros(m)
+        w[j:] = (beta - alpha) / beta * v
+        t[j, j] = beta
+        # the update runs over whole rows, which are contiguous: on the
+        # strided trailing block the subtraction took three times as long.
+        # w is zero on the first j entries, where einsum's outer product,
+        # 0.0 + u_i w_k, is +0.0, so R's entries there keep their bits
+        trail = t[j + 1:]
+        out = buf[:trail.size].reshape(trail.shape)
+        np.einsum("i,j->ij", trail[:, j:] @ v, w, out=out)
+        trail -= out
         reflectors.append((w, v))
-    upper = np.triu(a[:len(reflectors)])
+    r = len(reflectors)
+    upper = np.triu(t[:, :r].T)
     if not basis:
         return None, upper, perm
-    a = rest = x = None  # free the factored copy before Q is built
-    r = len(reflectors)
-    # only Q's first r columns are built. Each reflector's product still
-    # spans all n - j columns: a product's columns depend only on their
-    # own, but a narrower one rounds them differently
-    q = np.zeros((m, n))
-    q[:r, :r] = np.eye(r)
+    t = rest = x = trail = None  # free the factored copy before Q is built
+    # Q^T: only Q's r columns are built, as rows of length m, so
+    # reflector j's product spans the r - j rows from j
+    q = np.eye(r, m)
     for j in range(r - 1, -1, -1):
         w, v = reflectors[j]
-        out = buf[:m - j, :r - j]
-        np.multiply.outer(w, (v @ q[j:, j:])[:r - j], out=out)
-        q[j:, j:r] -= out
-    return q[:, :r], upper, perm
+        rows = q[j:]
+        out = buf[:rows.size].reshape(rows.shape)
+        np.einsum("i,j->ij", rows[:, j:] @ v, w, out=out)
+        rows -= out
+    return q.T, upper, perm
 
 
 def positive_int(value, name: str) -> int:

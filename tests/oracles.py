@@ -4,7 +4,8 @@ Everything here leans on numpy.linalg and scipy, which the library's own
 algorithm paths avoid on purpose; agreement between the two routes is
 evidence, not tautology. The exceptions are the Jacobi and QR references
 at the end: a plain one-pair-at-a-time loop that ``svd._jacobi`` must
-match bit for bit, and library functions kept verbatim as they were
+match bit for bit, a one-column-at-a-time QR that ``svd.pivoted_qr``
+must match bit for bit, and library functions kept verbatim as they were
 before a change, which the change is checked against.
 """
 import math
@@ -99,20 +100,25 @@ def parameter_formulas_reference(epsilon, k, kappa, spectral, frob):
     """(omega, theta's upper end, xi) literally as the paper writes them,
     on the unscaled norms, and every intermediate of their formulas. xi's
     (sqrt(r + 1) - 1) / sqrt(k) is written r / (sqrt(r + 1) + 1) / sqrt(k),
-    the same number without the cancellation."""
-    omega = (spectral ** 2 * epsilon ** 2
-             / (196.0 * (frob * kappa + spectral) ** 2))
-    upper = (omega * spectral ** 2
-             / ((4 * k + 3 + 2 * omega) * kappa ** 2 * frob ** 2))
-    r = (2.0 * epsilon * spectral ** 2
-         / (kappa ** 2 * (4 * k + 5) * frob ** 2))
+    the same number without the cancellation. Each square is the correctly
+    rounded product x * x: ``x ** 2`` goes through libm ``pow``, which
+    differs from it in the last bit for about one double in a thousand."""
+    def sq(x):
+        return x * x
+
+    omega = (sq(spectral) * sq(epsilon)
+             / (196.0 * sq(frob * kappa + spectral)))
+    upper = (omega * sq(spectral)
+             / ((4 * k + 3 + 2 * omega) * sq(kappa) * sq(frob)))
+    r = (2.0 * epsilon * sq(spectral)
+         / (sq(kappa) * (4 * k + 5) * sq(frob)))
     xi = r / (math.sqrt(r + 1.0) + 1.0) / math.sqrt(k)
     intermediates = (
-        spectral ** 2, epsilon ** 2, frob * kappa + spectral,
-        spectral ** 2 * epsilon ** 2, 196.0 * (frob * kappa + spectral) ** 2,
-        omega, omega * spectral ** 2, kappa ** 2 * frob ** 2,
-        (4 * k + 3 + 2 * omega) * kappa ** 2 * frob ** 2, upper,
-        2.0 * epsilon * spectral ** 2, kappa ** 2 * (4 * k + 5) * frob ** 2,
+        sq(spectral), sq(epsilon), frob * kappa + spectral,
+        sq(spectral) * sq(epsilon), 196.0 * sq(frob * kappa + spectral),
+        omega, omega * sq(spectral), sq(kappa) * sq(frob),
+        (4 * k + 3 + 2 * omega) * sq(kappa) * sq(frob), upper,
+        2.0 * epsilon * sq(spectral), sq(kappa) * (4 * k + 5) * sq(frob),
         xi)
     return (omega, upper, xi), intermediates
 
@@ -279,8 +285,72 @@ def jacobi_reference(a: np.ndarray, left: bool):
 
 
 def pivoted_qr_reference(matrix, *, basis: bool = True
-               ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Householder QR with column pivoting, stopped at the numerical rank.
+                         ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """``svd.pivoted_qr`` one column at a time, on the same working copy
+    A^T, whose row c is column c of A.
+
+    Each step takes every remaining column's squared norm on its own,
+    picks the largest, exactly tied norms going to the lowest original
+    index, swaps it in unless it is in place, forms the reflector
+    x -> beta e_1 with v[0] = 1 and applies it to each later column in
+    turn. The products v . column are the library's one matrix-vector
+    product over the trailing block, since its bits depend on the block
+    it runs on, and each update subtracts 0.0 + product * w, as einsum's
+    outer product does (it turns a -0.0 product into +0.0). Q^T is
+    built the same way, one row at a time.
+    """
+    t = np.array(np.transpose(matrix), dtype=np.float64, order="C")
+    n, m = t.shape
+    perm = list(range(n))
+    reflectors = []
+    for j in range(n):
+        sq = [np.einsum("i,i->", t[c, j:], t[c, j:]) for c in range(j, n)]
+        top = max(sq)
+        if j == 0:
+            if not math.isfinite(top):
+                raise ValueError("squared norm overflows")
+            floor = (n * _EPS) ** 2 * top
+        if top <= floor:
+            break
+        k = min((perm[c], c) for c in range(j, n) if sq[c - j] == top)[1]
+        if k != j:
+            t[[j, k]] = t[[k, j]]
+            perm[j], perm[k] = perm[k], perm[j]
+        x = t[j, j:]
+        alpha = float(x[0])
+        beta = -math.copysign(math.sqrt(top), alpha)
+        v = x / (alpha - beta)
+        v[0] = 1.0
+        w = (beta - alpha) / beta * v
+        t[j, j] = beta
+        products = t[j + 1:, j:] @ v
+        for c in range(j + 1, n):
+            t[c, j:] -= 0.0 + products[c - j - 1] * w
+        reflectors.append((w, v))
+    r = len(reflectors)
+    upper = np.zeros((r, n))
+    for c in range(n):
+        upper[:c + 1, c] = t[c, :min(c + 1, r)]
+    if not basis:
+        return None, upper, np.array(perm)
+    q = np.zeros((r, m))
+    for i in range(r):
+        q[i, i] = 1.0
+    for j in range(r - 1, -1, -1):
+        w, v = reflectors[j]
+        products = q[j:, j:] @ v
+        for i in range(j, r):
+            q[i, j:] -= 0.0 + products[i - j] * w
+    return q.T, upper, np.array(perm)
+
+
+def strided_pivoted_qr_reference(matrix, *, basis: bool = True
+                                 ) -> tuple[np.ndarray | None, np.ndarray,
+                                            np.ndarray]:
+    """``svd.pivoted_qr`` as it was when it factored a C-ordered copy of
+    A itself, each column strided, before it factored A^T.
+
+    Householder QR with column pivoting, stopped at the numerical rank.
 
     Returns (Q, R, perm) for an (m, n) input, m >= n: Q is (m, r) with
     orthonormal columns, R is (r, n) upper trapezoidal and A[:, perm] =

@@ -405,14 +405,14 @@ def test_sampled_dot_compare_output_is_pinned(tmp_path):
     assert run(["gen", "--family", "example2", "--m", 600, "--n", 80,
                 "--r", 25, "--kappa", 10, "--a", 2, "--b", 9, "--seed", 5,
                 "-o", mat]) == 0
-    assert sha256_of(mat) == ("6b2199a26e378657055b0810991ff619"
-                              "bc3ef9f9e74dc408b154e51459653680")
+    assert sha256_of(mat) == ("d211e01c2c5d9632f33f3334765cbe2b"
+                              "3947497ff85d4c5c2bf1a1a7016fa4de")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--mode", "sampled-dot", "--p", 50,
                 "--k", 12, "--trials", 3, "--seed", 8,
                 "--rows", "1,7,50,100,233,400,599,600", "-o", rep]) == 0
-    assert sha256_of(rep) == ("acdec9c2eef1792e34513e202d2c237f"
-                              "1274064d513f1a165a3031a41827b30b")
+    assert sha256_of(rep) == ("88ca2bb513781fbb4245c7aa0d6f172e"
+                              "749c69da03ff1a3e31be5646ac810fd8")
 
 
 def test_exact_dot_compare_output_is_pinned(tmp_path):
@@ -421,13 +421,13 @@ def test_exact_dot_compare_output_is_pinned(tmp_path):
     mat = tmp_path / "e1.csv"
     assert run(["gen", "--family", "example1", "--m", 1000, "--n", 100,
                 "--zero", 70, "--seed", 4, "-o", mat]) == 0
-    assert sha256_of(mat) == ("52696d70372a6d4b73b3b14502e97589"
-                              "976c69520dc458687c8ccd845878ff93")
+    assert sha256_of(mat) == ("901eddac3365712c842d609548e19326"
+                              "db3055623b1365b7a2e90a892afa893a")
     rep = tmp_path / "rep.csv"
     assert run(["compare", mat, "--p", 60, "--k", 20, "--trials", 2,
                 "--seed", 3, "-o", rep]) == 0
-    assert sha256_of(rep) == ("b5d30e90a11795e138769c23a5c562d1"
-                              "6c82efe51d4a7d846c82b04c2497a7cc")
+    assert sha256_of(rep) == ("47a20a2330131152b627dd6fc893cc7c"
+                              "db2844ec160265fd77e76abe61656d7d")
 
 
 DEGENERATE = {

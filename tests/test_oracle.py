@@ -12,8 +12,8 @@ from oracles import hat_leverage
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (7, "53f5b585ab2f6d41c94abd8df9a16dbadbbd1ca843c8ee2bcf0f92502b2493a1"),
-    (11, "8620babc71a00448902b22bc397f103dbdf4a82a8fd05ea764a2f82b0beeed26"),
+    (7, "41ac7b0153e8eccbe8d35cbeea22ad3e8d2e1bc67aa1b19ef89e019899a10ebd"),
+    (11, "983d88371439311fe60dacba8b34de01b723c535e2583a730bb8a22f55516b9d"),
 ], ids=["seed-7", "seed-11"])
 def test_oracle_facts_are_bitwise_pinned(seed, digest):
     # the compare command's oracle on its benchmark's matrix shape: how

@@ -17,7 +17,8 @@ from levsketch import (MatrixSampleStore, SvdResult, compute_params,
                        trial_stream, truncate_top_k)
 
 from oracles import (jacobi_reference, pivoted_qr_reference,
-                     power_iteration_sigma, threshold_jacobi_reference)
+                     power_iteration_sigma, strided_pivoted_qr_reference,
+                     threshold_jacobi_reference)
 
 
 def reconstruction_error(a, res):
@@ -621,17 +622,17 @@ PINNED_INPUTS = {
 # sha256 of each result's sigma, V, U (when returned), sweeps and residual
 PINNED_DIGESTS = {
     ('factor-core-even', True):
-        "268885ed2badebc94755c42f3daf1cc9f2de5545fe62719b4e11afd6bd3688c6",
+        "de6bab1d6e62b37eb8fe8ede703eb6d721f4aa6f1e3276a02f82b70cb7297d40",
     ('factor-core-even', False):
-        "2783b2f8ae1a47e1e59ca66f38309ef35e08940f34e7f2db134fe9893a9322c2",
+        "710ed815e1e6ed76030b0546c7dc7eed06f952b8b7754ae2367b3e4e664536e7",
     ('factor-core-odd', True):
-        "6f646949443f753597129d2c56dd6a3487523dbd3a8f65402f81849a911930f8",
+        "a5bf5726938e42e284ce9b2f7a65d5602b039b03fca69411dc3fae833b1e7802",
     ('factor-core-odd', False):
-        "e6861a0889509c7252075e76da8d2ae97346d1459c73ce3c94f5134c9c2107e9",
+        "2be63e85ae0d7aeeab33ba4106bee4a4b4bd7022f5d4d6fe1a61ba327cbff221",
     ('kahan', True):
-        "13efd5c153c80ba20c4b690f259213897ef60b49570bbb02a0ca8f619a625146",
+        "81e2d4f9279ef3fef79a240ec0ea482042afcf252105e1b513cff3dcaa6df47c",
     ('kahan', False):
-        "80556c92d06fe7013f882be218fe336527cef8e1fc4165da221f74257f2e91c2",
+        "a7528ad04093e6c537a0ec362296d996a5194b06315863ebc06132d01d3d7514",
     ('n1', True):
         "8b1cbb34bf46854aeb053d76dc6a30f79cdcde80a31794fd33fbe0af09065940",
     ('n1', False):
@@ -649,13 +650,13 @@ PINNED_DIGESTS = {
     ('n4', False):
         "ae4f9866b9d5c80f448bdb767b983b3f7c6c62f4460b9a0d3de68036b09666f5",
     ('wide', True):
-        "83ab3e5643f9ec274449c5e9975147f1bdc301a9172b2b7ecd142d96ffd99c6c",
+        "67a08b707dcbe68facce7bde15d881794552853c77caae2e23fd908aee33cb52",
     ('wide', False):
-        "d50cb241e6c780254c1f4567f69f0cb22b0c4a700520ffd354b6c88585dda43b",
+        "8ddb9daf1d96e8aeef360c769618cb7b95db6198ae6cf22d6ffd81cafafb2272",
     ('zero-columns', True):
-        "304f2a262d8ec21b87eb8dad59a344944ba25f7b28ff54a99c0764c1978ccf9a",
+        "9705395571d485a804b341cb91820992a8e9408c258a2a635f6c2acedcb002c7",
     ('zero-columns', False):
-        "db0404a2540b6cdcf63fb1cd7909f6168c3914b187150f9dd58e56da473f5e8b",
+        "a0dc6a894e28735b55dbf89ed67b4488ad2a16b2e308c8721ee1f933d48440ef",
 }
 
 
@@ -715,9 +716,9 @@ def assert_bitwise(got, want):
 @example(np.arange(1.0, 6.0)[:, None], False)
 @example(np.vstack([np.diag([1.0, 1.0, 2.0])] * 2), True)
 def test_bitwise_the_frozen_references(a, left):
-    # svd_dense with the one-pair-at-a-time Jacobi of tests/oracles.py and
-    # the pivoted_qr kept as it was before the QR's argmax pivot gives the
-    # same bits, and so do pivoted_qr and _jacobi alone
+    # svd_dense with the one-pair-at-a-time Jacobi and the
+    # one-column-at-a-time pivoted QR of tests/oracles.py gives the same
+    # bits, and so do pivoted_qr and _jacobi alone
     if not a.any():
         return
     res = svd_dense(a, left=left)
@@ -788,6 +789,29 @@ def test_a_sweep_rotates_only_the_pairs_its_check_flags():
     assert np.signbit(u[3, 2])
 
 
+# the two QRs' pivots and ranks agree on the workloads' inputs
+OLD_QR_INPUTS = {
+    **{name: OLD_BITS_INPUTS[name] for name in (
+        "factor-core-even", "factor-core-odd", "compare-cli-core",
+        "banded-tall-core")},
+    "compare-cli-oracle": lambda: gen_example2(1000, 100, 30, 1.0, 1, 10, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_QR_INPUTS))
+def test_workload_inputs_keep_the_strided_qrs_pivots_and_rank(name):
+    # factoring A^T in place of A moves R's bits, not its pivots or rank:
+    # R's singular values stay within 1e-14 of the largest
+    a = OLD_QR_INPUTS[name]()
+    _, upper, perm = svd_module.pivoted_qr(a, basis=False)
+    _, old_upper, old_perm = strided_pivoted_qr_reference(a, basis=False)
+    assert upper.shape == old_upper.shape
+    np.testing.assert_array_equal(perm, old_perm)
+    got, want = (np.linalg.svd(r, compute_uv=False)
+                 for r in (upper, old_upper))
+    assert np.abs(got - want).max() <= 1e-14 * want[0]
+
+
 def jacobi_digest(parts):
     """sha256 of _jacobi's sigma, U, V, sweeps and residual."""
     h = hashlib.sha256()
@@ -797,23 +821,39 @@ def jacobi_digest(parts):
     return h.hexdigest()
 
 
+def under_one_blas_thread(code, *args):
+    """The standard output of ``python -c code args`` run with
+    OPENBLAS_NUM_THREADS=1 and src/ and tests/ on the import path."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_jacobi_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the sweeps' products are numpy's own einsum and elementwise loops,
     # never BLAS: on factor_core(1)'s raw columns, where many sweeps
     # rotate, one BLAS thread gives the bits of the default count
     core = factor_core(1)
     np.save(tmp_path / "core.npy", core)
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), str(root / "tests"),
-                      env.get("PYTHONPATH")]))
     code = ("import sys, numpy as np; from levsketch.svd import _jacobi; "
             "from test_svd import jacobi_digest; "
             "print(jacobi_digest(_jacobi(np.load(sys.argv[1]), True)))")
-    done = subprocess.run([sys.executable, "-c", code,
-                           str(tmp_path / "core.npy")], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == jacobi_digest(svd_module._jacobi(core,
-                                                                   True))
+    assert under_one_blas_thread(code, str(tmp_path / "core.npy")) == (
+        jacobi_digest(svd_module._jacobi(core, True)))
+
+
+def test_pinned_svd_bits_do_not_depend_on_the_blas_thread_count():
+    # end to end: the generated matrix, the sketch's core and its SVD,
+    # computed under one BLAS thread, give the digest that
+    # test_results_are_bitwise_pinned checks in process
+    code = ("from levsketch.svd import svd_dense; "
+            "from test_svd import factor_core, result_digest; "
+            "print(result_digest(svd_dense(factor_core(1))))")
+    assert under_one_blas_thread(code) == (
+        PINNED_DIGESTS["factor-core-even", True])
